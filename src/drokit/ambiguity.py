@@ -10,10 +10,17 @@ continuum):
 * ``MomentSet`` -- measures on a support grid matching moment targets;
 * ``WassersteinBall`` -- order-1 transport ball around a center.
 
-Every supremum or infimum over a set reduces to a vertex scan or a small LP,
-built from one shared constraint encoding (``membership_system``). A linear
-objective on a polytope attains its optimum at a vertex, so these reductions
-are exact.
+Each family answers one question through one batched oracle,
+``worst_case(M, Z)``: the worst-case expectation ``sup_Q E_Q[Z]`` for every
+row of ``Z`` together with an attaining measure. Finite families scan their
+members with a matrix product, AVaR sets sort ``Z`` and fill the capped
+density (Rockafellar & Uryasev 2000), and moment sets and transport balls
+solve the membership LP. The reference measure, strict monotonicity, sampled
+members and reachability are all the oracle on chosen objectives (unit
+vectors, their negatives, random directions). A linear objective on a
+polytope attains its optimum at a vertex, so every reduction is exact.
+``membership_system`` encodes each set as constraints; it feeds the LP and is
+the independent route the tests compare the oracle against.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .avar import AvarSpec, avar_primal
 from .lp import EQ, GE, LE, LinearProgram, solve
 from .rng import Rng
 from .spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
@@ -45,14 +51,17 @@ class FiniteFamily:
             if q.n != n:
                 raise ValidationError("family members live on different spaces")
             q.require_probability("family member")
+        matrix = np.vstack([q.weights for q in measures])
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def n(self) -> int:
         return self.measures[0].n
 
     def matrix(self) -> np.ndarray:
-        """Members as rows, shape (m, n)."""
-        return np.vstack([q.weights for q in self.measures])
+        """Members as rows, shape (m, n), read-only."""
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -148,10 +157,6 @@ class WassersteinBall:
 AmbiguitySet = Union[FiniteFamily, AVaRSet, MomentSet, WassersteinBall]
 
 
-def n_outcomes(M: AmbiguitySet) -> int:
-    return M.n
-
-
 @dataclass(frozen=True)
 class MembershipSystem:
     """Constraint encoding ``{q = q_map @ v : A v (sense) b, v >= 0}``.
@@ -214,7 +219,7 @@ def _membership_lp(
     maximize: bool,
     zero_outcomes: tuple[int, ...] = (),
     allow_infeasible: bool = False,
-) -> Optional[tuple[float, DiscreteMeasure]]:
+) -> Optional[tuple[float, np.ndarray]]:
     """Optimize a linear function of the measure over the set, optionally
     forcing ``q`` to vanish on the listed outcomes.
 
@@ -241,21 +246,44 @@ def _membership_lp(
         if allow_infeasible and sol.status == "infeasible":
             return None
         raise ValidationError(f"membership LP unexpectedly {sol.status}")
-    return float(sol.value), DiscreteMeasure(sys.q_map @ sol.x)
+    return float(sol.value), sys.q_map @ sol.x
 
 
-def _avar_greedy_density(M: AVaRSet, order: np.ndarray) -> np.ndarray:
-    """Fill the density cap along ``order`` until the mass budget is spent."""
-    p = M.reference.weights
-    q = np.zeros(p.size)
-    remaining = 1.0
-    for i in order:
-        if p[i] <= 0.0 or remaining <= 0.0:
-            continue
-        take = min(M.cap * p[i], remaining)
-        q[i] = take
-        remaining -= take
-    return q
+def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
+    """Batched worst case ``sup_Q E_Q[Z]`` over the last axis of ``Z``.
+
+    ``Z`` has shape ``(..., n)``; returns the values, shape ``(...)``, and
+    attaining measures, shape ``(..., n)``. Every other operation on a set is
+    built on this one, which is where the families differ:
+
+    * FiniteFamily: members times ``Z``, then the first largest member;
+    * AVaRSet: a stable descending sort of ``Z``, then the density cap
+      ``p / (1 - alpha)`` filled along it until the unit mass is spent, so
+      the lowest index wins ties;
+    * MomentSet, WassersteinBall: the membership LP, row by row.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim < 1 or Z.shape[-1] != M.n:
+        raise ValidationError("Z and the ambiguity set live on different spaces")
+    if not np.isfinite(Z).all():
+        raise ValidationError("random variables must be finite-valued")
+    if isinstance(M, FiniteFamily):
+        mat = M.matrix()
+        vals = Z @ mat.T
+        return vals.max(axis=-1), mat[vals.argmax(axis=-1)]
+    if isinstance(M, AVaRSet):
+        order = np.argsort(-Z, axis=-1, kind="stable")
+        caps = M.cap * M.reference.weights[order]
+        take = np.diff(np.minimum(np.cumsum(caps, axis=-1), 1.0), axis=-1, prepend=0.0)
+        argmax = np.empty_like(take)
+        np.put_along_axis(argmax, order, take, axis=-1)
+        return (take * np.take_along_axis(Z, order, axis=-1)).sum(axis=-1), argmax
+    flat = Z.reshape(-1, M.n)
+    values = np.empty(flat.shape[0])
+    argmax = np.empty_like(flat)
+    for i, z in enumerate(flat):
+        values[i], argmax[i] = _membership_lp(M, z, maximize=True)
+    return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
 
 
 def robust_expectation(
@@ -263,21 +291,11 @@ def robust_expectation(
 ) -> tuple[float, DiscreteMeasure]:
     """Worst-case expectation ``sup_Q E_Q[Z]`` with an attaining measure.
 
-    FiniteFamily scans its generators (a linear objective on a convex hull
-    peaks at a vertex); AVaRSet uses the closed form plus the greedy worst
-    density; the other families solve the membership LP.
+    One row of ``worst_case``: a member scan for finite families, the sorted
+    capped-density fill for AVaR sets, the membership LP otherwise.
     """
-    if Z.n != M.n:
-        raise ValidationError("Z and the ambiguity set live on different spaces")
-    if isinstance(M, FiniteFamily):
-        vals = M.matrix() @ Z.values
-        k = int(np.argmax(vals))
-        return float(vals[k]), M.measures[k]
-    if isinstance(M, AVaRSet):
-        value = avar_primal(AvarSpec(M.alpha, M.reference), Z).value
-        order = np.argsort(-Z.values, kind="stable")
-        return value, DiscreteMeasure(_avar_greedy_density(M, order))
-    return _membership_lp(M, Z.values, maximize=True)
+    value, argmax = worst_case(M, Z.values)
+    return float(value), DiscreteMeasure(argmax)
 
 
 @dataclass(frozen=True)
@@ -294,60 +312,28 @@ class ReferenceMeasureResult:
 
 def reference_measure(M: AmbiguitySet) -> ReferenceMeasureResult:
     """Per-outcome suprema ``mu(w) = sup_Q Q({w})`` assembled into a measure."""
-    n = M.n
-    if isinstance(M, FiniteFamily):
-        mu = M.matrix().max(axis=0)
-    elif isinstance(M, AVaRSet):
-        p = M.reference.weights
-        mu = np.where(p > 0.0, np.minimum(1.0, M.cap * p), 0.0)
-    else:
-        mu = np.empty(n)
-        for w in range(n):
-            obj = np.zeros(n)
-            obj[w] = 1.0
-            mu[w], _ = _membership_lp(M, obj, maximize=True)
-            mu[w] = max(mu[w], 0.0)
-    measure = DiscreteMeasure(mu)
+    mu, _ = worst_case(M, np.eye(M.n))
+    measure = DiscreteMeasure(np.maximum(mu, 0.0))
     return ReferenceMeasureResult(mu=measure, normalized=measure.normalized())
 
 
 def reference_argmax(M: AmbiguitySet, outcome: int) -> DiscreteMeasure:
     """A member of the set attaining ``sup_Q Q({outcome})``."""
-    n = M.n
-    if isinstance(M, FiniteFamily):
-        mat = M.matrix()
-        return M.measures[int(np.argmax(mat[:, outcome]))]
-    if isinstance(M, AVaRSet):
-        order = np.concatenate([[outcome], np.delete(np.arange(n), outcome)])
-        return DiscreteMeasure(_avar_greedy_density(M, order))
-    obj = np.zeros(n)
-    obj[outcome] = 1.0
-    return _membership_lp(M, obj, maximize=True)[1]
+    return DiscreteMeasure(worst_case(M, np.eye(M.n)[outcome])[1])
 
 
 def sample_measures(M: AmbiguitySet, count: int, rng: Rng) -> list[DiscreteMeasure]:
     """Random members: extreme points for random objectives plus convex
     mixtures of them. Used by randomized dominance and membership batteries."""
     n = M.n
-    vertices: list[DiscreteMeasure] = []
-    if isinstance(M, FiniteFamily):
-        vertices = list(M.measures)
-    elif isinstance(M, AVaRSet):
-        for _ in range(min(count, 2 * n + 2)):
-            vertices.append(
-                DiscreteMeasure(_avar_greedy_density(M, np.array(rng.shuffled(list(range(n))))))
-            )
-    else:
-        for _ in range(min(count, 2 * n + 2)):
-            z = rng.uniforms(n, -1.0, 1.0)
-            vertices.append(robust_expectation(M, RandomVariable(z))[1])
-    out: list[DiscreteMeasure] = list(vertices[:count])
+    directions = [rng.uniforms(n, -1.0, 1.0) for _ in range(min(count, 2 * n + 2))]
+    _, vertices = worst_case(M, np.array(directions).reshape(-1, n))
+    out = [DiscreteMeasure(q) for q in vertices[:count]]
     while len(out) < count:
         k = min(len(vertices), 1 + rng.randint(3))
         picks = [vertices[rng.randint(len(vertices))] for _ in range(k)]
         lam = rng.simplex(k)
-        mix = sum(l * q.weights for l, q in zip(lam, picks))
-        out.append(DiscreteMeasure(mix))
+        out.append(DiscreteMeasure(sum(l * q for l, q in zip(lam, picks))))
     return out
 
 
@@ -383,20 +369,10 @@ class StrictMonotonicity:
 
 
 def _min_mass_member(M: AmbiguitySet, outcome: int) -> tuple[float, DiscreteMeasure]:
-    """Member minimizing the mass of a single outcome."""
-    n = M.n
-    if isinstance(M, FiniteFamily):
-        mat = M.matrix()
-        k = int(np.argmin(mat[:, outcome]))
-        return float(mat[k, outcome]), M.measures[k]
-    if isinstance(M, AVaRSet):
-        order = np.concatenate([np.delete(np.arange(n), outcome), [outcome]])
-        q = _avar_greedy_density(M, order)
-        return float(q[outcome]), DiscreteMeasure(q)
-    obj = np.zeros(n)
-    obj[outcome] = 1.0
-    val, q = _membership_lp(M, obj, maximize=False)
-    return max(val, 0.0), q
+    """Member minimizing the mass of a single outcome: the worst case of
+    ``-1_{outcome}``."""
+    value, argmax = worst_case(M, -np.eye(M.n)[outcome])
+    return max(0.0, -float(value)), DiscreteMeasure(argmax)
 
 
 def is_strictly_monotone(
@@ -407,8 +383,8 @@ def is_strictly_monotone(
     On a finite space ``Q(A) >= sum of singleton masses``, so it suffices to
     certify a positive infimum of ``Q({w})`` over members for every
     ``P``-positive outcome; the infimum of a linear functional over the set
-    is attained at an extreme representation and is found by a vertex scan or
-    a per-outcome minimizing LP.
+    is attained at an extreme representation and is the oracle on the negated
+    outcome indicator.
     """
     P.require_probability("P")
     if P.n != M.n:
@@ -449,8 +425,4 @@ def default_reference(M: AmbiguitySet) -> DiscreteMeasure:
 
 def reachable_outcomes(M: AmbiguitySet) -> np.ndarray:
     """Boolean mask of outcomes charged by at least one member."""
-    if isinstance(M, FiniteFamily):
-        return M.matrix().max(axis=0) > 0.0
-    if isinstance(M, AVaRSet):
-        return M.reference.weights > 0.0
-    return reference_measure(M).mu.weights > 1e-9
+    return worst_case(M, np.eye(M.n))[0] > 1e-9

@@ -114,13 +114,13 @@ def check_axioms(ambiguity_set, trials: int, rng: Rng | None = None) -> AxiomRep
     """Randomized battery for subadditivity, monotonicity, translation
     equivariance, positive homogeneity, and the sup-norm Lipschitz bound of
     the worst-case expectation functional."""
-    from .ambiguity import n_outcomes, robust_expectation  # deferred: layering
+    from .ambiguity import worst_case  # deferred: layering
 
     rng = rng or Rng()
-    n = n_outcomes(ambiguity_set)
+    n = ambiguity_set.n
 
     def risk(values: np.ndarray) -> float:
-        return robust_expectation(ambiguity_set, RandomVariable(values))[0]
+        return float(worst_case(ambiguity_set, values)[0])
 
     sub = mono = trans = homog = lip = 0.0
     for _ in range(trials):

@@ -231,13 +231,8 @@ def cmd_solve(args) -> int:
         "value_functions": [v.tolist() for v in sol.value_functions.V],
         "continuation_values": [v.tolist() for v in sol.value_functions.calV],
     }
-    checks = [
-        Check(
-            "bellman_residual",
-            sol.value_functions.bellman_residual(prob) <= 1e-9,
-            sol.value_functions.bellman_residual(prob),
-        )
-    ]
+    residual = sol.value_functions.bellman_residual(prob)
+    checks = [Check("bellman_residual", residual <= 1e-9, residual)]
     if args.enumerate:
         oracle = min(nested_policy_value(prob, pi) for pi in enumerate_policies(prob))
         results["enumeration_value"] = oracle
@@ -408,10 +403,9 @@ def _verify_file(pf: ProblemFile, args) -> Report:
                     )
                 )
             except ValidationError:
+                residual = sol.value_functions.bellman_residual(prob)
                 checks.append(
-                    Check(f"dp_bellman[{name}]",
-                          sol.value_functions.bellman_residual(prob) <= 1e-9,
-                          sol.value_functions.bellman_residual(prob),
+                    Check(f"dp_bellman[{name}]", residual <= 1e-9, residual,
                           "enumeration cap exceeded; Bellman residual only")
                 )
     return Report(

@@ -26,6 +26,7 @@ from .ambiguity import (
     FiniteFamily,
     reachable_outcomes,
     robust_expectation,
+    worst_case,
 )
 from .conditional import conditional_robust
 from .rng import Rng
@@ -195,17 +196,8 @@ def rectangular_nested(spec: RectangularSpec, Z) -> NestedResult:
     worst case, conditioning on the history prefix, down to a scalar."""
     table = spec.as_product_array(Z)
     tables = [table]
-    for t in range(spec.horizon - 1, -1, -1):
-        M = spec.stage_sets[t]
-        if isinstance(M, FiniteFamily):
-            stacked = table @ M.matrix().T  # (..., members)
-            table = stacked.max(axis=-1)
-        else:
-            flat = table.reshape(-1, table.shape[-1])
-            out = np.empty(flat.shape[0])
-            for i in range(flat.shape[0]):
-                out[i], _ = robust_expectation(M, RandomVariable(flat[i]))
-            table = out.reshape(table.shape[:-1])
+    for M in reversed(spec.stage_sets):
+        table, _ = worst_case(M, table)
         tables.append(table)
     tables.reverse()
     return NestedResult(value=float(tables[0]), tables=tuple(tables))
@@ -397,12 +389,6 @@ def induced_set(spec: RectangularSpec, cap: int = 10**6) -> InducedSet:
     return InducedSet(tuple(measures), count, m1, m2, n1)
 
 
-def family_products(spec: RectangularSpec) -> FiniteFamily:
-    """Plain (constant-selector) products; alias of ``product_family`` for
-    the two-stage comparison."""
-    return product_family(spec)
-
-
 # ---------------------------------------------------------------------------
 # history-dependent trees
 # ---------------------------------------------------------------------------
@@ -431,22 +417,18 @@ def nested_tree_value(
     spec: HistoryDependentSpec, leaf_values: Sequence[float]
 ) -> tuple[float, dict[int, float]]:
     """Backward recursion on the tree: each internal node takes the worst
-    expected child value over its own ambiguity set."""
-    leaves = spec.tree.leaves
+    expected child value over its own ambiguity set. Nodes are folded stage
+    by stage from the deepest one, so tree depth is not bounded by the
+    interpreter's recursion limit."""
+    tree = spec.tree
+    leaves = tree.leaves
     if len(leaf_values) != len(leaves):
         raise ValidationError("one value per leaf required")
     values: dict[int, float] = {
         leaf: float(v) for leaf, v in zip(leaves, leaf_values)
     }
-
-    def fold(i: int) -> float:
-        node = spec.tree.nodes[i]
-        if not node.children:
-            return values[i]
-        child_vals = np.array([fold(c) for c in node.children])
-        val, _ = robust_expectation(spec.node_sets[i], RandomVariable(child_vals))
-        values[i] = float(val)
-        return values[i]
-
-    root_value = fold(spec.tree.root.index)
-    return root_value, values
+    for node in sorted(tree.nodes, key=lambda v: v.stage, reverse=True):
+        if node.children:
+            child_vals = [values[c] for c in node.children]
+            values[node.index] = float(worst_case(spec.node_sets[node.index], child_vals)[0])
+    return values[tree.root.index], values

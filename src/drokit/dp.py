@@ -25,10 +25,10 @@ from .ambiguity import (
     AmbiguitySet,
     default_reference,
     is_strictly_monotone,
-    robust_expectation,
+    worst_case,
 )
 from .composite import RectangularSpec, rectangular_nested, static_rectangular
-from .spaces import FiniteSpace, RandomVariable, ValidationError
+from .spaces import FiniteSpace, ValidationError
 
 
 @dataclass(frozen=True)
@@ -169,10 +169,8 @@ class ValueFunctions:
                     )
                     worst = max(worst, abs(best - self.V[t][xp, xi]))
             if t >= 1:
-                M = prob.stage_sets[t]
-                for xp in range(prob.n_actions[t - 1]):
-                    val, _ = robust_expectation(M, RandomVariable(self.V[t][xp]))
-                    worst = max(worst, abs(val - self.calV[t][xp]))
+                vals, _ = worst_case(prob.stage_sets[t], self.V[t])
+                worst = max(worst, float(np.max(np.abs(vals - self.calV[t]))))
         return worst
 
 
@@ -205,19 +203,14 @@ def solve_dp(prob: MultistageProblem) -> DpSolution:
                 V[t][xp, xi] = best
                 argmin[t][xp, xi] = best_a
         if t >= 1:
-            calV[t] = np.empty(prob.n_actions[t - 1])
-            for xp in range(prob.n_actions[t - 1]):
-                val, _ = robust_expectation(prob.stage_sets[t], RandomVariable(V[t][xp]))
-                calV[t][xp] = val
+            calV[t], _ = worst_case(prob.stage_sets[t], V[t])
 
+    # stage by stage, each node follows the argmin of its parent's action
     actions: dict[tuple[int, ...], int] = {(): int(argmin[0][0, 0])}
-    for hist in itertools.product(*[range(s) for s in prob.scenario_shape()]):
-        xp = actions[()]
-        for t in range(1, T):
-            node = hist[:t]
-            if node not in actions:
-                actions[node] = int(argmin[t][xp, hist[t - 1]])
-            xp = actions[node]
+    for t in range(1, T):
+        rule = argmin[t].tolist()
+        for node in itertools.product(*[range(s) for s in prob.stage_sizes[1 : t + 1]]):
+            actions[node] = rule[actions[node[:-1]]][node[-1]]
     policy = Policy(actions)
     vf = ValueFunctions(V=tuple(V), calV=tuple(calV))
     return DpSolution(value=float(V[0][0, 0]), policy=policy, value_functions=vf)

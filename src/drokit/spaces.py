@@ -92,14 +92,15 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
+        w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValidationError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValidationError("weights must be finite")
-        if np.any(w < -ATOL):
-            raise ValidationError("weights must be nonnegative")
-        w[w < 0.0] = 0.0  # clip solver dust inside tolerance
+        if w.min() < 0.0:
+            if w.min() < -ATOL:
+                raise ValidationError("weights must be nonnegative")
+            w[w < 0.0] = 0.0  # clip solver dust inside tolerance
         object.__setattr__(self, "weights", _readonly(w))
 
     @classmethod
@@ -335,19 +336,28 @@ class ScenarioTree:
 
     @classmethod
     def from_branching(cls, branching: Sequence[int]) -> "ScenarioTree":
-        """Uniform tree whose stage-t nodes all have ``branching[t-1]`` children."""
-        nodes: list[TreeNode] = []
+        """Uniform tree whose stage-t nodes all have ``branching[t-1]`` children.
 
-        def grow(parent: Optional[int], stage: int) -> int:
-            idx = len(nodes)
-            nodes.append(TreeNode(idx, stage, parent, ()))
+        Nodes are numbered in preorder, children in ascending order."""
+        parents: list[Optional[int]] = []
+        stages: list[int] = []
+        stack: list[tuple[Optional[int], int]] = [(None, 1)]
+        while stack:
+            parent, stage = stack.pop()
+            parents.append(parent)
+            stages.append(stage)
             if stage <= len(branching):
-                kids = tuple(grow(idx, stage + 1) for _ in range(branching[stage - 1]))
-                nodes[idx] = TreeNode(idx, stage, parent, kids)
-            return idx
-
-        grow(None, 1)
-        return cls(tuple(nodes))
+                stack.extend([(len(parents) - 1, stage + 1)] * branching[stage - 1])
+        children: list[list[int]] = [[] for _ in parents]
+        for i, p in enumerate(parents):
+            if p is not None:
+                children[p].append(i)
+        return cls(
+            tuple(
+                TreeNode(i, s, p, tuple(c))
+                for i, (s, p, c) in enumerate(zip(stages, parents, children))
+            )
+        )
 
     @property
     def depth(self) -> int:
@@ -361,15 +371,12 @@ class ScenarioTree:
     def leaves(self) -> tuple[int, ...]:
         """Leaf node indices in depth-first order."""
         order: list[int] = []
-
-        def walk(i: int) -> None:
-            v = self.nodes[i]
+        stack = [self.root.index]
+        while stack:
+            v = self.nodes[stack.pop()]
             if not v.children:
-                order.append(i)
-            for c in v.children:
-                walk(c)
-
-        walk(self.root.index)
+                order.append(v.index)
+            stack.extend(reversed(v.children))
         return tuple(order)
 
     def ancestor_at_stage(self, node: int, stage: int) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from drokit.ambiguity import (
+    _membership_lp,
     AVaRSet,
     FiniteFamily,
     MomentSet,
@@ -16,6 +17,7 @@ from drokit.ambiguity import (
     reference_measure,
     robust_expectation,
     sample_measures,
+    worst_case,
 )
 from drokit.lp import GE, LinearProgram, solve
 from drokit.rng import Rng
@@ -210,3 +212,40 @@ def test_lipschitz_bound_random_all_types():
             r1, _ = robust_expectation(M, z1)
             r2, _ = robust_expectation(M, z2)
             assert abs(r1 - r2) <= float(np.max(np.abs(z1.values - z2.values))) + 1e-7
+
+
+def test_worst_case_batch_matches_rows_members_and_lp():
+    rng = Rng(44)
+    n = 4
+    space = FiniteSpace(n, metric=np.abs(np.subtract.outer(range(n), range(n))).astype(float))
+    sets = [
+        FiniteFamily(tuple(DiscreteMeasure(rng.simplex(n)) for _ in range(3))),
+        AVaRSet(0.4, DiscreteMeasure(rng.simplex(n))),
+        WassersteinBall(DiscreteMeasure(rng.simplex(n)), 0.7, space),
+        MomentSet(space, (RandomVariable([0.0, 1.0, 2.0, 3.0]),), (1.4,)),
+    ]
+    for M in sets:
+        Z = rng.uniforms(3 * 4 * n, -2.0, 2.0).reshape(3, 4, n)
+        Z[1, 2] = 0.5  # all outcomes tied
+        values, argmax = worst_case(M, Z)
+        assert values.shape == (3, 4)
+        assert argmax.shape == (3, 4, n)
+        for idx in np.ndindex(3, 4):
+            row = Z[idx]
+            assert values[idx] == pytest.approx(robust_expectation(M, RandomVariable(row))[0], abs=1e-12)
+            assert values[idx] == pytest.approx(_membership_lp(M, row, maximize=True)[0], abs=1e-9)
+            assert float(argmax[idx] @ row) == pytest.approx(values[idx], abs=1e-9)
+            assert contains(M, DiscreteMeasure(argmax[idx]))
+
+
+def test_worst_case_tie_rules():
+    # finite family: the first of the tied members wins
+    corners = FiniteFamily(tuple(DiscreteMeasure.point_mass(3, i) for i in range(3)))
+    values, argmax = worst_case(corners, np.array([[2.0, 3.0, 3.0], [1.0, 1.0, 1.0]]))
+    assert values.tolist() == [3.0, 1.0]
+    assert argmax.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+    # AVaR: the cap is filled in descending order of Z, lowest index first on ties
+    avar = AVaRSet(0.5, DiscreteMeasure.uniform(4))
+    values, argmax = worst_case(avar, np.array([[1.0, 3.0, 3.0, 0.0], [1.0, 1.0, 1.0, 1.0]]))
+    assert values.tolist() == [3.0, 1.0]
+    assert argmax.tolist() == [[0.0, 0.5, 0.5, 0.0], [0.5, 0.5, 0.0, 0.0]]

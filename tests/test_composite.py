@@ -274,6 +274,17 @@ def test_history_dependent_tree_value():
     assert value == pytest.approx(0.5)
 
 
+def test_deep_chain_loads_and_folds():
+    tree = ScenarioTree.from_branching([1] * 9999)
+    assert len(tree.nodes) == 10_000
+    assert tree.leaves == (9999,)
+    certain = FiniteFamily((DiscreteMeasure([1.0]),))
+    spec = HistoryDependentSpec(tree, {v.index: certain for v in tree.nodes if v.children})
+    value, node_values = nested_tree_value(spec, [0.7])
+    assert value == 0.7
+    assert len(node_values) == 10_000
+
+
 def test_example_mean_moment_endpoints_make_gap_vanish():
     """Convex second-stage objectives with a mean-constrained second stage
     put the worst measure on the grid endpoints independently of stage one,

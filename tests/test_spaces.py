@@ -106,6 +106,9 @@ def test_conditional_translation_equivariance_on_positive_atoms():
 
 def test_tree_filtration_binary_depth_two():
     tree = ScenarioTree.from_branching([2, 2])
+    # nodes are numbered in preorder, leaves listed depth-first
+    assert [v.children for v in tree.nodes] == [(1, 4), (2, 3), (), (), (5, 6), (), ()]
+    assert tree.leaves == (2, 3, 5, 6)
     filt = tree_filtration(tree)
     assert filt.horizon == 3
     assert filt.stages[0].atoms == ((0, 1, 2, 3),)
