@@ -14,10 +14,13 @@ Each family answers one question through one batched oracle,
 ``worst_case(M, Z)``: the worst-case expectation ``sup_Q E_Q[Z]`` for every
 row of ``Z`` together with an attaining measure. Finite families scan their
 members with a matrix product, AVaR sets sort ``Z`` and fill the capped
-density (Rockafellar & Uryasev 2000), and moment sets and transport balls
-solve the membership LP. The reference measure, strict monotonicity, sampled
-members and reachability are all the oracle on chosen objectives (unit
-vectors, their negatives, random directions). A linear objective on a
+density (Rockafellar & Uryasev 2000), transport balls fill the radius budget
+along the upper concave hulls of ``(d_ij, Z_j)`` in order of slope (the LP
+relaxation of a multiple-choice knapsack, Sinha & Zemel 1979), and moment
+sets, which have no closed form, solve the membership LP. The reference
+measure, strict monotonicity, sampled members, reachability and the
+conditional functional are all the oracle on chosen objectives (unit vectors,
+their negatives, random directions, atom indicators). A linear objective on a
 polytope attains its optimum at a vertex, so every reduction is exact.
 ``membership_system`` encodes each set as constraints; it feeds the LP and is
 the independent route the tests compare the oracle against.
@@ -260,7 +263,11 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     * AVaRSet: a stable descending sort of ``Z``, then the density cap
       ``p / (1 - alpha)`` filled along it until the unit mass is spent, so
       the lowest index wins ties;
-    * MomentSet, WassersteinBall: the membership LP, row by row.
+    * WassersteinBall: in closed form, no LP. Each source with ``p_i > 0``
+      starts at its best point of least cost, and the segments of the upper
+      concave hulls of ``(d_ij, Z_j)``, weighted by ``p_i``, are bought
+      steepest first until the radius is spent (``_ball_worst_case``);
+    * MomentSet: the membership LP, row by row.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim < 1 or Z.shape[-1] != M.n:
@@ -281,9 +288,97 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     flat = Z.reshape(-1, M.n)
     values = np.empty(flat.shape[0])
     argmax = np.empty_like(flat)
-    for i, z in enumerate(flat):
-        values[i], argmax[i] = _membership_lp(M, z, maximize=True)
+    if isinstance(M, WassersteinBall):
+        step = max(1, _BALL_CHUNK // (M.n * M.n))
+        for lo in range(0, flat.shape[0], step):
+            values[lo : lo + step], argmax[lo : lo + step] = _ball_worst_case(
+                M, flat[lo : lo + step]
+            )
+    else:
+        for i, z in enumerate(flat):
+            values[i], argmax[i] = _membership_lp(M, z, maximize=True)
     return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
+
+
+#: Rows of a ball worst case are processed in chunks of at most this many
+#: (row, source, target) entries, which bounds the working arrays.
+_BALL_CHUNK = 1 << 16
+
+
+def _ball_worst_case(M: WassersteinBall, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact worst case over an order-1 ball for each row of ``Z``, shape (r, n).
+
+    The plan LP is the LP relaxation of a multiple-choice knapsack with one
+    budget row (Sinha & Zemel 1979): source ``i`` spreads its mass ``p_i``
+    over targets, and the payoff it can buy per unit of transport cost is the
+    upper concave hull of the points ``(d_ij, Z_j)``. Each source starts at
+    its best point of least cost. The hull segments of all sources, weighted
+    by ``p_i``, are then bought in order of slope, steepest first, until the
+    radius budget is spent; only the last segment bought is split, so the
+    plan, and hence the measure, falls out of the fill.
+    """
+    p = M.center.weights
+    src = np.flatnonzero(p > 0.0)
+    w = p[src].tolist()
+    r, s = Z.shape[0], src.size
+    D = M.space.require_metric()[src]
+    order = np.argsort(D, axis=1, kind="stable")
+    d = np.take_along_axis(D, order, axis=1)  # (s, n), by increasing cost
+    z = Z[:, order]  # (r, s, n)
+    budget = max(M.radius - float(p[src] @ d[:, 0]), 0.0)
+    # Only the first point and points above every cheaper one can be hull
+    # vertices; they come out by source and by increasing cost.
+    record = np.ones(z.shape, dtype=bool)
+    record[..., 1:] = z[..., 1:] > np.maximum.accumulate(z, axis=-1)[..., :-1]
+    rows, srcs, pos = np.nonzero(record)
+    hulls: list[list[tuple[float, float, int]]] = []
+    key = None
+    for row, i, dk, zk, jk in zip(
+        rows.tolist(), srcs.tolist(), d[srcs, pos].tolist(), z[record].tolist(),
+        order[srcs, pos].tolist(),
+    ):
+        if (row, i) != key:
+            key = (row, i)
+            hull = [(dk, zk, jk)]
+            hulls.append(hull)
+            continue
+        if dk == hull[-1][0]:  # same cost, larger payoff
+            hull.pop()
+        while len(hull) > 1:
+            (da, za, _), (db, zb, _) = hull[-2], hull[-1]
+            if (zb - za) * (dk - da) > (zk - za) * (db - da):
+                break
+            hull.pop()
+        hull.append((dk, zk, jk))
+
+    q = np.zeros_like(Z)
+    for row in range(r):
+        row_hulls = hulls[row * s : (row + 1) * s]
+        segments = []
+        for i, hull in enumerate(row_hulls):
+            slope = float("inf")
+            for k in range(1, len(hull)):
+                (da, za, _), (db, zb, _) = hull[k - 1], hull[k]
+                # slopes along a hull never increase; clamping rounding dust
+                # keeps each source's segments in order in the pooled sort
+                slope = min(slope, (zb - za) / (db - da))
+                segments.append((-slope, i, k, w[i] * (db - da)))
+        at = [0] * s
+        split = None
+        left = budget
+        for _, i, k, cost in sorted(segments):
+            if cost > left:
+                split = (i, k, left / cost)
+                break
+            left -= cost
+            at[i] = k
+        for i, (hull, k) in enumerate(zip(row_hulls, at)):
+            q[row, hull[k][2]] += w[i]
+        if split:
+            i, k, frac = split
+            q[row, row_hulls[i][k - 1][2]] -= frac * w[i]
+            q[row, row_hulls[i][k][2]] += frac * w[i]
+    return np.einsum("rn,rn->r", q, Z), q
 
 
 def robust_expectation(
@@ -292,7 +387,8 @@ def robust_expectation(
     """Worst-case expectation ``sup_Q E_Q[Z]`` with an attaining measure.
 
     One row of ``worst_case``: a member scan for finite families, the sorted
-    capped-density fill for AVaR sets, the membership LP otherwise.
+    capped-density fill for AVaR sets, the slope-ordered hull fill for
+    transport balls, the membership LP for moment sets.
     """
     value, argmax = worst_case(M, Z.values)
     return float(value), DiscreteMeasure(argmax)

@@ -5,8 +5,11 @@ expectation over set members that charge the atom; atoms no member charges
 get ``-inf``, a deterministic stand-in for the "arbitrary off the reachable
 part" freedom of the underlying definition, and poison translation
 equivariance. The supremum is a linear-fractional program over the measure
-polytope, solved through the Charnes-Cooper reduction; for finite families it
-is a vertex scan (the two routes cross-check each other in the tests).
+polytope. It is computed on the worst-case oracle alone: the oracle on the
+atom indicators decides which atoms some member charges, and Dinkelbach's
+iteration (Dinkelbach 1967) on ``theta -> sup_Q E_Q[(Z - theta) 1_A]`` finds
+the value of the others, every atom in one batched oracle call per step. The
+tests check it against the Charnes-Cooper LP built from ``membership_system``.
 
 The nested conditional AVaR -- the law-invariant alternative -- is also
 provided and deliberately *not* reconciled with the worst-case conditional:
@@ -24,11 +27,10 @@ from .ambiguity import (
     AmbiguitySet,
     FiniteFamily,
     is_strictly_monotone,
-    membership_system,
     robust_expectation,
+    worst_case,
 )
 from .avar import AvarSpec, avar_primal
-from .lp import linear_fractional_max
 from .rng import Rng
 from .spaces import (
     NEG_INF,
@@ -72,60 +74,55 @@ class ConditionalValue:
         return RandomVariable(self.per_outcome())
 
 
-def _fractional_atom_value(M: AmbiguitySet, Z: RandomVariable, atom) -> float:
-    """sup of the conditional mean on one atom via Charnes-Cooper."""
-    sys = membership_system(M)
-    sel = np.zeros(M.n)
-    sel[list(atom)] = 1.0
-    num = (Z.values * sel) @ sys.q_map
-    den = sel @ sys.q_map
-    res = linear_fractional_max(
-        num, 0.0, den, 0.0, sys.A, sys.senses, sys.b
-    )
-    return NEG_INF if res is None else res.value
-
-
-def _family_atom_value(M: FiniteFamily, Z: RandomVariable, atom) -> float:
-    """Vertex scan: mixing members can only form mediants of their ratios,
-    so the atom supremum is attained at a member charging the atom.
-
-    Member weights are exact user data (construction clips solver dust), so
-    charging is tested exactly rather than with a tolerance.
-    """
-    idx = list(atom)
-    best = NEG_INF
-    for q in M.measures:
-        mass = float(q.weights[idx].sum())
-        if mass > 0.0:
-            best = max(best, float(q.weights[idx] @ Z.values[idx]) / mass)
-    return best
-
-
 def conditional_robust(
-    M: AmbiguitySet,
-    Z: RandomVariable,
-    G: Partition,
-    P: DiscreteMeasure,
-    force_fractional: bool = False,
+    M: AmbiguitySet, Z: RandomVariable, G: Partition, P: DiscreteMeasure
 ) -> ConditionalValue:
-    """Per-atom worst-case conditional expectation.
+    """Per-atom worst-case conditional expectation, all atoms at once.
 
     ``P`` is the reference probability fixing the off-support convention;
     the finite values themselves depend only on the ambiguity set.
-    ``force_fractional`` routes finite families through the Charnes-Cooper
-    path as well, which the tests use as a cross-check oracle.
+
+    The oracle on the atom indicators ``1_A`` gives ``sup_Q Q(A)``: an atom
+    whose supremum is 0 (finite families, whose weights are exact data) or at
+    most ``ZERO_MASS_TOL`` (the other families) gets ``-inf``. Each live atom
+    then starts from the conditional mean ``theta`` of the member found and
+    follows Dinkelbach's iteration on ``F(theta) = sup_Q E_Q[(Z - theta) 1_A]``:
+    the member attaining ``F`` has conditional mean above ``theta`` until
+    ``F(theta)`` vanishes, which marks the supremum. One batched oracle call
+    serves every atom still moving, and the stopping test
+    ``F(theta) <= 1e-12 max|Z|`` scales with ``Z``.
     """
     P.require_probability("P")
     if Z.n != M.n or G.n != M.n or P.n != M.n:
         raise ValidationError("Z, G, P, and the ambiguity set must share a space")
-    values = []
-    for atom in G.atoms:
-        if isinstance(M, FiniteFamily) and not force_fractional:
-            values.append(_family_atom_value(M, Z, atom))
-        else:
-            values.append(_fractional_atom_value(M, Z, atom))
-    te = all(np.isfinite(v) for v in values)
-    return ConditionalValue(G, tuple(values), te)
+    ind = np.zeros((G.n_atoms, M.n))
+    for a, atom in enumerate(G.atoms):
+        ind[a, list(atom)] = 1.0
+    z = Z.values
+    mass, Q = worst_case(M, ind)
+    floor = 0.0 if isinstance(M, FiniteFamily) else ZERO_MASS_TOL
+    live = np.flatnonzero(mass > floor)
+    Q = Q[live]
+    values = np.full(G.n_atoms, NEG_INF)
+    tol = 1e-12 * float(np.abs(z).max())
+    for _ in range(_DINKELBACH_CAP):
+        if not live.size:
+            break
+        Qa = Q * ind[live]
+        theta = Qa @ z / Qa.sum(axis=1)
+        gap, Q = worst_case(M, (z - theta[:, None]) * ind[live])
+        done = gap <= tol
+        values[live[done]] = theta[done]
+        live, Q = live[~done], Q[~done]
+    if live.size:
+        raise ValidationError("conditional value: Dinkelbach iteration did not settle")
+    values = tuple(float(v) for v in values)
+    return ConditionalValue(G, values, all(np.isfinite(values)))
+
+
+#: Dinkelbach's iteration ends after finitely many steps on a polytope; this
+#: bound only guards against a defective oracle.
+_DINKELBACH_CAP = 100
 
 
 def has_property_p(M: AmbiguitySet, G: Partition, tol: float = ZERO_MASS_TOL) -> bool:

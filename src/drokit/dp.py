@@ -16,6 +16,7 @@ cannot be decomposed stagewise; the module only compares the two optima.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -250,45 +251,69 @@ def static_policy_value(prob: MultistageProblem, pi: Policy) -> float:
 
 
 def count_policies(prob: MultistageProblem) -> int:
+    """Number of feasible policies, counted backwards stage by stage.
+
+    ``below[a]`` is the number of ways to complete a policy under a node
+    whose action is ``a``: the product, over the next stage's outcomes, of
+    the completions summed over the actions allowed there.
+    """
     T = prob.horizon
-
-    def subtree(t: int, outcome: int, xp: int) -> int:
-        total = 0
-        for a in prob.allowed(t, xp, outcome):
-            prod = 1
-            if t + 1 < T:
-                for xi in range(prob.stage_sizes[t + 1]):
-                    prod *= subtree(t + 1, xi, a)
-            total += prod
-        return total
-
-    return subtree(0, 0, 0)
+    below = [1] * prob.n_actions[T - 1]
+    for t in range(T - 1, 0, -1):
+        below = [
+            math.prod(
+                sum(below[a] for a in prob.allowed(t, xp, xi))
+                for xi in range(prob.stage_sizes[t])
+            )
+            for xp in range(prob.n_actions[t - 1])
+        ]
+    return sum(below[a] for a in prob.allowed(0, 0, 0))
 
 
 def enumerate_policies(prob: MultistageProblem, cap: int = 10**5):
-    """Yield every feasible policy; raises when the count exceeds the cap."""
+    """Yield every feasible policy; raises when the count exceeds the cap.
+
+    Subtree tables are built backwards, stage by stage, for every node and
+    prior action some policy reaches; the stage-0 tables are then yielded one
+    at a time. Order: first-stage actions ascending, then the product of the
+    child subtrees with the last outcome varying fastest.
+    """
     total = count_policies(prob)
     if total > cap:
         raise ValidationError(f"{total} policies exceed the enumeration cap {cap}")
     T = prob.horizon
+    # reached[t]: stage-t node -> prior actions it can be reached with
+    reached: list[dict[tuple[int, ...], set[int]]] = [{(): {0}}]
+    for t in range(1, T):
+        nodes: dict[tuple[int, ...], set[int]] = {}
+        for node, priors in reached[-1].items():
+            outcome = node[-1] if node else 0
+            acts = {a for xp in priors for a in prob.allowed(t - 1, xp, outcome)}
+            for xi in range(prob.stage_sizes[t]):
+                nodes[node + (xi,)] = acts
+        reached.append(nodes)
 
-    def assignments(t: int, node: tuple[int, ...], xp: int):
+    def tables(t, node, xp, below):
         outcome = node[-1] if t > 0 else 0
         for a in prob.allowed(t, xp, outcome):
             if t + 1 >= T:
                 yield {node: a}
                 continue
-            child_opts = [
-                list(assignments(t + 1, node + (xi,), a))
-                for xi in range(prob.stage_sizes[t + 1])
-            ]
+            child_opts = [below[node + (xi,), a] for xi in range(prob.stage_sizes[t + 1])]
             for combo in itertools.product(*child_opts):
                 d = {node: a}
                 for sub in combo:
                     d.update(sub)
                 yield d
 
-    for table in assignments(0, (), 0):
+    below: dict = {}
+    for t in range(T - 1, 0, -1):
+        below = {
+            (node, xp): list(tables(t, node, xp, below))
+            for node, priors in reached[t].items()
+            for xp in priors
+        }
+    for table in tables(0, (), 0, below):
         yield Policy(table)
 
 

@@ -7,7 +7,8 @@ re-solving an instance is bit-for-bit deterministic, and every optimal solve
 carries a strong-duality certificate.
 
 Also hosts the Charnes-Cooper reduction of linear-fractional programs over
-bounded polytopes to a single LP (``linear_fractional_max``).
+bounded polytopes to a single LP (``linear_fractional_max``), which the tests
+use as the independent route to conditional values.
 """
 
 from __future__ import annotations

@@ -73,6 +73,31 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _field(obj: dict, key: str, where: str, parse, optional: bool = False):
+    """``parse`` applied to a field. A value it cannot read raises
+    ``InputError`` naming the field's JSON path; an absent optional field
+    gives ``None``."""
+    if optional and key not in obj:
+        return None
+    value = _require(obj, key, where)
+    try:
+        return parse(value)
+    except (TypeError, ValueError, IndexError) as e:
+        raise InputError(f"{where}.{key}: {e}") from e
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _float_tuple(value) -> tuple[float, ...]:
+    return tuple(float(x) for x in value)
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    return tuple(int(x) for x in value)
+
+
 def _as_mapping(doc: dict, key: str) -> dict:
     section = doc.get(key, {})
     if not isinstance(section, dict):
@@ -104,15 +129,15 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
     for name, spec in _as_mapping(doc, "spaces").items():
         where = f"spaces.{name}"
         pf.spaces[name] = FiniteSpace(
-            n=int(_require(spec, "n", where)),
+            n=_field(spec, "n", where, int),
             labels=tuple(spec["labels"]) if "labels" in spec else None,
-            metric=np.asarray(spec["metric"], dtype=float) if "metric" in spec else None,
+            metric=_field(spec, "metric", where, _floats, optional=True),
         )
     for name, spec in _as_mapping(doc, "measures").items():
         where = f"measures.{name}"
         space_name = _require(spec, "space", where)
         space = pf.lookup("spaces", space_name)
-        m = DiscreteMeasure(np.asarray(_require(spec, "weights", where), dtype=float))
+        m = DiscreteMeasure(_field(spec, "weights", where, _floats))
         if m.n != space.n:
             raise InputError(f"{where}: weight count differs from the space size")
         pf.measures[name] = m
@@ -121,7 +146,7 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
         where = f"random_variables.{name}"
         space_name = _require(spec, "space", where)
         space = pf.lookup("spaces", space_name)
-        rv = RandomVariable(np.asarray(_require(spec, "values", where), dtype=float))
+        rv = RandomVariable(_field(spec, "values", where, _floats))
         if rv.n != space.n:
             raise InputError(f"{where}: value count differs from the space size")
         pf.random_variables[name] = rv
@@ -129,7 +154,7 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
     for name, spec in _as_mapping(doc, "partitions").items():
         where = f"partitions.{name}"
         space = pf.lookup("spaces", _require(spec, "space", where))
-        atoms = tuple(tuple(int(i) for i in atom) for atom in _require(spec, "atoms", where))
+        atoms = _field(spec, "atoms", where, lambda v: tuple(_int_tuple(atom) for atom in v))
         pf.partitions[name] = Partition(space.n, atoms)
     for name, spec in _as_mapping(doc, "trees").items():
         pf.trees[name] = _load_tree(name, spec)
@@ -156,9 +181,7 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
     for name, spec in _as_mapping(doc, "processes").items():
         where = f"processes.{name}"
         spaces = tuple(pf.lookup("spaces", s) for s in _require(spec, "stage_spaces", where))
-        kernels = tuple(
-            np.asarray(k, dtype=float) for k in _require(spec, "kernels", where)
-        )
+        kernels = _field(spec, "kernels", where, lambda v: tuple(_floats(k) for k in v))
         pf.processes[name] = TreeProcess(spaces, kernels)
     for name, spec in _as_mapping(doc, "bound_specs").items():
         pf.bound_specs[name] = _check_bound_spec(pf, name, spec)
@@ -169,8 +192,10 @@ def _load_tree(name: str, spec: dict) -> ScenarioTree:
     (parents given as indices, ``null`` for the root; stages are derived)."""
     where = f"trees.{name}"
     if "branching" in spec:
-        return ScenarioTree.from_branching([int(b) for b in spec["branching"]])
-    parents = _require(spec, "parents", where)
+        return ScenarioTree.from_branching(_field(spec, "branching", where, _int_tuple))
+    parents = _field(
+        spec, "parents", where, lambda v: [None if p is None else int(p) for p in v]
+    )
     labels = spec.get("labels", [""] * len(parents))
     children: dict[int, list[int]] = {i: [] for i in range(len(parents))}
     stages = [0] * len(parents)
@@ -178,16 +203,15 @@ def _load_tree(name: str, spec: dict) -> ScenarioTree:
         if parent is None:
             stages[i] = 1
         else:
-            p = int(parent)
-            if p >= i:
+            if parent >= i:
                 raise InputError(f"{where}: parents must precede children")
-            children[p].append(i)
-            stages[i] = stages[p] + 1
+            children[parent].append(i)
+            stages[i] = stages[parent] + 1
     nodes = tuple(
         TreeNode(
             index=i,
             stage=stages[i],
-            parent=None if parents[i] is None else int(parents[i]),
+            parent=parents[i],
             children=tuple(children[i]),
             label=str(labels[i]),
         )
@@ -204,7 +228,7 @@ def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:
         return FiniteFamily(members)
     if kind == "avar":
         return AVaRSet(
-            alpha=float(_require(spec, "alpha", where)),
+            alpha=_field(spec, "alpha", where, float),
             reference=pf.lookup("measures", _require(spec, "reference", where)),
         )
     if kind == "moment":
@@ -213,12 +237,12 @@ def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:
             psi=tuple(
                 pf.lookup("random_variables", f) for f in _require(spec, "functions", where)
             ),
-            targets=tuple(float(t) for t in _require(spec, "targets", where)),
+            targets=_field(spec, "targets", where, _float_tuple),
         )
     if kind == "wasserstein":
         return WassersteinBall(
             center=pf.lookup("measures", _require(spec, "center", where)),
-            radius=float(_require(spec, "radius", where)),
+            radius=_field(spec, "radius", where, float),
             space=pf.lookup("spaces", _require(spec, "space", where)),
         )
     raise InputError(f"{where}: unknown ambiguity kind {kind!r}")
@@ -230,22 +254,23 @@ def _load_problem(pf: ProblemFile, name: str, spec: dict) -> MultistageProblem:
     sets = tuple(
         None if s is None else pf.lookup("ambiguity_sets", s) for s in set_names
     )
-    costs = tuple(np.asarray(c, dtype=float) for c in _require(spec, "costs", where))
-    raw_feas = _require(spec, "feasible", where)
-    feasible = [tuple(int(a) for a in raw_feas[0])]
-    for stage in raw_feas[1:]:
-        feasible.append(
-            tuple(
-                tuple(tuple(int(a) for a in actions) for actions in per_prev)
-                for per_prev in stage
-            )
-        )
+    costs = _field(spec, "costs", where, lambda v: tuple(_floats(c) for c in v))
+    feasible = _field(
+        spec,
+        "feasible",
+        where,
+        lambda v: (_int_tuple(v[0]),)
+        + tuple(
+            tuple(tuple(_int_tuple(actions) for actions in per_prev) for per_prev in stage)
+            for stage in v[1:]
+        ),
+    )
     return MultistageProblem(
-        n_actions=tuple(int(a) for a in _require(spec, "n_actions", where)),
-        stage_sizes=tuple(int(s) for s in _require(spec, "stage_sizes", where)),
+        n_actions=_field(spec, "n_actions", where, _int_tuple),
+        stage_sizes=_field(spec, "stage_sizes", where, _int_tuple),
         stage_sets=sets,
         costs=costs,
-        feasible=tuple(feasible),
+        feasible=feasible,
     )
 
 
@@ -255,10 +280,10 @@ def _check_bound_spec(pf: ProblemFile, name: str, spec: dict) -> dict:
     if kind == "multistage":
         process = pf.lookup("processes", _require(spec, "process", where))
         bound = MultistageBoundSpec(
-            eps=tuple(float(e) for e in _require(spec, "eps", where)),
-            kappa=tuple(float(k) for k in _require(spec, "kappa", where)),
-            weights=tuple(float(w) for w in _require(spec, "weights", where)),
-            lipschitz=float(_require(spec, "lipschitz", where)),
+            eps=_field(spec, "eps", where, _float_tuple),
+            kappa=_field(spec, "kappa", where, _float_tuple),
+            weights=_field(spec, "weights", where, _float_tuple),
+            lipschitz=_field(spec, "lipschitz", where, float),
         )
         objective = _require(spec, "rv", where)
         if objective not in pf.random_variables:
@@ -270,7 +295,7 @@ def _check_bound_spec(pf: ProblemFile, name: str, spec: dict) -> dict:
         rv = _require(spec, "rv", where)
         if rv not in pf.random_variables:
             raise InputError(f"{where}: unknown random variable {rv!r}")
-        grid = tuple(float(e) for e in _require(spec, "eps_grid", where))
+        grid = _field(spec, "eps_grid", where, _float_tuple)
         if any(e < 0 for e in grid):
             raise InputError(f"{where}: radii must be nonnegative")
         return {"kind": kind, "measure": measure, "space": space, "rv": rv, "grid": grid}

@@ -388,17 +388,21 @@ class ScenarioTree:
 
 def tree_filtration(tree: ScenarioTree) -> Filtration:
     """Filtration over leaves: the stage-t partition groups leaves that share
-    a stage-t ancestor. Stage 1 is trivial, the final stage is singletons."""
+    a stage-t ancestor. Stage 1 is trivial, the final stage is singletons.
+
+    Built from the final stage up: each stage's ancestors are the parents of
+    the next stage's, so every parent link is followed once per leaf."""
     leaves = tree.leaves
-    pos = {leaf: k for k, leaf in enumerate(leaves)}
+    ancestors = list(leaves)
     stages = []
-    for t in range(1, tree.depth + 1):
+    for t in range(tree.depth, 0, -1):
         groups: dict[int, list[int]] = {}
-        for leaf in leaves:
-            groups.setdefault(tree.ancestor_at_stage(leaf, t), []).append(pos[leaf])
-        atoms = tuple(tuple(g) for _, g in sorted(groups.items()))
-        stages.append(Partition(len(leaves), atoms))
-    return Filtration(tuple(stages))
+        for k, v in enumerate(ancestors):
+            groups.setdefault(v, []).append(k)
+        stages.append(Partition(len(leaves), tuple(tuple(g) for _, g in sorted(groups.items()))))
+        if t > 1:
+            ancestors = [tree.nodes[v].parent for v in ancestors]
+    return Filtration(tuple(reversed(stages)))
 
 
 def expectation(Z: RandomVariable, Q: DiscreteMeasure) -> float:

@@ -249,3 +249,90 @@ def test_worst_case_tie_rules():
     values, argmax = worst_case(avar, np.array([[1.0, 3.0, 3.0, 0.0], [1.0, 1.0, 1.0, 1.0]]))
     assert values.tolist() == [3.0, 1.0]
     assert argmax.tolist() == [[0.0, 0.5, 0.5, 0.0], [0.5, 0.5, 0.0, 0.0]]
+
+
+def random_ball(rng, n, radius, *, line=False, zero_weights=False):
+    """Ball on random points of the plane, or of a coarse grid on the line,
+    where coincident points give zero off-diagonal distances."""
+    if line:
+        pts = np.round(rng.uniforms(n, 0.0, 3.0))
+        d = np.abs(np.subtract.outer(pts, pts))
+    else:
+        pts = rng.uniforms(2 * n, 0.0, 2.0).reshape(n, 2)
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    p = rng.simplex(n)
+    if zero_weights:
+        p[::2] = 0.0
+        p /= p.sum()
+    return WassersteinBall(DiscreteMeasure(p), radius, FiniteSpace(n, metric=d))
+
+
+def assert_ball_oracle_exact(M, Z):
+    values, argmax = worst_case(M, Z)
+    for z, value, q in zip(Z, values, argmax):
+        assert value == pytest.approx(_membership_lp(M, z, maximize=True)[0], abs=1e-9)
+        assert float(q @ z) == pytest.approx(value, abs=1e-12)
+        assert contains(M, DiscreteMeasure(q))
+    return values, argmax
+
+
+def test_ball_closed_form_matches_membership_lp():
+    rng = Rng(71)
+    for trial in range(48):
+        n = 2 + rng.randint(6)
+        M = random_ball(
+            rng, n, rng.uniform(0.0, 1.5), line=trial % 3 == 0, zero_weights=trial % 4 == 1
+        )
+        Z = rng.uniforms(3 * n, -2.0, 2.0).reshape(3, n)
+        if trial % 2:
+            Z = np.round(2.0 * Z) / 2.0  # ties
+        assert_ball_oracle_exact(M, Z)
+
+
+def test_ball_closed_form_extreme_radii_and_size():
+    rng = Rng(73)
+    for _ in range(10):
+        n = 2 + rng.randint(6)
+        Z = rng.uniforms(2 * n, -2.0, 2.0).reshape(2, n)
+        Z[1] = np.round(Z[1])
+        pinned = random_ball(rng, n, 0.0)
+        values, argmax = assert_ball_oracle_exact(pinned, Z)
+        assert np.abs(argmax - pinned.center.weights).max() <= 1e-15
+        diameter = float(pinned.space.metric.max())
+        wide = WassersteinBall(pinned.center, diameter * (1.0 + rng.uniform(0.0, 1.0)), pinned.space)
+        values, _ = assert_ball_oracle_exact(wide, Z)
+        assert values == pytest.approx(Z.max(axis=1), abs=1e-12)
+    big = random_ball(rng, 40, 0.3)
+    assert_ball_oracle_exact(big, rng.uniforms(40, -1.0, 1.0).reshape(1, 40))
+
+
+def test_ball_and_conditional_paths_solve_no_lp(monkeypatch):
+    import sys
+
+    import drokit.lp
+    from drokit.conditional import conditional_robust
+    from drokit.spaces import Partition
+
+    calls = []
+    original = drokit.lp.solve
+
+    def counting(lp):
+        calls.append(lp)
+        return original(lp)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "drokit" and getattr(module, "solve", None) is original:
+            monkeypatch.setattr(module, "solve", counting)
+    rng = Rng(79)
+    ball = random_ball(rng, 6, 0.4)
+    _membership_lp(ball, np.ones(6), maximize=True)
+    assert len(calls) == 1  # the counter sees solves made from drokit modules
+    calls.clear()
+    G = Partition(6, ((0, 1), (2, 3, 4), (5,)))
+    avar = AVaRSet(0.3, ball.center)
+    for _ in range(5):
+        Z = rng.uniforms(6, -2.0, 2.0)
+        worst_case(ball, np.vstack([Z, -Z, np.eye(6)]))
+        conditional_robust(ball, RandomVariable(Z), G, ball.center)
+        conditional_robust(avar, RandomVariable(Z), G, ball.center)
+    assert calls == []

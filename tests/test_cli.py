@@ -329,3 +329,30 @@ def test_report_csv_roundtrip():
     rows = [{"epsilon": 0.5, "gap": 0.25, "bound": 1.0, "holds": True}]
     block = to_csv(rows, ("epsilon", "gap", "bound", "holds"))
     assert block == "epsilon,gap,bound,holds\n0.5,0.25,1.0,true\n"
+
+
+@pytest.mark.parametrize(
+    "section, name, field, value, path",
+    [
+        ("spaces", "s", "n", "abc", "spaces.s.n"),
+        ("measures", "m", "weights", "xy", "measures.m.weights"),
+    ],
+)
+def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, section, name, field, value, path):
+    doc = {
+        "version": "1",
+        "spaces": {"s": {"n": 2}},
+        "measures": {"m": {"space": "s", "weights": [0.5, 0.5]}},
+        "random_variables": {"z": {"space": "s", "values": [1.0, 2.0]}},
+        "ambiguity_sets": {"a": {"kind": "finite_family", "measures": ["m"]}},
+    }
+    doc[section][name][field] = value
+    bad = tmp_path / "bad_field.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["eval-static", str(bad), "--rv", "z", "--set", "a"]) == 2
+    err = capsys.readouterr().err
+    message = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(message) == 1 and path in message[0]
+    assert "Traceback" not in err
+    with pytest.raises(InputError, match=path):
+        load_problem_file(str(bad))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from drokit.ambiguity import AVaRSet, FiniteFamily, MomentSet, WassersteinBall
+from drokit.ambiguity import AVaRSet, FiniteFamily, MomentSet, WassersteinBall, membership_system
 from drokit.avar import AvarSpec
 from drokit.conditional import (
     conditional_avar_nested,
@@ -12,6 +12,7 @@ from drokit.conditional import (
     has_property_p,
     tower_upper_bound_check,
 )
+from drokit.lp import linear_fractional_max
 from drokit.rng import Rng
 from drokit.spaces import (
     DiscreteMeasure,
@@ -68,6 +69,22 @@ def test_unreachable_atom_minus_inf_and_te():
     assert not cv.finite
 
 
+def charnes_cooper_atom_values(M, Z, G):
+    """Reference atom values computed apart from ``conditional_robust``: one
+    Charnes-Cooper LP per atom over the membership polytope, ``-inf`` where
+    no member charges the atom."""
+    sys = membership_system(M)
+    values = []
+    for atom in G.atoms:
+        sel = np.zeros(M.n)
+        sel[list(atom)] = 1.0
+        res = linear_fractional_max(
+            (Z.values * sel) @ sys.q_map, 0.0, sel @ sys.q_map, 0.0, sys.A, sys.senses, sys.b
+        )
+        values.append(float("-inf") if res is None else res.value)
+    return tuple(values)
+
+
 def test_fractional_path_matches_vertex_scan():
     rng = Rng(19)
     for _ in range(20):
@@ -79,8 +96,54 @@ def test_fractional_path_matches_vertex_scan():
         G = Partition(n, (tuple(range(cut)), tuple(range(cut, n))))
         P = DiscreteMeasure(rng.simplex(n))
         scan = conditional_robust(M, Z, G, P)
-        frac = conditional_robust(M, Z, G, P, force_fractional=True)
-        assert scan.atom_values == pytest.approx(frac.atom_values, abs=1e-7)
+        frac = charnes_cooper_atom_values(M, Z, G)
+        assert scan.atom_values == pytest.approx(frac, abs=1e-7)
+        vertex = tuple(
+            max(float(q.weights[list(a)] @ Z.values[list(a)]) / q.of(a) for q in members)
+            for a in G.atoms
+        )
+        assert scan.atom_values == pytest.approx(vertex, abs=1e-12)
+
+
+def test_conditional_matches_charnes_cooper_all_families():
+    rng = Rng(53)
+    for trial in range(12):
+        n = 4 + rng.randint(3)
+        space = line_space(n)
+        P = DiscreteMeasure(rng.simplex(n))
+        sets = [
+            FiniteFamily(tuple(DiscreteMeasure(rng.simplex(n)) for _ in range(3))),
+            AVaRSet(rng.uniform(0.0, 0.9), P),
+            MomentSet(space, (RandomVariable(np.arange(n, dtype=float)),), (float(P.weights @ np.arange(n)),)),
+            WassersteinBall(P, rng.uniform(0.05, 1.5), space),
+        ]
+        cuts = sorted({1 + rng.randint(n - 1), 1 + rng.randint(n - 1)})
+        bounds = [0, *cuts, n]
+        G = Partition(n, tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+        Z = RandomVariable(rng.uniforms(n, -3, 3))
+        if trial % 3 == 0:
+            Z = RandomVariable(np.round(Z.values))  # ties
+        for M in sets:
+            got = conditional_robust(M, Z, G, P)
+            assert got.atom_values == pytest.approx(charnes_cooper_atom_values(M, Z, G), abs=1e-7)
+
+
+def test_zero_mass_atom_is_minus_inf_for_every_family():
+    """An atom no member charges comes back ``-inf``, as the Charnes-Cooper
+    LP (infeasible there) says, while the other atoms stay finite."""
+    P = DiscreteMeasure([0.5, 0.5, 0.0, 0.0])
+    sets = [
+        FiniteFamily((P, DiscreteMeasure([0.2, 0.8, 0.0, 0.0]))),
+        AVaRSet(0.6, P),
+        MomentSet(FiniteSpace(4), (RandomVariable([0.0, 0.0, 1.0, 1.0]),), (0.0,)),
+        WassersteinBall(P, 0.0, line_space(4)),
+    ]
+    for M in sets:
+        got = conditional_robust(M, Z1527, G22, P)
+        assert got.atom_values[1] == float("-inf")
+        assert np.isfinite(got.atom_values[0])
+        assert not got.te_holds
+        assert got.atom_values == pytest.approx(charnes_cooper_atom_values(M, Z1527, G22), abs=1e-7)
 
 
 def test_property_p_cases():
@@ -251,3 +314,29 @@ def test_moment_set_conditional_via_fractional():
     # ratio (q0 + 4 q1)/(q0 + q1) = (2.8 - 7 q2)/(1 - q2) peaks at q2 = 0
     assert cv.atom_values[0] == pytest.approx(2.8, abs=1e-7)
     assert cv.atom_values[1] == pytest.approx(2.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e4, 1e8])
+def test_positive_homogeneity_at_extreme_scales(scale):
+    """Static and conditional values scale with ``Z`` on AVaR sets and
+    transport balls, far outside the unit range of the other tests."""
+    from drokit.ambiguity import robust_expectation
+
+    rng = Rng(61)
+    n = 8
+    for _ in range(40):
+        P = DiscreteMeasure(rng.simplex(n))
+        pts = np.sort(rng.uniforms(n, 0.0, 2.0))
+        space = FiniteSpace(n, metric=np.abs(np.subtract.outer(pts, pts)))
+        cuts = sorted({1 + rng.randint(n - 1), 1 + rng.randint(n - 1)})
+        bounds = [0, *cuts, n]
+        G = Partition(n, tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+        Z = rng.uniforms(n, -1.0, 1.0)
+        tol = 1e-9 * scale * float(np.abs(Z).max())
+        for M in (AVaRSet(rng.uniform(0.0, 0.9), P), WassersteinBall(P, rng.uniform(0.05, 1.0), space)):
+            base, _ = robust_expectation(M, RandomVariable(Z))
+            scaled, _ = robust_expectation(M, RandomVariable(scale * Z))
+            assert scaled == pytest.approx(scale * base, rel=0, abs=tol)
+            base_atoms = np.array(conditional_robust(M, RandomVariable(Z), G, P).atom_values)
+            scaled_atoms = conditional_robust(M, RandomVariable(scale * Z), G, P).atom_values
+            assert scaled_atoms == pytest.approx(tuple(scale * base_atoms), rel=0, abs=tol)

@@ -261,3 +261,22 @@ def test_policy_validation():
     prob = witness_problem()
     with pytest.raises(ValidationError):
         Policy({(): 0, (0,): 0, (1,): 0, (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0}).validate(prob)
+
+
+def test_policy_helpers_on_deep_chain():
+    """One action and one outcome per stage for 1500 stages: exactly one
+    policy, counted and enumerated without recursing once per stage."""
+    T = 1500
+    certain = FiniteFamily((DiscreteMeasure([1.0]),))
+    prob = MultistageProblem(
+        n_actions=(1,) * T,
+        stage_sizes=(1,) * T,
+        stage_sets=(None,) + (certain,) * (T - 1),
+        costs=(np.ones((1, 1)),) * T,
+        feasible=((0,),) + (carried_action(1, 1),) * (T - 1),
+    )
+    assert solve_dp(prob).value == pytest.approx(1500.0)
+    assert count_policies(prob) == 1
+    (pi,) = list(enumerate_policies(prob))
+    assert len(pi.actions) == T
+    assert pi.action((0,) * (T - 1)) == 0

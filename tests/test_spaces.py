@@ -1,5 +1,7 @@
 """Measure/partition/tree substrate tests."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,33 @@ def test_tree_filtration_ternary():
     assert len(tree.leaves) == 9
     assert filt.stages[1].n_atoms == 3
     assert all(len(a) == 3 for a in filt.stages[1].atoms)
+
+
+def ancestor_walk_filtration(tree):
+    """The filtration built by walking every leaf up to its stage-t ancestor,
+    stage by stage: the definition, at quadratic cost in the depth."""
+    leaves = tree.leaves
+    stages = []
+    for t in range(1, tree.depth + 1):
+        groups = {}
+        for k, leaf in enumerate(leaves):
+            groups.setdefault(tree.ancestor_at_stage(leaf, t), []).append(k)
+        stages.append(Partition(len(leaves), tuple(tuple(g) for _, g in sorted(groups.items()))))
+    return Filtration(tuple(stages))
+
+
+def test_tree_filtration_matches_ancestor_walk():
+    from drokit.schema import load_problem_file
+
+    golden = os.path.join(os.path.dirname(__file__), "golden", "conditional_composite.json")
+    trees = [ScenarioTree.from_branching(b) for b in ([2, 2], [1, 1, 1], [3, 3], [3, 1, 2], [2])]
+    trees += list(load_problem_file(golden).trees.values())
+    for tree in trees:
+        assert tree_filtration(tree) == ancestor_walk_filtration(tree)
+    chain = ScenarioTree.from_branching([1] * 3999)
+    filt = tree_filtration(chain)
+    assert filt.horizon == 4000
+    assert filt.stages == (Partition(1, ((0,),)),) * 4000
 
 
 def test_filtration_must_refine():
