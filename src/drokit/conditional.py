@@ -26,6 +26,7 @@ import numpy as np
 from .ambiguity import (
     AmbiguitySet,
     FiniteFamily,
+    MomentSet,
     is_strictly_monotone,
     robust_expectation,
     worst_case,
@@ -40,8 +41,20 @@ from .spaces import (
     ValidationError,
 )
 
-#: Mass below this counts as "does not charge the atom".
+#: Mass below this counts as "does not charge the atom" where the measures
+#: come from an LP with absolute tolerances (moment sets).
 ZERO_MASS_TOL = 1e-9
+
+
+def _mass_floor(M: AmbiguitySet) -> float:
+    """Largest mass on an atom that still counts as not charging it.
+
+    The finite-family, AVaR and ball oracles return exact nonnegative
+    measures, so any positive mass charges the atom and the conditional mean
+    it gives is a convex combination of values of ``Z``. Moment-set measures
+    come from the membership LP, whose rounding dust must not count.
+    """
+    return ZERO_MASS_TOL if isinstance(M, MomentSet) else 0.0
 
 
 @dataclass(frozen=True)
@@ -83,14 +96,16 @@ def conditional_robust(
     the finite values themselves depend only on the ambiguity set.
 
     The oracle on the atom indicators ``1_A`` gives ``sup_Q Q(A)``: an atom
-    whose supremum is 0 (finite families, whose weights are exact data) or at
-    most ``ZERO_MASS_TOL`` (the other families) gets ``-inf``. Each live atom
-    then starts from the conditional mean ``theta`` of the member found and
-    follows Dinkelbach's iteration on ``F(theta) = sup_Q E_Q[(Z - theta) 1_A]``:
-    the member attaining ``F`` has conditional mean above ``theta`` until
-    ``F(theta)`` vanishes, which marks the supremum. One batched oracle call
-    serves every atom still moving, and the stopping test
-    ``F(theta) <= 1e-12 max|Z|`` scales with ``Z``.
+    whose supremum is at most the family's mass floor (``_mass_floor``) gets
+    ``-inf``. Each live atom then starts from the conditional mean ``theta``
+    of the member found and follows Dinkelbach's iteration on
+    ``F(theta) = sup_Q E_Q[(Z - theta) 1_A]``: the member attaining ``F`` has
+    a conditional mean above ``theta`` until ``theta`` is the supremum, and
+    that mean is the next ``theta``. One batched oracle call serves every
+    atom still moving. An atom stops when ``theta`` rises by at most
+    ``1e-12 max|Z|``, a test on ``theta`` itself: a test on ``F``, which is
+    the member's mass on the atom times the rise, would stop early when the
+    best member barely charges the atom.
     """
     P.require_probability("P")
     if Z.n != M.n or G.n != M.n or P.n != M.n:
@@ -99,21 +114,24 @@ def conditional_robust(
     for a, atom in enumerate(G.atoms):
         ind[a, list(atom)] = 1.0
     z = Z.values
+    floor = _mass_floor(M)
     mass, Q = worst_case(M, ind)
-    floor = 0.0 if isinstance(M, FiniteFamily) else ZERO_MASS_TOL
     live = np.flatnonzero(mass > floor)
-    Q = Q[live]
+    Qa = Q[live] * ind[live]
+    theta = Qa @ z / Qa.sum(axis=1)
     values = np.full(G.n_atoms, NEG_INF)
     tol = 1e-12 * float(np.abs(z).max())
     for _ in range(_DINKELBACH_CAP):
         if not live.size:
             break
+        _, Q = worst_case(M, (z - theta[:, None]) * ind[live])
         Qa = Q * ind[live]
-        theta = Qa @ z / Qa.sum(axis=1)
-        gap, Q = worst_case(M, (z - theta[:, None]) * ind[live])
-        done = gap <= tol
-        values[live[done]] = theta[done]
-        live, Q = live[~done], Q[~done]
+        m = Qa.sum(axis=1)
+        charged = m > floor
+        theta_next = np.where(charged, Qa @ z / np.where(charged, m, 1.0), theta)
+        done = theta_next - theta <= tol
+        values[live[done]] = np.maximum(theta, theta_next)[done]
+        live, theta = live[~done], theta_next[~done]
     if live.size:
         raise ValidationError("conditional value: Dinkelbach iteration did not settle")
     values = tuple(float(v) for v in values)

@@ -146,6 +146,45 @@ def test_zero_mass_atom_is_minus_inf_for_every_family():
         assert got.atom_values == pytest.approx(charnes_cooper_atom_values(M, Z1527, G22), abs=1e-7)
 
 
+def test_dinkelbach_reaches_a_member_that_barely_charges_the_atom():
+    """The best member may put almost no mass on the atom: ``F(theta)`` is
+    then tiny although ``theta`` is far from the supremum, so the iteration
+    must stop on the rise of ``theta``, not on ``F``."""
+    Z = RandomVariable([0.0, 0.0, 1.0])
+    G = Partition(3, ((0,), (1, 2)))
+    P = DiscreteMeasure.uniform(3)
+    members = (DiscreteMeasure([0.5, 0.5, 0.0]), DiscreteMeasure([1 - 1e-13, 0.0, 1e-13]))
+    vertex = tuple(
+        max(float(q.weights[list(a)] @ Z.values[list(a)]) / q.of(a) for q in members if q.of(a) > 0)
+        for a in G.atoms
+    )
+    assert vertex == (0.0, 1.0)
+    assert conditional_robust(FiniteFamily(members), Z, G, P).atom_values == vertex
+    # the indicator's best member puts 1e-5 on outcome 1 (Z = 0); emptying
+    # outcome 1 and moving 9e-14 to outcome 2 (Z = 1) fits in the radius
+    space = FiniteSpace(3, metric=np.array([[0.0, 1e-8, 1.0], [1e-8, 0.0, 1.0], [1.0, 1.0, 0.0]]))
+    M = WassersteinBall(DiscreteMeasure([1 - 1e-6, 1e-6, 0.0]), 1e-13, space)
+    assert conditional_robust(M, Z, G, P).atom_values == (0.0, 1.0)
+
+
+def test_tiny_positive_mass_keeps_the_atom_for_exact_oracles():
+    """Finite families, AVaR sets and balls return exact measures, so an atom
+    some member charges with a mass of at most 1e-9 is still live and gets
+    its conditional supremum, here the largest value of ``Z`` on it."""
+    Z = RandomVariable([0.0, 0.0, 1.0])
+    G = Partition(3, ((0,), (1, 2)))
+    P = DiscreteMeasure.uniform(3)
+    sets = [
+        FiniteFamily((DiscreteMeasure([1 - 1e-13, 0.0, 1e-13]),)),
+        AVaRSet(0.5, DiscreteMeasure([1 - 2e-13, 1e-13, 1e-13])),
+        WassersteinBall(DiscreteMeasure([1.0, 0.0, 0.0]), 1e-13, line_space(3)),
+    ]
+    for M in sets:
+        got = conditional_robust(M, Z, G, P)
+        assert got.atom_values == (0.0, 1.0)
+        assert got.te_holds
+
+
 def test_property_p_cases():
     assert has_property_p(full_simplex(4), G22)
     # singleton family with a two-outcome positive atom cannot zero a co-atom
