@@ -16,8 +16,10 @@ row of ``Z`` together with an attaining measure. Finite families scan their
 members with a matrix product, AVaR sets sort ``Z`` and fill the capped
 density (Rockafellar & Uryasev 2000), transport balls fill the radius budget
 along the upper concave hulls of ``(d_ij, Z_j)`` in order of slope (the LP
-relaxation of a multiple-choice knapsack, Sinha & Zemel 1979), and moment
-sets, which have no closed form, solve the membership LP. The reference
+relaxation of a multiple-choice knapsack, Sinha & Zemel 1979), one-moment
+sets take the best two-point measure on the target, the upper concave
+envelope of ``(psi_j, Z_j)`` (Kemperman 1968), and sets with two or more
+moments solve the membership LP. The reference
 measure, strict monotonicity, sampled members, reachability and the
 conditional functional are all the oracle on chosen objectives (unit vectors,
 their negatives, random directions, atom indicators). A linear objective on a
@@ -33,7 +35,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .lp import EQ, GE, LE, LinearProgram, solve
+from .lp import EQ, FEAS_TOL, GE, LE, LinearProgram, solve
 from .rng import Rng
 from .spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
 
@@ -94,7 +96,10 @@ class MomentSet:
 
     The grid discretizes whatever continuum the moment functions came from;
     choosing it is up to the caller and the docs flag the approximation.
-    Feasibility is certified by an LP solve at construction.
+    Feasibility is decided at construction: with one moment the target must
+    lie in the range of ``psi`` up to ``FEAS_TOL``, the margin the LP
+    accepts, and is clamped into it; with two or more an LP solve certifies
+    it.
     """
 
     support: FiniteSpace
@@ -111,13 +116,18 @@ class MomentSet:
         for f in psi:
             if f.n != self.support.n:
                 raise ValidationError("moment function off the support grid")
-        sys = membership_system(self)
-        sol = solve(
-            LinearProgram(
-                c=np.zeros(sys.n_vars), A=sys.A, senses=sys.senses, b=sys.b
-            )
-        )
-        if not sol.optimal:
+        if len(psi) == 1:
+            lo, hi = float(psi[0].values.min()), float(psi[0].values.max())
+            feasible = lo - FEAS_TOL <= targets[0] <= hi + FEAS_TOL
+            object.__setattr__(self, "targets", (min(max(targets[0], lo), hi),))
+        else:
+            sys = membership_system(self)
+            feasible = solve(
+                LinearProgram(
+                    c=np.zeros(sys.n_vars), A=sys.A, senses=sys.senses, b=sys.b
+                )
+            ).optimal
+        if not feasible:
             raise ValidationError("moment constraints are infeasible on this grid")
 
     @property
@@ -267,7 +277,10 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
       starts at its best point of least cost, and the segments of the upper
       concave hulls of ``(d_ij, Z_j)``, weighted by ``p_i``, are bought
       steepest first until the radius is spent (``_ball_worst_case``);
-    * MomentSet: the membership LP, row by row.
+    * MomentSet with one moment: in closed form, no LP. The best of the
+      two-point measures on the target, the first largest pair in row-major
+      order winning ties (``_moment_worst_case``);
+    * MomentSet with two or more moments: the membership LP, row by row.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim < 1 or Z.shape[-1] != M.n:
@@ -289,20 +302,69 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     values = np.empty(flat.shape[0])
     argmax = np.empty_like(flat)
     if isinstance(M, WassersteinBall):
-        step = max(1, _BALL_CHUNK // (M.n * M.n))
+        step = max(1, _CHUNK // (M.n * M.n))
         for lo in range(0, flat.shape[0], step):
             values[lo : lo + step], argmax[lo : lo + step] = _ball_worst_case(
                 M, flat[lo : lo + step]
             )
+    elif M.n_moments == 1:
+        values, argmax = _moment_worst_case(M, flat)
     else:
         for i, z in enumerate(flat):
             values[i], argmax[i] = _membership_lp(M, z, maximize=True)
     return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
 
 
-#: Rows of a ball worst case are processed in chunks of at most this many
-#: (row, source, target) entries, which bounds the working arrays.
-_BALL_CHUNK = 1 << 16
+#: Rows of a ball or one-moment worst case are processed in chunks of at most
+#: this many (row, source, target) or (row, a, b) entries, which bounds the
+#: working arrays.
+_CHUNK = 1 << 16
+
+
+def _moment_worst_case(M: MomentSet, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact worst case over a one-moment set for each row of ``Z``, shape (r, n).
+
+    ``sup E_Q[Z]`` subject to ``E_Q[psi] = t`` is the upper concave envelope
+    of the points ``(psi_j, Z_j)`` at ``t``, attained by a measure on at most
+    two points (Kemperman 1968): the largest interpolated value over pairs
+    ``psi_a <= t <= psi_b``, with weights ``(psi_b - t, t - psi_a)`` over
+    ``psi_b - psi_a``, or the single atom ``a`` when ``psi_a = psi_b = t``.
+    Pairs are scanned in row-major order of ``(a, b)`` and the first largest
+    wins. Work runs in blocks of ``a`` and chunks of rows of at most
+    ``_CHUNK`` entries.
+    """
+    psi, t = M.psi[0].values, M.targets[0]
+    below, above = np.flatnonzero(psi <= t), np.flatnonzero(psi >= t)
+    r = Z.shape[0]
+    values = np.full(r, -np.inf)
+    pair = np.zeros((2, r), dtype=int)
+    weight = np.zeros((2, r))
+    block = max(1, _CHUNK // above.size)
+    for a0 in range(0, below.size, block):
+        a = below[a0 : a0 + block]
+        span = psi[above] - psi[a, None]
+        single = span == 0.0
+        span[single] = 1.0
+        wa = np.where(single, 1.0, (psi[above] - t) / span).ravel()
+        wb = np.where(single, 0.0, (t - psi[a, None]) / span).ravel()
+        ia, ib = np.repeat(a, above.size), np.tile(above, a.size)
+        step = max(1, _CHUNK // wa.size)
+        for lo in range(0, r, step):
+            z = Z[lo : lo + step]
+            vals = z[:, ia] * wa + z[:, ib] * wb
+            k = vals.argmax(axis=1)
+            best = vals[np.arange(k.size), k]
+            new = best > values[lo : lo + step]
+            rows = np.flatnonzero(new) + lo
+            values[rows] = best[new]
+            k = k[new]
+            pair[:, rows] = ia[k], ib[k]
+            weight[:, rows] = wa[k], wb[k]
+    q = np.zeros_like(Z)
+    rows = np.arange(r)
+    q[rows, pair[1]] = weight[1]
+    q[rows, pair[0]] += weight[0]  # a = b only for the single atom, weights (1, 0)
+    return values, q
 
 
 def _ball_worst_case(M: WassersteinBall, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +450,8 @@ def robust_expectation(
 
     One row of ``worst_case``: a member scan for finite families, the sorted
     capped-density fill for AVaR sets, the slope-ordered hull fill for
-    transport balls, the membership LP for moment sets.
+    transport balls, the best two-point measure for one-moment sets, and the
+    membership LP for sets with two or more moments.
     """
     value, argmax = worst_case(M, Z.values)
     return float(value), DiscreteMeasure(argmax)
@@ -464,13 +527,6 @@ class StrictMonotonicity:
     witness: DiscreteMeasure
 
 
-def _min_mass_member(M: AmbiguitySet, outcome: int) -> tuple[float, DiscreteMeasure]:
-    """Member minimizing the mass of a single outcome: the worst case of
-    ``-1_{outcome}``."""
-    value, argmax = worst_case(M, -np.eye(M.n)[outcome])
-    return max(0.0, -float(value)), DiscreteMeasure(argmax)
-
-
 def is_strictly_monotone(
     M: AmbiguitySet, P: DiscreteMeasure, tol: float = 1e-9
 ) -> StrictMonotonicity:
@@ -480,22 +536,19 @@ def is_strictly_monotone(
     certify a positive infimum of ``Q({w})`` over members for every
     ``P``-positive outcome; the infimum of a linear functional over the set
     is attained at an extreme representation and is the oracle on the negated
-    outcome indicator.
+    outcome indicator, one row per ``P``-positive outcome. The first outcome
+    of least mass is reported.
     """
     P.require_probability("P")
     if P.n != M.n:
         raise ValidationError("P and the ambiguity set live on different spaces")
-    best: Optional[tuple[float, int, DiscreteMeasure]] = None
-    for w in range(M.n):
-        if P.weights[w] <= 0.0:
-            continue
-        val, member = _min_mass_member(M, w)
-        if best is None or val < best[0]:
-            best = (val, w, member)
-    if best is None:
-        raise ValidationError("P has no positive outcome")
-    eps, w, member = best
-    return StrictMonotonicity(strict=eps > tol, epsilon=eps, outcome=w, witness=member)
+    positive = np.flatnonzero(P.weights > 0.0)
+    values, members = worst_case(M, -np.eye(M.n)[positive])
+    k = int(np.argmin(np.maximum(-values, 0.0)))
+    eps = max(0.0, -float(values[k]))
+    return StrictMonotonicity(
+        strict=eps > tol, epsilon=eps, outcome=int(positive[k]), witness=DiscreteMeasure(members[k])
+    )
 
 
 def contains(M: AmbiguitySet, Q: DiscreteMeasure, tol: float = 1e-7) -> bool:
@@ -519,6 +572,24 @@ def default_reference(M: AmbiguitySet) -> DiscreteMeasure:
     return reference_measure(M).normalized
 
 
+#: Mass below this counts as "does not charge" where the measures come from
+#: an LP with absolute tolerances (moment sets with two or more moments).
+ZERO_MASS_TOL = 1e-9
+
+
+def _mass_floor(M: AmbiguitySet) -> float:
+    """Largest mass on an outcome or atom that still counts as not charging it.
+
+    The finite-family, AVaR, ball and one-moment oracles return exact
+    nonnegative measures, so any positive mass charges, and the conditional
+    mean it gives is a convex combination of values of ``Z``. Measures of
+    sets with two or more moments come from the membership LP, whose rounding
+    dust must not count.
+    """
+    return ZERO_MASS_TOL if isinstance(M, MomentSet) and M.n_moments != 1 else 0.0
+
+
 def reachable_outcomes(M: AmbiguitySet) -> np.ndarray:
-    """Boolean mask of outcomes charged by at least one member."""
-    return worst_case(M, np.eye(M.n))[0] > 1e-9
+    """Boolean mask of outcomes charged by at least one member, beyond the
+    set's mass floor (the same test ``conditional_robust`` applies to atoms)."""
+    return worst_case(M, np.eye(M.n))[0] > _mass_floor(M)

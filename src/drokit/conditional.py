@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import (
+    ZERO_MASS_TOL,
     AmbiguitySet,
     FiniteFamily,
-    MomentSet,
+    _mass_floor,
     is_strictly_monotone,
     robust_expectation,
     worst_case,
@@ -40,22 +41,6 @@ from .spaces import (
     RandomVariable,
     ValidationError,
 )
-
-#: Mass below this counts as "does not charge the atom" where the measures
-#: come from an LP with absolute tolerances (moment sets).
-ZERO_MASS_TOL = 1e-9
-
-
-def _mass_floor(M: AmbiguitySet) -> float:
-    """Largest mass on an atom that still counts as not charging it.
-
-    The finite-family, AVaR and ball oracles return exact nonnegative
-    measures, so any positive mass charges the atom and the conditional mean
-    it gives is a convex combination of values of ``Z``. Moment-set measures
-    come from the membership LP, whose rounding dust must not count.
-    """
-    return ZERO_MASS_TOL if isinstance(M, MomentSet) else 0.0
-
 
 @dataclass(frozen=True)
 class ConditionalValue:

@@ -68,6 +68,8 @@ class ProblemFile:
 
 
 def _require(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: must be an object")
     if key not in obj:
         raise InputError(f"{where}: missing field {key!r}")
     return obj[key]
@@ -82,7 +84,7 @@ def _field(obj: dict, key: str, where: str, parse, optional: bool = False):
     value = _require(obj, key, where)
     try:
         return parse(value)
-    except (TypeError, ValueError, IndexError) as e:
+    except (TypeError, ValueError, IndexError, OverflowError) as e:
         raise InputError(f"{where}.{key}: {e}") from e
 
 
@@ -120,8 +122,13 @@ def load_problem_file(path: str) -> ProblemFile:
     pf = ProblemFile(digest=hashlib.sha256(raw).hexdigest())
     try:
         _load_sections(doc, pf)
+    except InputError:
+        raise
     except ValidationError as e:
         raise InputError(f"{path}: {e}") from e
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError, OverflowError) as e:
+        # a node of the wrong JSON type where the loader expected another
+        raise InputError(f"{path}: malformed document ({type(e).__name__}: {e})") from e
     return pf
 
 

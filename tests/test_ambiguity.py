@@ -306,10 +306,99 @@ def test_ball_closed_form_extreme_radii_and_size():
     assert_ball_oracle_exact(big, rng.uniforms(40, -1.0, 1.0).reshape(1, 40))
 
 
+def random_moment_set(rng, n, *, tied=False, end=None):
+    """One-moment set on a random grid; ``end`` puts the target at the
+    ``"min"`` or ``"max"`` of ``psi``, otherwise it is the mean of a random
+    measure. ``tied`` rounds ``psi`` to a coarse grid."""
+    psi = rng.uniforms(n, -1.0, 2.0)
+    if tied:
+        psi = np.round(2.0 * psi) / 2.0
+    if end is not None:
+        target = float(getattr(psi, end)())
+    else:
+        target = float(rng.simplex(n) @ psi)
+    return MomentSet(FiniteSpace(n), (RandomVariable(psi),), (target,))
+
+
+def assert_moment_oracle_exact(M, Z):
+    values, argmax = worst_case(M, Z)
+    for z, value, q in zip(Z, values, argmax):
+        scale = 1e-12 * max(1.0, float(np.abs(z).max()))
+        assert abs(value - _membership_lp(M, z, maximize=True)[0]) <= scale
+        assert abs(float(q @ z) - value) <= scale
+        assert np.count_nonzero(q) <= 2
+        assert contains(M, DiscreteMeasure(q))
+
+
+def test_moment_closed_form_matches_membership_lp():
+    rng = Rng(83)
+    for trial in range(60):
+        n = 2 + rng.randint(9)
+        M = random_moment_set(rng, n, tied=trial % 2 == 1, end=(None, "min", "max")[trial % 3])
+        Z = rng.uniforms(3 * n, -2.0, 2.0).reshape(3, n)
+        if trial % 4 >= 2:
+            Z = np.round(2.0 * Z) / 2.0  # ties in Z
+        Z[2] = 0.75  # all outcomes tied
+        assert_moment_oracle_exact(M, Z)
+    for end in (None, "min", "max"):
+        assert_moment_oracle_exact(random_moment_set(rng, 200, end=end), rng.uniforms(200, -1.0, 1.0).reshape(1, 200))
+
+
+def test_moment_closed_form_tie_rule_and_feasibility_margin():
+    grid = FiniteSpace(4)
+    psi = RandomVariable([0.0, 1.0, 1.0, 2.0])
+    # target on a grid point: the first pair in row-major order, (0, 1),
+    # already puts all mass on outcome 1, and later ties never replace it
+    M = MomentSet(grid, (psi,), (1.0,))
+    values, argmax = worst_case(M, np.array([[0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    assert values.tolist() == [1.0, 0.0]
+    assert argmax.tolist() == [[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    # off the grid: the first largest pair straddling the target
+    M = MomentSet(grid, (psi,), (0.5,))
+    values, argmax = worst_case(M, np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]]))
+    assert values.tolist() == [0.5, 1.0]
+    assert argmax.tolist() == [[0.5, 0.5, 0.0, 0.0], [0.75, 0.0, 0.0, 0.25]]
+    # targets within the LP's feasibility margin are clamped into the range
+    assert MomentSet(grid, (psi,), (2.0 + 5e-8,)).targets == (2.0,)
+    assert MomentSet(grid, (psi,), (-5e-8,)).targets == (0.0,)
+    for target in (2.0 + 2e-7, -2e-7):
+        with pytest.raises(ValidationError):
+            MomentSet(grid, (psi,), (target,))
+
+
+def test_two_moment_set_stays_on_the_lp_and_matches_its_dual():
+    rng = Rng(89)
+    for _ in range(10):
+        n = 4 + rng.randint(4)
+        xs = np.sort(rng.uniforms(n, 0.0, 1.0))
+        anchor = rng.simplex(n)
+        M = MomentSet(
+            FiniteSpace(n),
+            (RandomVariable(xs), RandomVariable(xs**2)),
+            (float(anchor @ xs), float(anchor @ xs**2)),
+        )
+        Z = rng.uniforms(n, -2.0, 2.0)
+        value, argmax = worst_case(M, Z)
+        assert value == _membership_lp(M, Z, maximize=True)[0]
+        dual = solve(
+            LinearProgram(
+                c=np.array([1.0, *M.targets]),
+                A=np.column_stack([np.ones(n), xs, xs**2]),
+                senses=(GE,) * n,
+                b=Z,
+                lb=np.full(3, -np.inf),
+            )
+        )
+        assert dual.value == pytest.approx(float(value), abs=1e-9)
+        assert float(argmax @ Z) == pytest.approx(float(value), abs=1e-9)
+        assert contains(M, DiscreteMeasure(argmax))
+
+
 def test_ball_and_conditional_paths_solve_no_lp(monkeypatch):
     import sys
 
     import drokit.lp
+    from drokit.composite import RectangularSpec, rectangular_nested
     from drokit.conditional import conditional_robust
     from drokit.spaces import Partition
 
@@ -335,4 +424,13 @@ def test_ball_and_conditional_paths_solve_no_lp(monkeypatch):
         worst_case(ball, np.vstack([Z, -Z, np.eye(6)]))
         conditional_robust(ball, RandomVariable(Z), G, ball.center)
         conditional_robust(avar, RandomVariable(Z), G, ball.center)
+    assert calls == []
+    # one-moment sets: construction, oracle, conditional values and folds
+    moments = [random_moment_set(rng, 6, tied=k == 1, end=(None, None, "min", "max")[k]) for k in range(4)]
+    spec = RectangularSpec((FiniteSpace(6),) * 2, tuple(moments[:2]))
+    for M in moments:
+        Z = rng.uniforms(6, -2.0, 2.0)
+        worst_case(M, np.vstack([Z, -Z, np.eye(6)]))
+        conditional_robust(M, RandomVariable(Z), G, ball.center)
+    rectangular_nested(spec, rng.uniforms(36, -2.0, 2.0))
     assert calls == []

@@ -1,9 +1,14 @@
 """CLI, schema, and report round-trip tests against the golden files."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drokit.cli import main
 from drokit.report import Check, Report, to_csv
@@ -356,3 +361,58 @@ def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, section, name
     assert "Traceback" not in err
     with pytest.raises(InputError, match=path):
         load_problem_file(str(bad))
+
+
+# mutated golden files: any document exits 0, 1 or 2 and never raises
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300]),
+    st.text(max_size=4),
+    st.lists(st.floats(-2.0, 2.0), max_size=4),
+    st.just({}),
+)
+
+
+def _mutate(doc, data) -> None:
+    """Walk down from the root along drawn keys, then replace or delete the
+    node reached."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.integers(0, 3)):
+            node = child
+            continue
+        if data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_JSON_VALUES)
+        return
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([STATIC, CONDITIONAL, DP_TRANSPORT]), st.integers(1, 3), st.data())
+def test_mutated_golden_files_exit_cleanly(golden, mutations, data):
+    with open(golden) as fh:
+        doc = json.load(fh)
+    for _ in range(mutations):
+        if doc:
+            _mutate(doc, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            load_problem_file(path)
+        except InputError:
+            pass
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", path, "--trials", "2"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert [line for line in err.getvalue().splitlines() if line.startswith("error:")]

@@ -19,6 +19,7 @@ from drokit.composite import (
     rectangular_nested,
     static_rectangular,
 )
+from drokit.conditional import conditional_robust
 from drokit.rng import Rng
 from drokit.spaces import (
     DiscreteMeasure,
@@ -78,6 +79,19 @@ def test_unreachable_atom_aborts():
     M = FiniteFamily((DiscreteMeasure([0.5, 0.5, 0.0, 0.0]),))
     with pytest.raises(UnreachableAtomError):
         composite_functional(M, F4, RandomVariable([1.0, 2.0, 3.0, 4.0]), U4)
+
+
+def test_singleton_stage_keeps_outcomes_conditional_robust_keeps():
+    # The AVaR set charges outcome 2 with 8e-13 at most: an exact oracle
+    # keeps it, so the singleton shortcut must keep it too.
+    M = AVaRSet(0.5, DiscreteMeasure([0.5, 0.5 - 4e-13, 4e-13]))
+    Z = RandomVariable([0.0, 1.0, 2.0])
+    singletons = Partition.singletons(3)
+    assert conditional_robust(M, Z, singletons, M.reference).atom_values == (0.0, 1.0, 2.0)
+    F = Filtration((Partition.trivial(3), singletons))
+    assert composite_functional(M, F, Z, M.reference) == robust_expectation(M, Z)[0]
+    coarse = Filtration((Partition.trivial(3), Partition(3, ((0,), (1, 2)))))
+    assert composite_functional(M, coarse, Z, M.reference) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_composite_dominates_static_randomized():
