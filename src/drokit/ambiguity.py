@@ -302,7 +302,7 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     values = np.empty(flat.shape[0])
     argmax = np.empty_like(flat)
     if isinstance(M, WassersteinBall):
-        step = max(1, _CHUNK // (M.n * M.n))
+        step = max(1, _BALL_CHUNK // (M.n * M.n))
         for lo in range(0, flat.shape[0], step):
             values[lo : lo + step], argmax[lo : lo + step] = _ball_worst_case(
                 M, flat[lo : lo + step]
@@ -315,10 +315,13 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
 
 
-#: Rows of a ball or one-moment worst case are processed in chunks of at most
-#: this many (row, source, target) or (row, a, b) entries, which bounds the
-#: working arrays.
+#: Rows of a one-moment worst case are processed in chunks of at most this
+#: many (row, a, b) entries, which bounds the working arrays.
 _CHUNK = 1 << 16
+#: The same bound for the (row, source, target) entries of a ball worst case,
+#: 16 times smaller: its hull walk holds Python objects per entry, each many
+#: times the size of an array entry.
+_BALL_CHUNK = 1 << 12
 
 
 def _moment_worst_case(M: MomentSet, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
