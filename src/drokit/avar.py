@@ -113,7 +113,9 @@ class AxiomReport:
 def check_axioms(ambiguity_set, trials: int, rng: Rng | None = None) -> AxiomReport:
     """Randomized battery for subadditivity, monotonicity, translation
     equivariance, positive homogeneity, and the sup-norm Lipschitz bound of
-    the worst-case expectation functional."""
+    the worst-case expectation functional. Every trial's draws come first,
+    in trial order, and the six rows of all trials go to one ``worst_case``
+    call."""
     from .ambiguity import worst_case  # deferred: layering
 
     rng = rng or Rng()

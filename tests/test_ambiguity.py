@@ -341,7 +341,8 @@ def test_moment_closed_form_matches_membership_lp():
         Z[2] = 0.75  # all outcomes tied
         assert_moment_oracle_exact(M, Z)
     for end in (None, "min", "max"):
-        assert_moment_oracle_exact(random_moment_set(rng, 200, end=end), rng.uniforms(200, -1.0, 1.0).reshape(1, 200))
+        M = random_moment_set(rng, 200, end=end)
+        assert_moment_oracle_exact(M, rng.uniforms(200, -1.0, 1.0).reshape(1, 200))
 
 
 def test_moment_closed_form_tie_rule_and_feasibility_margin():
@@ -426,7 +427,8 @@ def test_ball_and_conditional_paths_solve_no_lp(monkeypatch):
         conditional_robust(avar, RandomVariable(Z), G, ball.center)
     assert calls == []
     # one-moment sets: construction, oracle, conditional values and folds
-    moments = [random_moment_set(rng, 6, tied=k == 1, end=(None, None, "min", "max")[k]) for k in range(4)]
+    ends = (None, None, "min", "max")
+    moments = [random_moment_set(rng, 6, tied=k == 1, end=ends[k]) for k in range(4)]
     spec = RectangularSpec((FiniteSpace(6),) * 2, tuple(moments[:2]))
     for M in moments:
         Z = rng.uniforms(6, -2.0, 2.0)
