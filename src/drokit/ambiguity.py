@@ -31,7 +31,7 @@ the independent route the tests compare the oracle against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -227,37 +227,22 @@ def membership_system(M: AmbiguitySet) -> MembershipSystem:
 
 
 def _membership_lp(
-    M: AmbiguitySet,
-    objective_on_q: np.ndarray,
-    maximize: bool,
-    zero_outcomes: tuple[int, ...] = (),
-    allow_infeasible: bool = False,
-) -> Optional[tuple[float, np.ndarray]]:
-    """Optimize a linear function of the measure over the set, optionally
-    forcing ``q`` to vanish on the listed outcomes.
-
-    Pinning outcomes to zero can empty the set; with ``allow_infeasible``
-    that returns ``None`` instead of raising.
-    """
+    M: AmbiguitySet, objective_on_q: np.ndarray, maximize: bool
+) -> tuple[float, np.ndarray]:
+    """Optimize a linear function of the measure over the set by the dense
+    LP on ``membership_system``: the oracle of sets with two or more moments,
+    and the independent route the tests compare the closed forms against."""
     sys = membership_system(M)
-    A, senses, b = sys.A, list(sys.senses), sys.b
-    if zero_outcomes:
-        extra = sys.q_map[list(zero_outcomes)]
-        A = np.vstack([A, extra])
-        senses += [EQ] * len(zero_outcomes)
-        b = np.concatenate([b, np.zeros(len(zero_outcomes))])
     sol = solve(
         LinearProgram(
             c=objective_on_q @ sys.q_map,
-            A=A,
-            senses=tuple(senses),
-            b=b,
+            A=sys.A,
+            senses=sys.senses,
+            b=sys.b,
             maximize=maximize,
         )
     )
     if not sol.optimal:
-        if allow_infeasible and sol.status == "infeasible":
-            return None
         raise ValidationError(f"membership LP unexpectedly {sol.status}")
     return float(sol.value), sys.q_map @ sol.x
 

@@ -235,19 +235,22 @@ class StaticRectangularResult:
     exact: bool
 
 
+#: Random restarts, and sweeps per restart, of the alternating maximization
+#: in ``static_rectangular``.
+_RESTARTS = 4
+_MAX_SWEEPS = 50
+
+
 def static_rectangular(
-    spec: RectangularSpec,
-    Z,
-    rng: Optional[Rng] = None,
-    restarts: int = 4,
-    max_sweeps: int = 50,
+    spec: RectangularSpec, Z, rng: Optional[Rng] = None
 ) -> StaticRectangularResult:
     """sup over stagewise-independent products ``Q_1 x ... x Q_T``.
 
     Finitely generated stages reduce to a scan of vertex products. Otherwise
     the supremum is approached by alternating per-stage maximization with
-    random restarts and flagged non-exact: each sweep fixes all but one stage
-    and solves the induced linear stage problem, so the value only climbs.
+    ``_RESTARTS`` random restarts of at most ``_MAX_SWEEPS`` sweeps each, and
+    flagged non-exact: each sweep fixes all but one stage and solves the
+    induced linear stage problem, so the value only climbs.
     """
     table = spec.as_product_array(Z)
     T = spec.horizon
@@ -267,13 +270,13 @@ def static_rectangular(
 
     rng = rng or Rng()
     overall_best, overall_members = -np.inf, None
-    for restart in range(restarts):
+    for _ in range(_RESTARTS):
         members = []
         for M in spec.stage_sets:
             direction = RandomVariable(rng.uniforms(M.n, -1.0, 1.0))
             members.append(robust_expectation(M, direction)[1])
         current = -np.inf
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             improved = False
             for t in range(T):
                 # contract every axis except t with the fixed measures;

@@ -8,8 +8,12 @@ equivariance. The supremum is a linear-fractional program over the measure
 polytope. It is computed on the worst-case oracle alone: the oracle on the
 atom indicators decides which atoms some member charges, and Dinkelbach's
 iteration (Dinkelbach 1967) on ``theta -> sup_Q E_Q[(Z - theta) 1_A]`` finds
-the value of the others, every atom in one batched oracle call per step. The
-tests check it against the Charnes-Cooper LP built from ``membership_system``.
+the value of the others. One private routine, ``_conditional_values``, runs
+that loop for a whole stack of random variables, every (row, atom) pair in
+one batched oracle call per step; the conditional values, property (P) (the
+value of each outcome indicator on its atom is 1) and the strict
+monotonicity battery are all calls to it. The tests check it against the
+Charnes-Cooper and pinned-outcome LPs built from ``membership_system``.
 
 The nested conditional AVaR -- the law-invariant alternative -- is also
 provided and deliberately *not* reconciled with the worst-case conditional:
@@ -26,7 +30,6 @@ import numpy as np
 from .ambiguity import (
     ZERO_MASS_TOL,
     AmbiguitySet,
-    FiniteFamily,
     _mass_floor,
     is_strictly_monotone,
     robust_expectation,
@@ -78,49 +81,64 @@ def conditional_robust(
     """Per-atom worst-case conditional expectation, all atoms at once.
 
     ``P`` is the reference probability fixing the off-support convention;
-    the finite values themselves depend only on the ambiguity set.
-
-    The oracle on the atom indicators ``1_A`` gives ``sup_Q Q(A)``: an atom
-    whose supremum is at most the family's mass floor (``_mass_floor``) gets
-    ``-inf``. Each live atom then starts from the conditional mean ``theta``
-    of the member found and follows Dinkelbach's iteration on
-    ``F(theta) = sup_Q E_Q[(Z - theta) 1_A]``: the member attaining ``F`` has
-    a conditional mean above ``theta`` until ``theta`` is the supremum, and
-    that mean is the next ``theta``. One batched oracle call serves every
-    atom still moving. An atom stops when ``theta`` rises by at most
-    ``1e-12 max|Z|``, a test on ``theta`` itself: a test on ``F``, which is
-    the member's mass on the atom times the rise, would stop early when the
-    best member barely charges the atom.
+    the finite values themselves depend only on the ambiguity set, and come
+    from one row of ``_conditional_values``.
     """
     P.require_probability("P")
     if Z.n != M.n or G.n != M.n or P.n != M.n:
         raise ValidationError("Z, G, P, and the ambiguity set must share a space")
+    values = tuple(float(v) for v in _conditional_values(M, Z.values, G))
+    return ConditionalValue(G, values, all(np.isfinite(values)))
+
+
+def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
+    """Per-atom conditional suprema for every row of ``Z``: shape ``(..., n)``
+    in, ``(..., atoms)`` out.
+
+    The oracle on the atom indicators ``1_A``, called once for all rows,
+    gives ``sup_Q Q(A)``: an atom whose supremum is at most the family's mass
+    floor (``_mass_floor``) gets ``-inf`` in every row. Each (row, live atom)
+    pair then starts from the conditional mean ``theta`` of the member found
+    and follows Dinkelbach's iteration on
+    ``F(theta) = sup_Q E_Q[(Z - theta) 1_A]``: the member attaining ``F`` has
+    a conditional mean above ``theta`` until ``theta`` is the supremum, and
+    that mean is the next ``theta``. One batched oracle call serves every
+    pair still moving. A pair stops when ``theta`` rises by at most
+    ``1e-12 max|Z|`` over its row, a test on ``theta`` itself: a test on
+    ``F``, which is the member's mass on the atom times the rise, would stop
+    early when the best member barely charges the atom.
+    """
+    if G.n != M.n:
+        raise ValidationError("partition and ambiguity set sizes differ")
+    Z = np.asarray(Z, dtype=float)
+    z = Z.reshape(-1, M.n)
     ind = np.zeros((G.n_atoms, M.n))
     for a, atom in enumerate(G.atoms):
         ind[a, list(atom)] = 1.0
-    z = Z.values
     floor = _mass_floor(M)
     mass, Q = worst_case(M, ind)
-    live = np.flatnonzero(mass > floor)
-    Qa = Q[live] * ind[live]
-    theta = Qa @ z / Qa.sum(axis=1)
-    values = np.full(G.n_atoms, NEG_INF)
-    tol = 1e-12 * float(np.abs(z).max())
+    row, atom = np.nonzero(np.broadcast_to(mass > floor, (z.shape[0], G.n_atoms)))
+    Qa = Q[atom] * ind[atom]
+    theta = (Qa * z[row]).sum(axis=1) / Qa.sum(axis=1)
+    values = np.full((z.shape[0], G.n_atoms), NEG_INF)
+    tol = 1e-12 * np.abs(z).max(axis=1)
     for _ in range(_DINKELBACH_CAP):
-        if not live.size:
+        if not row.size:
             break
-        _, Q = worst_case(M, (z - theta[:, None]) * ind[live])
-        Qa = Q * ind[live]
+        zr, sel = z[row], ind[atom]
+        _, Q = worst_case(M, (zr - theta[:, None]) * sel)
+        Qa = Q * sel
         m = Qa.sum(axis=1)
         charged = m > floor
-        theta_next = np.where(charged, Qa @ z / np.where(charged, m, 1.0), theta)
-        done = theta_next - theta <= tol
-        values[live[done]] = np.maximum(theta, theta_next)[done]
-        live, theta = live[~done], theta_next[~done]
-    if live.size:
+        mean = (Qa * zr).sum(axis=1) / np.where(charged, m, 1.0)
+        theta_next = np.where(charged, mean, theta)
+        done = theta_next - theta <= tol[row]
+        values[row[done], atom[done]] = np.maximum(theta, theta_next)[done]
+        moving = ~done
+        row, atom, theta = row[moving], atom[moving], theta_next[moving]
+    if row.size:
         raise ValidationError("conditional value: Dinkelbach iteration did not settle")
-    values = tuple(float(v) for v in values)
-    return ConditionalValue(G, values, all(np.isfinite(values)))
+    return values.reshape(Z.shape[:-1] + (G.n_atoms,))
 
 
 #: Dinkelbach's iteration ends after finitely many steps on a polytope; this
@@ -131,33 +149,17 @@ _DINKELBACH_CAP = 100
 def has_property_p(M: AmbiguitySet, G: Partition, tol: float = ZERO_MASS_TOL) -> bool:
     """Can the set concentrate conditional mass on any single outcome?
 
-    True iff for every atom and every outcome in it, some member charges that
-    outcome while vanishing on the rest of the atom. Decided per pair by a
-    mass-maximizing LP with the co-atom pinned to zero (a member scan for
-    finite families).
+    True iff for every atom and every outcome ``w`` in it, some member charges
+    ``w`` while vanishing on the rest of the atom, that is, iff the
+    conditional value of ``1_w`` on its atom is 1: the supremum of
+    ``Q(w) / Q(A)`` is attained at a member, and is 1 exactly when that
+    member puts all of its mass on the atom at ``w``. One batched call on the
+    unit vectors decides every outcome; a value of at least ``1 - tol``
+    counts, and an atom no member charges fails.
     """
-    from .ambiguity import _membership_lp  # local: shares the LP plumbing
-
-    if G.n != M.n:
-        raise ValidationError("partition and ambiguity set sizes differ")
-    for atom in G.atoms:
-        for w in atom:
-            others = tuple(i for i in atom if i != w)
-            if isinstance(M, FiniteFamily):
-                ok = any(
-                    q.weights[w] > tol and q.weights[list(others)].sum() <= tol
-                    for q in M.measures
-                )
-            else:
-                obj = np.zeros(M.n)
-                obj[w] = 1.0
-                res = _membership_lp(
-                    M, obj, maximize=True, zero_outcomes=others, allow_infeasible=True
-                )
-                ok = res is not None and res[0] > tol
-            if not ok:
-                return False
-    return True
+    values = _conditional_values(M, np.eye(M.n), G)
+    own = values[np.arange(M.n), [G.atom_of(w) for w in range(G.n)]]
+    return bool(np.all(own >= 1.0 - tol))
 
 
 def conditional_avar_nested(
@@ -225,6 +227,8 @@ def conditional_strict_monotonicity_check(
     """Sample ``Z' = Z + gamma * 1_A`` with ``P(A) > 0`` and assert the
     conditional values increase, strictly on every atom meeting ``A`` in a
     ``P``-positive set (the increase is at least ``gamma * epsilon`` there).
+    Every trial is drawn first; one batched call on the stacked ``Z`` and
+    ``Z'`` gives all conditional values.
     """
     rng = rng or Rng()
     base = is_strictly_monotone(M, P)
@@ -238,17 +242,19 @@ def conditional_strict_monotonicity_check(
         )
     n = M.n
     positive = [i for i in range(n) if P.weights[i] > 0.0]
-    violations = 0
-    for _ in range(trials):
-        z = RandomVariable(rng.uniforms(n, -2.0, 2.0))
+    Z = np.empty((2, trials, n))  # every trial's Z, then its Z'
+    bumps = []
+    for k in range(trials):
+        Z[:, k] = rng.uniforms(n, -2.0, 2.0)
         bump_set = [positive[i] for i in rng.subset(len(positive))]
         gamma = rng.uniform(0.1, 1.0)
-        z2 = z.values.copy()
-        z2[bump_set] += gamma
-        before = conditional_robust(M, z, G, P)
-        after = conditional_robust(M, RandomVariable(z2), G, P)
+        Z[1, k, bump_set] += gamma
+        bumps.append((bump_set, gamma))
+    values = _conditional_values(M, Z, G)
+    violations = 0
+    for (bump_set, gamma), old, new in zip(bumps, values[0], values[1]):
         for a, atom in enumerate(G.atoms):
-            delta = after.atom_values[a] - before.atom_values[a]
+            delta = new[a] - old[a]
             if delta < -1e-9:
                 violations += 1
                 continue

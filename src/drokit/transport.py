@@ -114,21 +114,25 @@ def wasserstein_dual_value(
     return float(sol.value)
 
 
+def _pairs(values: np.ndarray, D: np.ndarray):
+    """Pairs ``i < j`` in row-major order with ``|values_i - values_j|`` and
+    ``D[i, j]``, and the smallest L with ``|dZ| <= L D`` over them: ``inf``
+    when two points at distance zero carry different values."""
+    k = np.arange(values.size)
+    i, j = np.nonzero(np.less.outer(k, k))
+    dz, dist = np.abs(values[i] - values[j]), D[i, j]
+    apart = dist > 0.0
+    if (dz[~apart] > 0.0).any():
+        L = float("inf")
+    else:
+        L = float((dz[apart] / dist[apart]).max(initial=0.0))
+    return i, j, dz, dist, L
+
+
 def lipschitz_constant(Z: RandomVariable, space: FiniteSpace) -> float:
     """Smallest L with |Z(i) - Z(j)| <= L d(i, j); ``inf`` when two outcomes
     at distance zero carry different values (the bound is then vacuous)."""
-    d = space.require_metric()
-    L = 0.0
-    n = space.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            dz = abs(Z.values[i] - Z.values[j])
-            if d[i, j] <= 0.0:
-                if dz > 0.0:
-                    return float("inf")
-                continue
-            L = max(L, dz / d[i, j])
-    return L
+    return _pairs(Z.values, space.require_metric())[-1]
 
 
 @dataclass(frozen=True)
@@ -275,12 +279,17 @@ class TreeProcess:
             v = np.sum(self.kernels[t] * v, axis=-1)
         return float(v)
 
-    def history_distance(self, h: tuple, g: tuple, weights: Sequence[float]) -> float:
-        """Weighted sum of stage distances between two history prefixes."""
-        total = 0.0
-        for s, (a, b) in enumerate(zip(h, g)):
-            total += weights[s] * float(self.stage_spaces[s].metric[a, b])
-        return total
+    def history_metric(self, t: int, weights: Sequence[float]) -> np.ndarray:
+        """Weighted history metric ``D[h, g] = sum_{s<t} w_s d_s(h_s, g_s)``
+        over the stage-``t`` prefixes in ``np.ndindex`` order, shape
+        ``(H, H)``, summed stage by stage from stage 0."""
+        sizes = self.sizes[:t]
+        H = int(np.prod(sizes, dtype=int))
+        coords = np.indices(sizes).reshape(t, H)
+        D = np.zeros((H, H))
+        for s in range(t):
+            D += weights[s] * self.stage_spaces[s].metric[np.ix_(coords[s], coords[s])]
+        return D
 
 
 def scenario_lipschitz_certificate(
@@ -288,19 +297,8 @@ def scenario_lipschitz_certificate(
 ) -> float:
     """Smallest L with |Z(s) - Z(s')| <= L * sum_t w_t d_t(s_t, s'_t) over all
     scenario pairs; ``inf`` when two scenarios at distance zero differ."""
-    arr = process.as_array(Z)
-    scen = list(np.ndindex(*process.sizes))
-    L = 0.0
-    for idx, a in enumerate(scen):
-        for b in scen[idx + 1 :]:
-            dist = process.history_distance(a, b, weights)
-            dz = abs(float(arr[a]) - float(arr[b]))
-            if dist <= 0.0:
-                if dz > 0.0:
-                    return float("inf")
-                continue
-            L = max(L, dz / dist)
-    return L
+    D = process.history_metric(process.horizon, weights)
+    return _pairs(process.as_array(Z).reshape(-1), D)[-1]
 
 
 def kernel_history_moduli(process: TreeProcess, weights: Sequence[float]) -> tuple[float, ...]:
@@ -309,13 +307,14 @@ def kernel_history_moduli(process: TreeProcess, weights: Sequence[float]) -> tup
     out = [0.0]
     for t in range(1, process.horizon):
         hist = list(np.ndindex(*process.sizes[:t]))
+        D = process.history_metric(t, weights)
         worst = 0.0
         for i, h in enumerate(hist):
-            for g in hist[i + 1 :]:
-                dist = process.history_distance(h, g, weights)
+            for j in range(i + 1, len(hist)):
+                dist = float(D[i, j])
                 w1, _ = wasserstein_1(
                     DiscreteMeasure(process.kernels[t][h]),
-                    DiscreteMeasure(process.kernels[t][g]),
+                    DiscreteMeasure(process.kernels[t][hist[j]]),
                     process.stage_spaces[t],
                 )
                 if w1 <= 1e-12:
@@ -399,31 +398,30 @@ def multistage_bound_empirical_check(
     through the stagewise recursion; this check compares it against the
     nested evaluation, which is the construction the per-node sets define.
     """
-    if spec.horizon != process.horizon:
+    T = process.horizon
+    if spec.horizon != T:
         raise ValidationError("bound spec and process horizons differ")
     arr = process.as_array(Z)
-    # certificate check
-    scen = list(np.ndindex(*process.sizes))
-    for idx, a in enumerate(scen):
-        for bscen in scen[idx + 1 :]:
-            dist = process.history_distance(a, bscen, spec.weights)
-            dz = abs(float(arr[a]) - float(arr[bscen]))
-            if dz > spec.lipschitz * dist + 1e-9:
-                raise ValidationError(
-                    f"objective violates the Lipschitz certificate on {a} vs {bscen}: "
-                    f"|dZ| = {dz:.6g} > L * D = {spec.lipschitz * dist:.6g}"
-                )
+    # certificate check: the first offending scenario pair in row-major order
+    i, j, dz, dist, _ = _pairs(arr.reshape(-1), process.history_metric(T, spec.weights))
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, and nan passes, as for floats
+        bad = np.flatnonzero(dz > spec.lipschitz * dist + 1e-9)
+    if bad.size:
+        k = bad[0]
+        scen = list(np.ndindex(*process.sizes))
+        raise ValidationError(
+            f"objective violates the Lipschitz certificate on {scen[i[k]]} vs {scen[j[k]]}: "
+            f"|dZ| = {dz[k]:.6g} > L * D = {spec.lipschitz * dist[k]:.6g}"
+        )
     v = arr
-    for t in range(process.horizon - 1, -1, -1):
+    for t in range(T - 1, -1, -1):
         hist = list(np.ndindex(*process.sizes[:t]))
+        D = process.history_metric(t, spec.weights)
         metric = process.stage_spaces[t].metric
         out = np.empty(process.sizes[:t])
-        for h in hist:
+        for k, h in enumerate(hist):
             refs = [process.kernels[t][g] for g in hist]
-            radii = [
-                spec.eps[t] + spec.kappa[t] * process.history_distance(h, g, spec.weights)
-                for g in hist
-            ]
+            radii = list(spec.eps[t] + spec.kappa[t] * D[k])
             out[h] = _node_worst_value(refs, radii, metric, v[h])
         v = out
     nested = float(v)

@@ -400,7 +400,7 @@ def test_ball_and_conditional_paths_solve_no_lp(monkeypatch):
 
     import drokit.lp
     from drokit.composite import RectangularSpec, rectangular_nested
-    from drokit.conditional import conditional_robust
+    from drokit.conditional import conditional_robust, has_property_p
     from drokit.spaces import Partition
 
     calls = []
@@ -435,4 +435,9 @@ def test_ball_and_conditional_paths_solve_no_lp(monkeypatch):
         worst_case(M, np.vstack([Z, -Z, np.eye(6)]))
         conditional_robust(M, RandomVariable(Z), G, ball.center)
     rectangular_nested(spec, rng.uniforms(36, -2.0, 2.0))
+    assert calls == []
+    # property (P) on every family with an exact oracle
+    members = tuple(DiscreteMeasure(rng.simplex(6)) for _ in range(3))
+    for M in (FiniteFamily(members), avar, ball, *moments):
+        has_property_p(M, G)
     assert calls == []

@@ -6,13 +6,14 @@ import pytest
 from drokit.ambiguity import AVaRSet, FiniteFamily, MomentSet, WassersteinBall, membership_system
 from drokit.avar import AvarSpec
 from drokit.conditional import (
+    _conditional_values,
     conditional_avar_nested,
     conditional_robust,
     conditional_strict_monotonicity_check,
     has_property_p,
     tower_upper_bound_check,
 )
-from drokit.lp import linear_fractional_max
+from drokit.lp import EQ, LinearProgram, linear_fractional_max, solve
 from drokit.rng import Rng
 from drokit.spaces import (
     DiscreteMeasure,
@@ -194,12 +195,105 @@ def test_property_p_cases():
     # (0.25) to fit under alpha
     assert has_property_p(AVaRSet(0.25, U4), G22)
     assert not has_property_p(AVaRSet(0.2, U4), G22)
-    # moment and transport sets decided by LP
+    # transport balls: a radius of 2 lets either outcome take its atom's mass
     space = line_space(4)
     ball = WassersteinBall(DiscreteMeasure([0.4, 0.1, 0.1, 0.4]), 2.0, space)
     assert has_property_p(ball, G22)
     tight = WassersteinBall(DiscreteMeasure([0.4, 0.1, 0.1, 0.4]), 0.0, space)
     assert not has_property_p(tight, G22)
+
+
+def pinned_outcome_property_p(M, G):
+    """Reference decision of (P) apart from the oracle: per atom and outcome
+    ``w``, the membership LP maximizing ``Q(w)`` with the rest of the atom
+    pinned to zero; (P) fails where it is infeasible or at most 1e-9."""
+    sys = membership_system(M)
+    for atom in G.atoms:
+        for w in atom:
+            pinned = sys.q_map[[i for i in atom if i != w]]
+            sol = solve(
+                LinearProgram(
+                    c=sys.q_map[w],
+                    A=np.vstack([sys.A, pinned]),
+                    senses=sys.senses + (EQ,) * len(pinned),
+                    b=np.concatenate([sys.b, np.zeros(len(pinned))]),
+                    maximize=True,
+                )
+            )
+            assert sol.status in ("optimal", "infeasible")
+            if not sol.optimal or sol.value <= 1e-9:
+                return False
+    return True
+
+
+def random_partition(rng, n):
+    cuts = sorted({1 + rng.randint(n - 1), 1 + rng.randint(n - 1)})
+    bounds = [0, *cuts, n]
+    return Partition(n, tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+
+
+def random_sets(rng, n):
+    """One set of each family, two-moment sets included, drawn so that (P)
+    comes out both ways: sparse members, small and large levels and radii,
+    targets anywhere in the range of ``psi``."""
+    space = line_space(n)
+    P = DiscreteMeasure(rng.simplex(n))
+    sparse = []
+    for _ in range(1 + rng.randint(4)):
+        q = rng.simplex(n) * (rng.uniforms(n, 0.0, 1.0) < 0.5)
+        sparse.append(DiscreteMeasure(q / q.sum() if q.sum() > 0 else np.eye(n)[rng.randint(n)]))
+    psi = np.round(rng.uniforms(n, -1.0, 2.0), 1)
+    second = rng.uniforms(n, -1.0, 1.0)
+    Q = rng.simplex(n)
+    return {
+        "finite": FiniteFamily(tuple(sparse)),
+        "avar": AVaRSet(rng.uniform(0.0, 0.95), P),
+        "ball": WassersteinBall(P, rng.uniform(0.0, 2.5), space),
+        "moment": MomentSet(FiniteSpace(n), (RandomVariable(psi),), (float(Q @ psi),)),
+        "two_moments": MomentSet(
+            FiniteSpace(n),
+            (RandomVariable(psi), RandomVariable(second)),
+            (float(Q @ psi), float(Q @ second)),
+        ),
+    }
+
+
+def test_property_p_matches_pinned_outcome_lp():
+    rng = Rng(67)
+    seen = {}
+    for _ in range(25):
+        n = 3 + rng.randint(3)
+        G = random_partition(rng, n)
+        for kind, M in random_sets(rng, n).items():
+            got = has_property_p(M, G)
+            assert got == pinned_outcome_property_p(M, G), kind
+            seen.setdefault(kind, set()).add(got)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+def test_property_p_holds_with_a_tiny_positive_mass():
+    """The member ``(1 - 8e-13, 0, 8e-13)`` charges outcome 2 and vanishes on
+    outcome 1, the rest of its atom; AVaR sets are exact, so a mass far
+    below 1e-9 still witnesses (P)."""
+    M = AVaRSet(0.5, DiscreteMeasure([0.5, 0.5 - 4e-13, 4e-13]))
+    assert has_property_p(M, Partition(3, ((0,), (1, 2))))
+
+
+def test_batched_conditional_values_match_row_by_row():
+    rng = Rng(71)
+    n = 5
+    G = Partition(n, ((0, 1), (2,), (3, 4)))
+    P = DiscreteMeasure([0.3, 0.3, 0.0, 0.2, 0.2])  # no mass on atom {2}
+    sets = [*random_sets(rng, n).values(), FiniteFamily((P,)), AVaRSet(0.4, P)]
+    Z = rng.uniforms(3 * 4 * n, -2.0, 2.0).reshape(3, 4, n)
+    Z[1, 2] = 0.5  # all outcomes tied
+    for M in sets:
+        values = _conditional_values(M, Z, G)
+        assert values.shape == (3, 4, G.n_atoms)
+        for idx in np.ndindex(3, 4):
+            row = conditional_robust(M, RandomVariable(Z[idx]), G, DiscreteMeasure.uniform(n))
+            assert tuple(values[idx]) == row.atom_values
+    assert np.all(_conditional_values(AVaRSet(0.4, P), Z, G)[..., 1] == float("-inf"))
 
 
 def test_property_p_implies_reference_free_atom_max():

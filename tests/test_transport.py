@@ -1,5 +1,7 @@
 """Transport distance and bound-check tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,36 @@ def test_empirical_bound_rejects_bad_certificate():
     kappa = kernel_history_moduli(process, w)
     bad = MultistageBoundSpec((0.1, 0.1), kappa, w, L * 0.2)
     with pytest.raises(ValidationError):
+        multistage_bound_empirical_check(process, bad, Z)
+
+
+def test_history_metric_and_the_scenario_pairs():
+    """The history metric sums the weighted stage distances from stage 0, so
+    it equals the pairwise sum exactly; the certificate is the largest ratio
+    over scenario pairs, and a violated one is reported on the first
+    offending pair in row-major order."""
+    rng = Rng(139)
+    process = random_process(rng, T=3)
+    w = (0.7, 1.3, 0.9)
+    for t in range(process.horizon + 1):
+        hist = list(np.ndindex(*process.sizes[:t]))
+        D = process.history_metric(t, w)
+        assert D.shape == (len(hist), len(hist))
+        for i, h in enumerate(hist):
+            for j, g in enumerate(hist):
+                total = 0.0
+                for s in range(t):
+                    total += w[s] * float(process.stage_spaces[s].metric[h[s], g[s]])
+                assert D[i, j] == total
+    scen = list(np.ndindex(*process.sizes))
+    Z = rng.uniforms(len(scen), -1.0, 1.0).reshape(process.sizes)
+    pairs = [(i, j) for i in range(len(scen)) for j in range(i + 1, len(scen))]
+    gaps = [abs(Z[scen[i]] - Z[scen[j]]) for i, j in pairs]
+    L = scenario_lipschitz_certificate(process, Z, w)
+    assert L == max(gap / D[i, j] for gap, (i, j) in zip(gaps, pairs))
+    i, j = next(p for gap, p in zip(gaps, pairs) if gap > 0.5 * L * D[p] + 1e-9)
+    bad = MultistageBoundSpec((0.1,) * 3, (0.0,) * 3, w, 0.5 * L)
+    with pytest.raises(ValidationError, match=re.escape(f"on {scen[i]} vs {scen[j]}:")):
         multistage_bound_empirical_check(process, bad, Z)
 
 
