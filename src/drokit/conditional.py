@@ -8,12 +8,10 @@ equivariance. The supremum is a linear-fractional program over the measure
 polytope. It is computed on the worst-case oracle alone: the oracle on the
 atom indicators decides which atoms some member charges, and Dinkelbach's
 iteration (Dinkelbach 1967) on ``theta -> sup_Q E_Q[(Z - theta) 1_A]`` finds
-the value of the others. One private routine, ``_conditional_values``, runs
-that loop for a whole stack of random variables, every (row, atom) pair in
-one batched oracle call per step; the conditional values, property (P) (the
-value of each outcome indicator on its atom is 1) and the strict
-monotonicity battery are all calls to it. The tests check it against the
-Charnes-Cooper and pinned-outcome LPs built from ``membership_system``.
+the value of the others, for a whole stack of random variables in one batched
+oracle call per step (``_conditional_values``). The conditional values,
+property (P) and the strict monotonicity battery all call it; the tests check
+it against the Charnes-Cooper and pinned-outcome LPs of ``membership_system``.
 
 The nested conditional AVaR -- the law-invariant alternative -- is also
 provided and deliberately *not* reconciled with the worst-case conditional:
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import (
-    ZERO_MASS_TOL,
+    ZERO_MASS_TOL,  # noqa: F401  re-exported; it was defined here
     AmbiguitySet,
     _mass_floor,
     is_strictly_monotone,
@@ -81,8 +79,7 @@ def conditional_robust(
     """Per-atom worst-case conditional expectation, all atoms at once.
 
     ``P`` is the reference probability fixing the off-support convention;
-    the finite values themselves depend only on the ambiguity set, and come
-    from one row of ``_conditional_values``.
+    the finite values themselves depend only on the ambiguity set.
     """
     P.require_probability("P")
     if Z.n != M.n or G.n != M.n or P.n != M.n:
@@ -97,9 +94,10 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
 
     The oracle on the atom indicators ``1_A``, called once for all rows,
     gives ``sup_Q Q(A)``: an atom whose supremum is at most the family's mass
-    floor (``_mass_floor``) gets ``-inf`` in every row. Each (row, live atom)
-    pair then starts from the conditional mean ``theta`` of the member found
-    and follows Dinkelbach's iteration on
+    floor (``_mass_floor``) gets ``-inf`` in every row. A (row, live atom)
+    pair whose row is constant on the atom takes that constant; every other
+    pair starts from the conditional mean ``theta`` of the member found and
+    follows Dinkelbach's iteration on
     ``F(theta) = sup_Q E_Q[(Z - theta) 1_A]``: the member attaining ``F`` has
     a conditional mean above ``theta`` until ``theta`` is the supremum, and
     that mean is the next ``theta``. One batched oracle call serves every
@@ -110,8 +108,7 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
     """
     if G.n != M.n:
         raise ValidationError("partition and ambiguity set sizes differ")
-    Z = np.asarray(Z, dtype=float)
-    z = Z.reshape(-1, M.n)
+    z = np.asarray(Z, dtype=float).reshape(-1, M.n)
     ind = np.zeros((G.n_atoms, M.n))
     for a, atom in enumerate(G.atoms):
         ind[a, list(atom)] = 1.0
@@ -121,6 +118,12 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
     Qa = Q[atom] * ind[atom]
     theta = (Qa * z[row]).sum(axis=1) / Qa.sum(axis=1)
     values = np.full((z.shape[0], G.n_atoms), NEG_INF)
+    # on a flat pair every member's conditional mean is the constant lo
+    zr, on = z[row], ind[atom] > 0.0
+    lo = np.where(on, zr, np.inf).min(axis=1)
+    flat = lo == np.where(on, zr, -np.inf).max(axis=1)
+    values[row[flat], atom[flat]] = lo[flat]
+    row, atom, theta = row[~flat], atom[~flat], theta[~flat]
     tol = 1e-12 * np.abs(z).max(axis=1)
     for _ in range(_DINKELBACH_CAP):
         if not row.size:
@@ -134,32 +137,34 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
         theta_next = np.where(charged, mean, theta)
         done = theta_next - theta <= tol[row]
         values[row[done], atom[done]] = np.maximum(theta, theta_next)[done]
-        moving = ~done
-        row, atom, theta = row[moving], atom[moving], theta_next[moving]
+        row, atom, theta = row[~done], atom[~done], theta_next[~done]
     if row.size:
         raise ValidationError("conditional value: Dinkelbach iteration did not settle")
-    return values.reshape(Z.shape[:-1] + (G.n_atoms,))
+    return values.reshape(np.shape(Z)[:-1] + (G.n_atoms,))
 
 
 #: Dinkelbach's iteration ends after finitely many steps on a polytope; this
 #: bound only guards against a defective oracle.
 _DINKELBACH_CAP = 100
 
+#: How far the conditional value of ``1_w`` on its atom may fall short of 1 and
+#: count as (P): a co-atom mass up to this fraction of the atom's is taken for 0.
+_RATIO_TOL = 1e-9
 
-def has_property_p(M: AmbiguitySet, G: Partition, tol: float = ZERO_MASS_TOL) -> bool:
+
+def has_property_p(M: AmbiguitySet, G: Partition) -> bool:
     """Can the set concentrate conditional mass on any single outcome?
 
     True iff for every atom and every outcome ``w`` in it, some member charges
     ``w`` while vanishing on the rest of the atom, that is, iff the
-    conditional value of ``1_w`` on its atom is 1: the supremum of
-    ``Q(w) / Q(A)`` is attained at a member, and is 1 exactly when that
-    member puts all of its mass on the atom at ``w``. One batched call on the
-    unit vectors decides every outcome; a value of at least ``1 - tol``
-    counts, and an atom no member charges fails.
+    conditional value of ``1_w`` on its atom (the supremum of ``Q(w) / Q(A)``,
+    attained at a member) is 1. One batched call on the unit vectors decides
+    every outcome; a value of at least ``1 - _RATIO_TOL`` counts, and an atom
+    no member charges fails.
     """
     values = _conditional_values(M, np.eye(M.n), G)
     own = values[np.arange(M.n), [G.atom_of(w) for w in range(G.n)]]
-    return bool(np.all(own >= 1.0 - tol))
+    return bool(np.all(own >= 1.0 - _RATIO_TOL))
 
 
 def conditional_avar_nested(
@@ -252,7 +257,7 @@ def conditional_strict_monotonicity_check(
         bumps.append((bump_set, gamma))
     values = _conditional_values(M, Z, G)
     violations = 0
-    for (bump_set, gamma), old, new in zip(bumps, values[0], values[1]):
+    for (bump_set, gamma), old, new in zip(bumps, values[0].tolist(), values[1].tolist()):
         for a, atom in enumerate(G.atoms):
             delta = new[a] - old[a]
             if delta < -1e-9:

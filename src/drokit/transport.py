@@ -115,24 +115,26 @@ def wasserstein_dual_value(
 
 
 def _pairs(values: np.ndarray, D: np.ndarray):
-    """Pairs ``i < j`` in row-major order with ``|values_i - values_j|`` and
-    ``D[i, j]``, and the smallest L with ``|dZ| <= L D`` over them: ``inf``
-    when two points at distance zero carry different values."""
+    """Pairs ``i < j`` in row-major order with ``|values_i - values_j|`` and ``D[i, j]``."""
     k = np.arange(values.size)
     i, j = np.nonzero(np.less.outer(k, k))
-    dz, dist = np.abs(values[i] - values[j]), D[i, j]
+    return i, j, np.abs(values[i] - values[j]), D[i, j]
+
+
+def _lipschitz(values: np.ndarray, D: np.ndarray) -> float:
+    """Smallest L with ``|dZ| <= L D`` over all pairs: ``inf`` when two
+    points at distance zero carry different values."""
+    _, _, dz, dist = _pairs(values, D)
     apart = dist > 0.0
     if (dz[~apart] > 0.0).any():
-        L = float("inf")
-    else:
-        L = float((dz[apart] / dist[apart]).max(initial=0.0))
-    return i, j, dz, dist, L
+        return float("inf")
+    return float((dz[apart] / dist[apart]).max(initial=0.0))
 
 
 def lipschitz_constant(Z: RandomVariable, space: FiniteSpace) -> float:
     """Smallest L with |Z(i) - Z(j)| <= L d(i, j); ``inf`` when two outcomes
     at distance zero carry different values (the bound is then vacuous)."""
-    return _pairs(Z.values, space.require_metric())[-1]
+    return _lipschitz(Z.values, space.require_metric())
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,7 @@ def scenario_lipschitz_certificate(
     """Smallest L with |Z(s) - Z(s')| <= L * sum_t w_t d_t(s_t, s'_t) over all
     scenario pairs; ``inf`` when two scenarios at distance zero differ."""
     D = process.history_metric(process.horizon, weights)
-    return _pairs(process.as_array(Z).reshape(-1), D)[-1]
+    return _lipschitz(process.as_array(Z).reshape(-1), D)
 
 
 def kernel_history_moduli(process: TreeProcess, weights: Sequence[float]) -> tuple[float, ...]:
@@ -403,7 +405,7 @@ def multistage_bound_empirical_check(
         raise ValidationError("bound spec and process horizons differ")
     arr = process.as_array(Z)
     # certificate check: the first offending scenario pair in row-major order
-    i, j, dz, dist, _ = _pairs(arr.reshape(-1), process.history_metric(T, spec.weights))
+    i, j, dz, dist = _pairs(arr.reshape(-1), process.history_metric(T, spec.weights))
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, and nan passes, as for floats
         bad = np.flatnonzero(dz > spec.lipschitz * dist + 1e-9)
     if bad.size:

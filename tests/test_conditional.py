@@ -1,5 +1,7 @@
 """Conditional worst-case functional tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,14 @@ def test_property_p_cases():
     assert has_property_p(ball, G22)
     tight = WassersteinBall(DiscreteMeasure([0.4, 0.1, 0.1, 0.4]), 0.0, space)
     assert not has_property_p(tight, G22)
+    # finite families: (P) reads Q(w) / Q(atom), so a co-atom mass of 5e-10
+    # against 0.3 fails and a lone mass of 1e-12 on w holds (the absolute cut
+    # at 1e-9 of the member scan this replaced decided both the other way)
+    rest = tuple(DiscreteMeasure(np.eye(4)[w]) for w in (1, 2, 3))
+    near = DiscreteMeasure([0.3, 5e-10, 0.7 - 5e-10, 0.0])
+    assert not has_property_p(FiniteFamily((near, *rest)), G22)
+    lone = DiscreteMeasure([1e-12, 0.0, 1.0 - 1e-12, 0.0])
+    assert has_property_p(FiniteFamily((lone, *rest)), G22)
 
 
 def pinned_outcome_property_p(M, G):
@@ -294,6 +304,47 @@ def test_batched_conditional_values_match_row_by_row():
             row = conditional_robust(M, RandomVariable(Z[idx]), G, DiscreteMeasure.uniform(n))
             assert tuple(values[idx]) == row.atom_values
     assert np.all(_conditional_values(AVaRSet(0.4, P), Z, G)[..., 1] == float("-inf"))
+
+
+def test_flat_pairs_take_their_constant_without_the_oracle(monkeypatch):
+    """A row constant on an atom has that constant as its conditional value,
+    exactly; on a two-moment set, where each oracle row is an LP, (P) pays
+    for the (outcome, own atom) pairs only."""
+    import drokit.conditional
+
+    M = FiniteFamily((DiscreteMeasure([0.1, 0.2, 0.3, 0.4]), DiscreteMeasure([0.7, 0.1, 0.1, 0.1])))
+    values = _conditional_values(M, np.array([[0.1, 0.1, 2.0, -1.0], [3.0, 1.0, 0.3, 0.3]]), G22)
+    assert values[0, 0] == 0.1 and values[1, 1] == 0.3
+    rng = Rng(9)
+    n = 8
+    psi, second, Q = rng.uniforms(n, -1, 2), rng.uniforms(n, -1, 1), rng.simplex(n)
+    M = MomentSet(
+        FiniteSpace(n), (RandomVariable(psi), RandomVariable(second)), (Q @ psi, Q @ second)
+    )
+    rows = []
+    original = drokit.conditional.worst_case
+
+    def counting(M, Z):
+        rows.append(len(Z))
+        return original(M, Z)
+
+    monkeypatch.setattr(drokit.conditional, "worst_case", counting)
+    assert has_property_p(M, Partition(n, ((0, 1, 2), (3, 4), (5, 6, 7))))
+    # 3 atom indicators, then Dinkelbach steps for the 8 own-atom pairs; the
+    # 16 pairs whose unit vector is zero on the atom make none (37 rows with
+    # them, 8 pinned-outcome LPs at the commit before the oracle route)
+    assert rows[0] == 3 and sum(rows) <= 21
+
+
+def test_strict_monotonicity_battery_is_quiet_on_a_dead_atom():
+    """Atom {2} carries no member mass, so both of its values are -inf; their
+    difference is nan and counts as no violation, without a warning."""
+    M = FiniteFamily((DiscreteMeasure([0.5, 0.5, 0.0]),))
+    P = DiscreteMeasure([0.5, 0.5, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = conditional_strict_monotonicity_check(M, Partition(3, ((0, 1), (2,))), P, 20, Rng(5))
+    assert rep.checked and rep.violations == 0
 
 
 def test_property_p_implies_reference_free_atom_max():
