@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import (
-    ZERO_MASS_TOL,  # noqa: F401  re-exported; it was defined here
     AmbiguitySet,
     _mass_floor,
     is_strictly_monotone,

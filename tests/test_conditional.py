@@ -203,9 +203,8 @@ def test_property_p_cases():
     assert has_property_p(ball, G22)
     tight = WassersteinBall(DiscreteMeasure([0.4, 0.1, 0.1, 0.4]), 0.0, space)
     assert not has_property_p(tight, G22)
-    # finite families: (P) reads Q(w) / Q(atom), so a co-atom mass of 5e-10
-    # against 0.3 fails and a lone mass of 1e-12 on w holds (the absolute cut
-    # at 1e-9 of the member scan this replaced decided both the other way)
+    # finite families: (P) reads Q(w) / Q(atom), not a mass, so a co-atom
+    # mass of 5e-10 against 0.3 fails and a lone mass of 1e-12 on w holds
     rest = tuple(DiscreteMeasure(np.eye(4)[w]) for w in (1, 2, 3))
     near = DiscreteMeasure([0.3, 5e-10, 0.7 - 5e-10, 0.0])
     assert not has_property_p(FiniteFamily((near, *rest)), G22)
@@ -331,20 +330,8 @@ def test_flat_pairs_take_their_constant_without_the_oracle(monkeypatch):
     monkeypatch.setattr(drokit.conditional, "worst_case", counting)
     assert has_property_p(M, Partition(n, ((0, 1, 2), (3, 4), (5, 6, 7))))
     # 3 atom indicators, then Dinkelbach steps for the 8 own-atom pairs; the
-    # 16 pairs whose unit vector is zero on the atom make none (37 rows with
-    # them, 8 pinned-outcome LPs at the commit before the oracle route)
+    # 16 pairs whose unit vector is zero on the atom make none
     assert rows[0] == 3 and sum(rows) <= 21
-
-
-def test_strict_monotonicity_battery_is_quiet_on_a_dead_atom():
-    """Atom {2} carries no member mass, so both of its values are -inf; their
-    difference is nan and counts as no violation, without a warning."""
-    M = FiniteFamily((DiscreteMeasure([0.5, 0.5, 0.0]),))
-    P = DiscreteMeasure([0.5, 0.5, 0.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rep = conditional_strict_monotonicity_check(M, Partition(3, ((0, 1), (2,))), P, 20, Rng(5))
-    assert rep.checked and rep.violations == 0
 
 
 def test_property_p_implies_reference_free_atom_max():
@@ -446,6 +433,13 @@ def test_conditional_strict_monotonicity_singleton_reference():
     M = FiniteFamily((DiscreteMeasure.uniform(3),))
     G = Partition(3, ((0, 1), (2,)))
     rep = conditional_strict_monotonicity_check(M, G, DiscreteMeasure.uniform(3), 100, Rng(41))
+    assert rep.checked and rep.violations == 0
+    # no member charges atom {2}: both of its values are -inf, their
+    # difference is nan and counts as no violation, without a warning
+    P = DiscreteMeasure([0.5, 0.5, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = conditional_strict_monotonicity_check(FiniteFamily((P,)), G, P, 20, Rng(5))
     assert rep.checked and rep.violations == 0
 
 
