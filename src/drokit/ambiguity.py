@@ -143,14 +143,13 @@ class MomentSet:
 class WassersteinBall:
     """Order-1 transport ball of the given radius around ``center``.
 
-    Only order 1 is supported; every bound used downstream is stated for the
-    order-1 distance.
+    The order is fixed at 1 and is not a field: every bound used downstream
+    is stated for the order-1 distance.
     """
 
     center: DiscreteMeasure
     radius: float
     space: FiniteSpace
-    order: int = 1
 
     def __post_init__(self):
         self.center.require_probability("ball center")
@@ -158,8 +157,6 @@ class WassersteinBall:
             raise ValidationError("center and space sizes differ")
         if self.radius < 0.0:
             raise ValidationError("radius must be nonnegative")
-        if self.order != 1:
-            raise ValidationError("only order-1 balls are supported")
         self.space.require_metric()
 
     @property
@@ -187,6 +184,10 @@ class MembershipSystem:
 
 
 def membership_system(M: AmbiguitySet) -> MembershipSystem:
+    """Constraint encoding of ``M``: hull weights of sum 1, capped densities
+    of unit mass, a measure meeting the moment targets, or for balls a plan
+    flattened as in ``_plan_marginals``, with rows for the center's marginal
+    and the cost budget and the column-sum operator as ``q_map``."""
     n = M.n
     if isinstance(M, FiniteFamily):
         mat = M.matrix()  # (m, n)
@@ -211,19 +212,18 @@ def membership_system(M: AmbiguitySet) -> MembershipSystem:
             n, np.vstack(rows), (EQ,) * (1 + M.n_moments), b, q_map=np.eye(n)
         )
     if isinstance(M, WassersteinBall):
-        d = M.space.require_metric()
-        nv = n * n  # plan entry (i, j) at index i * n + j
-        rows = np.zeros((n + 1, nv))
-        for i in range(n):
-            rows[i, i * n : (i + 1) * n] = 1.0  # source marginal
-        rows[n] = d.reshape(-1)  # transport cost budget
+        rows, cols = _plan_marginals(n)
+        A = np.vstack([rows, M.space.require_metric().reshape(1, -1)])
         b = np.concatenate([M.center.weights, [M.radius]])
-        q_map = np.zeros((n, nv))
-        for i in range(n):
-            for j in range(n):
-                q_map[j, i * n + j] = 1.0
-        return MembershipSystem(nv, rows, (EQ,) * n + (LE,), b, q_map=q_map)
+        return MembershipSystem(n * n, A, (EQ,) * n + (LE,), b, q_map=cols)
     raise ValidationError(f"unknown ambiguity set type {type(M).__name__}")
+
+
+def _plan_marginals(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-sum (source marginal) and column-sum (target marginal) operators,
+    each ``(n, n * n)``, of an ``n x n`` plan flattened with entry ``(i, j)``
+    at index ``i * n + j``."""
+    return np.kron(np.eye(n), np.ones(n)), np.tile(np.eye(n), n)
 
 
 def _membership_lp(
@@ -515,9 +515,11 @@ class StrictMonotonicity:
     witness: DiscreteMeasure
 
 
-def is_strictly_monotone(
-    M: AmbiguitySet, P: DiscreteMeasure, tol: float = 1e-9
-) -> StrictMonotonicity:
+#: The uniform lower bound ``epsilon`` must exceed this for strict monotonicity.
+_STRICT_TOL = 1e-9
+
+
+def is_strictly_monotone(M: AmbiguitySet, P: DiscreteMeasure) -> StrictMonotonicity:
     """Decide strict monotonicity of the worst-case functional w.r.t. ``P``.
 
     On a finite space ``Q(A) >= sum of singleton masses``, so it suffices to
@@ -535,19 +537,20 @@ def is_strictly_monotone(
     k = int(np.argmin(np.maximum(-values, 0.0)))
     eps = max(0.0, -float(values[k]))
     return StrictMonotonicity(
-        strict=eps > tol, epsilon=eps, outcome=int(positive[k]), witness=DiscreteMeasure(members[k])
+        strict=eps > _STRICT_TOL, epsilon=eps, outcome=int(positive[k]),
+        witness=DiscreteMeasure(members[k]),
     )
 
 
-def contains(M: AmbiguitySet, Q: DiscreteMeasure, tol: float = 1e-7) -> bool:
-    """Membership test up to ``tol``: is some representation ``v`` feasible
-    with ``q_map v`` within ``tol`` of ``Q`` componentwise?"""
+def contains(M: AmbiguitySet, Q: DiscreteMeasure) -> bool:
+    """Membership test up to ``FEAS_TOL``: is some representation ``v``
+    feasible with ``q_map v`` within ``FEAS_TOL`` of ``Q`` componentwise?"""
     if Q.n != M.n:
         return False
     sys = membership_system(M)
     A = np.vstack([sys.A, sys.q_map, sys.q_map])
     senses = sys.senses + (LE,) * M.n + (GE,) * M.n
-    b = np.concatenate([sys.b, Q.weights + tol, Q.weights - tol])
+    b = np.concatenate([sys.b, Q.weights + FEAS_TOL, Q.weights - FEAS_TOL])
     sol = solve(LinearProgram(c=np.zeros(sys.n_vars), A=A, senses=senses, b=b))
     return sol.optimal
 

@@ -210,19 +210,21 @@ class EquivalenceCheck:
     agree: bool
 
 
-def rectangular_equivalence_check(
-    spec: RectangularSpec, Z, tol: float = 1e-7
-) -> EquivalenceCheck:
+#: How far the nested and composite values may differ and still agree.
+_EQUIVALENCE_TOL = 1e-7
+
+
+def rectangular_equivalence_check(spec: RectangularSpec, Z) -> EquivalenceCheck:
     """Nested recursion vs. conditional composition over the product family
     with the history filtration; under rectangularity the two evaluation
-    paths must agree."""
+    paths must agree to ``_EQUIVALENCE_TOL``."""
     nested = rectangular_nested(spec, Z).value
     family = product_family(spec)
     filt = product_filtration(spec)
     reference = DiscreteMeasure.uniform(spec.product_size)
     flat = RandomVariable(spec.as_product_array(Z).reshape(-1))
     comp = composite_functional(family, filt, flat, reference)
-    return EquivalenceCheck(nested, comp, abs(nested - comp) <= tol)
+    return EquivalenceCheck(nested, comp, abs(nested - comp) <= _EQUIVALENCE_TOL)
 
 
 @dataclass(frozen=True)
@@ -317,8 +319,12 @@ def permute_spec(spec: RectangularSpec, perm: Sequence[int]) -> RectangularSpec:
     )
 
 
+#: Values of permuted specs within this of the first count as unchanged.
+_PERMUTATION_TOL = 1e-9
+
+
 def permutation_invariance_check(
-    spec: RectangularSpec, Z, permutations: Sequence[Sequence[int]], tol: float = 1e-9
+    spec: RectangularSpec, Z, permutations: Sequence[Sequence[int]]
 ) -> PermutationCheck:
     table = spec.as_product_array(Z)
     statics, nesteds = [], []
@@ -329,14 +335,14 @@ def permutation_invariance_check(
         statics.append(static_rectangular(permuted, z_perm).value)
         nesteds.append(rectangular_nested(permuted, z_perm).value)
     base_s = statics[0]
-    static_invariant = all(abs(v - base_s) <= tol for v in statics)
+    static_invariant = all(abs(v - base_s) <= _PERMUTATION_TOL for v in statics)
     base_n = nesteds[0]
     max_change = max(abs(v - base_n) for v in nesteds)
     return PermutationCheck(
         static_values=tuple(statics),
         static_invariant=static_invariant,
         nested_values=tuple(nesteds),
-        nested_changed=max_change > tol,
+        nested_changed=max_change > _PERMUTATION_TOL,
         max_nested_change=max_change,
     )
 
@@ -366,17 +372,23 @@ class InducedSet:
         return FiniteFamily(self.measures)
 
 
-def induced_set(spec: RectangularSpec, cap: int = 10**6) -> InducedSet:
-    """Enumerate the selector products exactly (no sampling fallback)."""
+#: Largest induced set ``induced_set`` enumerates; larger specs are rejected.
+_INDUCED_SET_CAP = 10**6
+
+
+def induced_set(spec: RectangularSpec) -> InducedSet:
+    """Enumerate the selector products exactly (no sampling fallback), at
+    most ``_INDUCED_SET_CAP`` of them before duplicates are removed."""
     if spec.horizon != 2:
         raise ValidationError("the induced set is built for two-stage specs")
     fam1, fam2 = spec.require_finite_families()
     n1 = spec.sizes[0]
     m1, m2 = len(fam1.measures), len(fam2.measures)
     count = m1 * m2**n1
-    if count > cap:
+    if count > _INDUCED_SET_CAP:
         raise ValidationError(
-            f"induced set would hold {count} measures (cap {cap}); use a smaller instance"
+            f"induced set would hold {count} measures (cap {_INDUCED_SET_CAP}); "
+            "use a smaller instance"
         )
     mat2 = fam2.matrix()
     seen: dict[bytes, None] = {}

@@ -100,10 +100,11 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
     ``F(theta) = sup_Q E_Q[(Z - theta) 1_A]``: the member attaining ``F`` has
     a conditional mean above ``theta`` until ``theta`` is the supremum, and
     that mean is the next ``theta``. One batched oracle call serves every
-    pair still moving. A pair stops when ``theta`` rises by at most
-    ``1e-12 max|Z|`` over its row, a test on ``theta`` itself: a test on
-    ``F``, which is the member's mass on the atom times the rise, would stop
-    early when the best member barely charges the atom.
+    pair still moving. A pair stops when ``theta`` reaches the row's largest
+    value on the atom, which no conditional mean exceeds, or when ``theta``
+    rises by at most ``1e-12 max|Z|`` over its row, a test on ``theta``
+    itself: a test on ``F``, which is the member's mass on the atom times the
+    rise, would stop early when the best member barely charges the atom.
     """
     if G.n != M.n:
         raise ValidationError("partition and ambiguity set sizes differ")
@@ -117,12 +118,16 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
     Qa = Q[atom] * ind[atom]
     theta = (Qa * z[row]).sum(axis=1) / Qa.sum(axis=1)
     values = np.full((z.shape[0], G.n_atoms), NEG_INF)
-    # on a flat pair every member's conditional mean is the constant lo
+    # on a flat pair every member's conditional mean is the constant lo, and
+    # a pair whose theta has reached hi can rise no further
     zr, on = z[row], ind[atom] > 0.0
     lo = np.where(on, zr, np.inf).min(axis=1)
-    flat = lo == np.where(on, zr, -np.inf).max(axis=1)
-    values[row[flat], atom[flat]] = lo[flat]
-    row, atom, theta = row[~flat], atom[~flat], theta[~flat]
+    hi = np.where(on, zr, -np.inf).max(axis=1)
+    flat = lo == hi
+    settled = flat | (theta >= hi)
+    values[row[settled], atom[settled]] = np.where(flat, lo, theta)[settled]
+    live = ~settled
+    row, atom, theta, hi = row[live], atom[live], theta[live], hi[live]
     tol = 1e-12 * np.abs(z).max(axis=1)
     for _ in range(_DINKELBACH_CAP):
         if not row.size:
@@ -134,9 +139,10 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
         charged = m > floor
         mean = (Qa * zr).sum(axis=1) / np.where(charged, m, 1.0)
         theta_next = np.where(charged, mean, theta)
-        done = theta_next - theta <= tol[row]
+        done = (theta_next - theta <= tol[row]) | (theta_next >= hi)
         values[row[done], atom[done]] = np.maximum(theta, theta_next)[done]
-        row, atom, theta = row[~done], atom[~done], theta_next[~done]
+        live = ~done
+        row, atom, theta, hi = row[live], atom[live], theta_next[live], hi[live]
     if row.size:
         raise ValidationError("conditional value: Dinkelbach iteration did not settle")
     return values.reshape(np.shape(Z)[:-1] + (G.n_atoms,))

@@ -270,8 +270,12 @@ def count_policies(prob: MultistageProblem) -> int:
     return sum(below[a] for a in prob.allowed(0, 0, 0))
 
 
-def enumerate_policies(prob: MultistageProblem, cap: int = 10**5):
-    """Yield every feasible policy; raises when the count exceeds the cap.
+#: Most policies ``enumerate_policies`` yields; larger problems are rejected.
+_POLICY_CAP = 10**5
+
+
+def enumerate_policies(prob: MultistageProblem):
+    """Yield every feasible policy; raises when there are over ``_POLICY_CAP``.
 
     Subtree tables are built backwards, stage by stage, for every node and
     prior action some policy reaches; the stage-0 tables are then yielded one
@@ -279,8 +283,8 @@ def enumerate_policies(prob: MultistageProblem, cap: int = 10**5):
     child subtrees with the last outcome varying fastest.
     """
     total = count_policies(prob)
-    if total > cap:
-        raise ValidationError(f"{total} policies exceed the enumeration cap {cap}")
+    if total > _POLICY_CAP:
+        raise ValidationError(f"{total} policies exceed the enumeration cap {_POLICY_CAP}")
     T = prob.horizon
     # reached[t]: stage-t node -> prior actions it can be reached with
     reached: list[dict[tuple[int, ...], set[int]]] = [{(): {0}}]
@@ -329,12 +333,10 @@ class MinComparison:
     argmins_differ: bool
 
 
-def compare_min_static_vs_min_nested(
-    prob: MultistageProblem, cap: int = 10**5
-) -> MinComparison:
+def compare_min_static_vs_min_nested(prob: MultistageProblem) -> MinComparison:
     best_s, best_n = np.inf, np.inf
     arg_s = arg_n = None
-    for pi in enumerate_policies(prob, cap):
+    for pi in enumerate_policies(prob):
         s = static_policy_value(prob, pi)
         v = nested_policy_value(prob, pi)
         if s < best_s - 1e-12:
@@ -367,11 +369,13 @@ class NecessityReport:
     note: str = ""
 
 
-def verify_optimality_necessity(
-    prob: MultistageProblem, cap: int = 10**5, tol: float = 1e-9
-) -> NecessityReport:
+#: Value gap up to which a policy counts as optimal and an action as an argmin.
+_OPTIMALITY_TOL = 1e-9
+
+
+def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
     sol = solve_dp(prob)
-    sufficiency = abs(nested_policy_value(prob, sol.policy) - sol.value) <= tol
+    sufficiency = abs(nested_policy_value(prob, sol.policy) - sol.value) <= _OPTIMALITY_TOL
     strict = all(
         is_strictly_monotone(M, default_reference(M)).strict
         for M in prob.stage_sets[1:]
@@ -388,8 +392,8 @@ def verify_optimality_necessity(
     calV = vf.calV
     violations: list[str] = []
     optimal = 0
-    for pi in enumerate_policies(prob, cap):
-        if nested_policy_value(prob, pi) > sol.value + tol:
+    for pi in enumerate_policies(prob):
+        if nested_policy_value(prob, pi) > sol.value + _OPTIMALITY_TOL:
             continue
         optimal += 1
         for hist in itertools.product(*[range(s) for s in prob.scenario_shape()]):
@@ -400,7 +404,7 @@ def verify_optimality_necessity(
                 a = pi.action(node)
                 cell = prob.costs[t][a, outcome] + calV[t + 1][a]
                 best = vf.V[t][xp, outcome]
-                if cell > best + tol:
+                if cell > best + _OPTIMALITY_TOL:
                     violations.append(
                         f"node {node}: action {a} off the argmin by {cell - best:.3g}"
                     )

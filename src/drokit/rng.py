@@ -61,10 +61,11 @@ class Rng:
             return np.full(n, 1.0 / n)
         return w / total
 
-    def subset(self, n: int, nonempty: bool = True) -> list[int]:
-        """Random subset of {0, ..., n-1}, each index kept with probability 1/2."""
+    def subset(self, n: int) -> list[int]:
+        """Random nonempty subset of {0, ..., n-1}: each index kept with
+        probability 1/2, and one uniform index when none was kept."""
         picked = [i for i in range(n) if self.next_u64() & 1]
-        if nonempty and not picked:
+        if not picked:
             picked = [self.randint(n)]
         return picked
 

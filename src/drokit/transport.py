@@ -6,6 +6,9 @@ the worst-case-vs-reference gap bound for transport balls, and the multistage
 bound for trees whose per-node transition sets are transport balls inflated
 linearly in the history distance.
 
+Transport LPs here, like the ball's membership system, flatten an ``n x n``
+plan row-major and take its marginal rows from ``ambiguity._plan_marginals``.
+
 Everything is fixed to order 1: every bound consumed downstream is stated for
 the order-1 distance, and higher orders are out of scope.
 """
@@ -17,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import WassersteinBall, robust_expectation
+from .ambiguity import WassersteinBall, _plan_marginals, robust_expectation
 from .lp import EQ, LE, LinearProgram, solve
 from .spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
 
@@ -45,31 +48,20 @@ class TransportPlan:
 def wasserstein_1(
     P: DiscreteMeasure, Q: DiscreteMeasure, space: FiniteSpace
 ) -> tuple[float, TransportPlan]:
-    """Minimal transport cost between two probabilities on a metric space."""
+    """Minimal transport cost between two probabilities on a metric space: the
+    plan LP with row sums ``P`` and column sums ``Q`` (one row is redundant)."""
     d = space.require_metric()
     P.require_probability("P")
     Q.require_probability("Q")
     n = space.n
     if P.n != n or Q.n != n:
         raise ValidationError("P, Q must live on the given space")
-    rows = []
-    b = []
-    for i in range(n):  # row marginals
-        r = np.zeros(n * n)
-        r[i * n : (i + 1) * n] = 1.0
-        rows.append(r)
-        b.append(P.weights[i])
-    for j in range(n):  # column marginals (one row is redundant; that is fine)
-        r = np.zeros(n * n)
-        r[j::n] = 1.0
-        rows.append(r)
-        b.append(Q.weights[j])
     sol = solve(
         LinearProgram(
             c=d.reshape(-1),
-            A=np.array(rows),
+            A=np.vstack(_plan_marginals(n)),
             senses=(EQ,) * (2 * n),
-            b=np.array(b),
+            b=np.concatenate([P.weights, Q.weights]),
         )
     )
     if not sol.optimal:
@@ -90,20 +82,13 @@ def wasserstein_dual_value(
     max <P - Q, f> over 1-Lipschitz potentials f."""
     d = space.require_metric()
     n = space.n
-    rows, b = [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            r = np.zeros(n)
-            r[i], r[j] = 1.0, -1.0
-            rows.append(r)
-            b.append(d[i, j])
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # f_i - f_j <= d_ij for i != j
+    eye = np.eye(n)
     lp = LinearProgram(
         c=P.weights - Q.weights,
-        A=np.array(rows),
-        senses=(LE,) * len(rows),
-        b=np.array(b),
+        A=eye[i] - eye[j],
+        senses=(LE,) * i.size,
+        b=d[i, j],
         lb=np.full(n, -np.inf),
         ub=np.full(n, float(d.max()) + 1.0),  # translation-invariant; keep bounded
         maximize=True,
@@ -333,38 +318,24 @@ def _node_worst_value(
 ) -> float:
     """max E_Q[values] over measures within radius r_k of every reference k.
 
-    One transport-plan block per reference couples it to the common worst
-    measure q; infeasibility means the transition set is empty.
+    The variables are ``q`` followed by one flattened transport plan per
+    reference. Plan ``k`` has row sums ``refs[k]``, column sums ``q`` and
+    cost at most ``radii[k]``, in that row order; infeasibility means the
+    transition set is empty.
     """
-    s = values.size
-    K = len(refs)
-    nv = s + K * s * s
-    rows, senses, b = [], [], []
-    for k in range(K):
-        base = s + k * s * s
-        for i in range(s):
-            r = np.zeros(nv)
-            r[base + i * s : base + (i + 1) * s] = 1.0
-            rows.append(r)
-            senses.append(EQ)
-            b.append(refs[k][i])
-        for j in range(s):
-            r = np.zeros(nv)
-            r[base + j : base + s * s : s] = 1.0
-            r[j] = -1.0
-            rows.append(r)
-            senses.append(EQ)
-            b.append(0.0)
-        r = np.zeros(nv)
-        r[base : base + s * s] = metric.reshape(-1)
-        rows.append(r)
-        senses.append(LE)
-        b.append(radii[k])
-    c = np.zeros(nv)
-    c[:s] = values
+    s, K = values.size, len(refs)
+    rows, cols = _plan_marginals(s)
+    block = np.vstack([rows, cols, metric.reshape(1, -1)])
+    # -q in the column rows; np.diag keeps the off-diagonal zeros positive
+    q_cols = np.vstack([np.zeros((s, s)), np.diag(np.full(s, -1.0)), np.zeros((1, s))])
+    b = [np.concatenate([ref, np.zeros(s), [r]]) for ref, r in zip(refs, radii)]
     sol = solve(
         LinearProgram(
-            c=c, A=np.array(rows), senses=tuple(senses), b=np.array(b), maximize=True
+            c=np.concatenate([values, np.zeros(K * s * s)]),
+            A=np.hstack([np.tile(q_cols, (K, 1)), np.kron(np.eye(K), block)]),
+            senses=((EQ,) * (2 * s) + (LE,)) * K,
+            b=np.concatenate(b),
+            maximize=True,
         )
     )
     if not sol.optimal:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import drokit.composite as composite
 from drokit.ambiguity import AVaRSet, FiniteFamily, robust_expectation
 from drokit.composite import (
     HistoryDependentSpec,
@@ -263,12 +264,13 @@ def test_induced_set_max_equals_composite():
         assert family1_best <= best + 1e-9
 
 
-def test_induced_set_cap():
+def test_induced_set_cap(monkeypatch):
+    monkeypatch.setattr(composite, "_INDUCED_SET_CAP", 10)
     rng = Rng(89)
     fam = random_family(rng, 6, 6)
     spec = RectangularSpec((FiniteSpace(6), FiniteSpace(6)), (fam, fam))
     with pytest.raises(Exception):
-        induced_set(spec, cap=10)
+        induced_set(spec)
 
 
 def test_history_dependent_tree_value():

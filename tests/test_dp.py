@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import drokit.dp as dp
 from drokit.ambiguity import FiniteFamily
 from drokit.dp import (
     MultistageProblem,
@@ -209,11 +210,12 @@ def test_min_comparison_randomized():
         assert cmp.holds
 
 
-def test_policy_count_cap():
+def test_policy_count_cap(monkeypatch):
+    monkeypatch.setattr(dp, "_POLICY_CAP", 3)
     prob = witness_problem()
     assert count_policies(prob) == 4
     with pytest.raises(ValidationError):
-        list(enumerate_policies(prob, cap=3))
+        list(enumerate_policies(prob))
 
 
 def test_necessity_on_strictly_monotone_instances():

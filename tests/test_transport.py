@@ -5,6 +5,9 @@ import re
 import numpy as np
 import pytest
 
+import drokit.transport as transport
+from drokit.ambiguity import WassersteinBall, membership_system
+from drokit.lp import EQ, LE, LinearProgram
 from drokit.rng import Rng
 from drokit.spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
 from drokit.transport import (
@@ -81,6 +84,137 @@ def test_cost_matches_potential_dual():
         Q = DiscreteMeasure(rng.simplex(n))
         primal, _ = wasserstein_1(P, Q, sp)
         assert wasserstein_dual_value(P, Q, sp) == pytest.approx(primal, abs=1e-7)
+
+
+def _loop_ball_system(center, radius, d):
+    """The ball's membership rows and q_map, built entry by entry."""
+    n = center.size
+    rows = np.zeros((n + 1, n * n))
+    for i in range(n):
+        rows[i, i * n : (i + 1) * n] = 1.0
+    rows[n] = d.reshape(-1)
+    q_map = np.zeros((n, n * n))
+    for i in range(n):
+        for j in range(n):
+            q_map[j, i * n + j] = 1.0
+    return rows, np.concatenate([center, [radius]]), q_map
+
+
+def _loop_w1_lp(p, q, d):
+    n = p.size
+    rows, b = [], []
+    for i in range(n):
+        r = np.zeros(n * n)
+        r[i * n : (i + 1) * n] = 1.0
+        rows.append(r)
+        b.append(p[i])
+    for j in range(n):
+        r = np.zeros(n * n)
+        r[j::n] = 1.0
+        rows.append(r)
+        b.append(q[j])
+    return LinearProgram(c=d.reshape(-1), A=np.array(rows), senses=(EQ,) * (2 * n), b=np.array(b))
+
+
+def _loop_dual_lp(p, q, d):
+    n = p.size
+    rows, b = [], []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                r = np.zeros(n)
+                r[i], r[j] = 1.0, -1.0
+                rows.append(r)
+                b.append(d[i, j])
+    return LinearProgram(
+        c=p - q, A=np.array(rows), senses=(LE,) * len(rows), b=np.array(b),
+        lb=np.full(n, -np.inf), ub=np.full(n, float(d.max()) + 1.0), maximize=True,
+    )
+
+
+def _loop_node_lp(refs, radii, d, values):
+    s, K = values.size, len(refs)
+    nv = s + K * s * s
+    rows, senses, b = [], [], []
+    for k in range(K):
+        base = s + k * s * s
+        for i in range(s):
+            r = np.zeros(nv)
+            r[base + i * s : base + (i + 1) * s] = 1.0
+            rows.append(r)
+            senses.append(EQ)
+            b.append(refs[k][i])
+        for j in range(s):
+            r = np.zeros(nv)
+            r[base + j : base + s * s : s] = 1.0
+            r[j] = -1.0
+            rows.append(r)
+            senses.append(EQ)
+            b.append(0.0)
+        r = np.zeros(nv)
+        r[base : base + s * s] = d.reshape(-1)
+        rows.append(r)
+        senses.append(LE)
+        b.append(radii[k])
+    c = np.zeros(nv)
+    c[:s] = values
+    return LinearProgram(c=c, A=np.array(rows), senses=tuple(senses), b=np.array(b), maximize=True)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_lp(got, want):
+    return got.senses == want.senses and got.maximize == want.maximize and all(
+        _same_bits(getattr(got, f), getattr(want, f)) for f in ("c", "A", "b", "lb", "ub")
+    )
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_lp(monkeypatch, call):
+    """The LinearProgram ``call`` hands to ``transport.solve``, unsolved."""
+    seen = []
+
+    def capture(lp):
+        seen.append(lp)
+        raise _Captured
+
+    monkeypatch.setattr(transport, "solve", capture)
+    with pytest.raises(_Captured):
+        call()
+    return seen[0]
+
+
+def test_plan_layout_matches_the_entrywise_encodings(monkeypatch):
+    """Ball rows and q_map, the W1 plan LP, the potential LP and the node LP
+    are bit for bit the matrices of the entry-by-entry construction: the same
+    rows in the same order, with no signed zeros, so every pivot is kept."""
+    rng = Rng(23)
+    for n in range(1, 8):
+        sp = random_metric_space(rng, n)
+        d = sp.metric
+        P, Q = DiscreteMeasure(rng.simplex(n)), DiscreteMeasure(rng.simplex(n))
+        sys = membership_system(WassersteinBall(P, 0.3, sp))
+        rows, b, q_map = _loop_ball_system(P.weights, 0.3, d)
+        assert _same_bits(sys.A, rows) and _same_bits(sys.b, b) and _same_bits(sys.q_map, q_map)
+        assert sys.senses == (EQ,) * n + (LE,) and sys.n_vars == n * n
+        lp = _captured_lp(monkeypatch, lambda: transport.wasserstein_1(P, Q, sp))
+        assert _same_lp(lp, _loop_w1_lp(P.weights, Q.weights, d))
+        lp = _captured_lp(monkeypatch, lambda: transport.wasserstein_dual_value(P, Q, sp))
+        assert _same_lp(lp, _loop_dual_lp(P.weights, Q.weights, d))
+        for K in range(1, 10):
+            refs = [rng.simplex(n) for _ in range(K)]
+            radii = list(rng.uniforms(K, 0.0, 0.5))
+            values = rng.uniforms(n, -1.0, 1.0)
+            lp = _captured_lp(
+                monkeypatch, lambda: transport._node_worst_value(refs, radii, d, values)
+            )
+            assert _same_lp(lp, _loop_node_lp(refs, radii, d, values))
 
 
 def test_kr_bound_cases():
