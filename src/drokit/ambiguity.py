@@ -223,7 +223,7 @@ def _plan_marginals(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-sum (source marginal) and column-sum (target marginal) operators,
     each ``(n, n * n)``, of an ``n x n`` plan flattened with entry ``(i, j)``
     at index ``i * n + j``."""
-    return np.kron(np.eye(n), np.ones(n)), np.tile(np.eye(n), n)
+    return np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)
 
 
 def _membership_lp(

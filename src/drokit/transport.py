@@ -318,23 +318,24 @@ def _node_worst_value(
 ) -> float:
     """max E_Q[values] over measures within radius r_k of every reference k.
 
-    The variables are ``q`` followed by one flattened transport plan per
-    reference. Plan ``k`` has row sums ``refs[k]``, column sums ``q`` and
-    cost at most ``radii[k]``, in that row order; infeasibility means the
-    transition set is empty.
+    The variables are ``q`` and then one flattened plan per reference: plan
+    ``k`` has row sums ``refs[k]``, column sums ``q`` and cost at most
+    ``radii[k]``, rows in that order. An infeasible LP means an empty transition set.
     """
     s, K = values.size, len(refs)
     rows, cols = _plan_marginals(s)
     block = np.vstack([rows, cols, metric.reshape(1, -1)])
-    # -q in the column rows; np.diag keeps the off-diagonal zeros positive
-    q_cols = np.vstack([np.zeros((s, s)), np.diag(np.full(s, -1.0)), np.zeros((1, s))])
-    b = [np.concatenate([ref, np.zeros(s), [r]]) for ref, r in zip(refs, radii)]
+    m = block.shape[0]
+    q = np.zeros((K, m, s))
+    q[:, s + np.arange(s), np.arange(s)] = -1.0  # column sums of every plan minus q
+    plans = np.zeros((K, m, K, s * s))
+    plans[np.arange(K), :, np.arange(K)] = block  # plan k's rows meet only its columns
     sol = solve(
         LinearProgram(
             c=np.concatenate([values, np.zeros(K * s * s)]),
-            A=np.hstack([np.tile(q_cols, (K, 1)), np.kron(np.eye(K), block)]),
+            A=np.hstack([q.reshape(K * m, s), plans.reshape(K * m, -1)]),
             senses=((EQ,) * (2 * s) + (LE,)) * K,
-            b=np.concatenate(b),
+            b=np.hstack([np.asarray(refs), np.zeros((K, s)), np.asarray(radii)[:, None]]).ravel(),
             maximize=True,
         )
     )
