@@ -126,8 +126,7 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
     flat = lo == hi
     settled = flat | (theta >= hi)
     values[row[settled], atom[settled]] = np.where(flat, lo, theta)[settled]
-    live = ~settled
-    row, atom, theta, hi = row[live], atom[live], theta[live], hi[live]
+    row, atom, theta, hi = row[~settled], atom[~settled], theta[~settled], hi[~settled]
     tol = 1e-12 * np.abs(z).max(axis=1)
     for _ in range(_DINKELBACH_CAP):
         if not row.size:
@@ -141,8 +140,7 @@ def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
         theta_next = np.where(charged, mean, theta)
         done = (theta_next - theta <= tol[row]) | (theta_next >= hi)
         values[row[done], atom[done]] = np.maximum(theta, theta_next)[done]
-        live = ~done
-        row, atom, theta, hi = row[live], atom[live], theta_next[live], hi[live]
+        row, atom, theta, hi = row[~done], atom[~done], theta_next[~done], hi[~done]
     if row.size:
         raise ValidationError("conditional value: Dinkelbach iteration did not settle")
     return values.reshape(np.shape(Z)[:-1] + (G.n_atoms,))
