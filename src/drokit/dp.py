@@ -7,6 +7,15 @@ feasible actions with a worst-case expectation over the next stage's marginal
 ambiguity set, and an exhaustive policy-enumeration oracle validates the
 optimal value on small instances.
 
+The solver keeps its optimal policy as one flat integer array per stage:
+stage t's array holds the action at every stage-t node ``(xi_1, ..., xi_t)``
+at that node's C-order index, and is gathered from stage t-1's in one step.
+The arrays are flat rather than shaped by the stage sizes because numpy caps
+arrays at 64 dimensions, and a chain of 1500 one-outcome stages is a valid
+problem. ``Policy.actions`` reads them through a read-only mapping, so one
+``Policy`` type serves both these arrays and the plain dicts that policy
+enumeration builds.
+
 Two ways of pricing a fixed policy coexist: the nested (stagewise) value,
 which the recursion optimizes, and the static worst case over product
 measures, which is never larger. Minimizing the static value over policies
@@ -17,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -126,10 +136,71 @@ class MultistageProblem:
         )
 
 
+def _stage_nodes(stage_sizes, t: int):
+    """The stage-t nodes ``(xi_1, ..., xi_t)`` in C order; the parent of the
+    k-th one is the ``k // stage_sizes[t]``-th stage-(t-1) node."""
+    return itertools.product(*[range(s) for s in stage_sizes[1 : t + 1]])
+
+
+class _StageActions(Mapping):
+    """Read-only node -> action view over flat per-stage action arrays.
+
+    ``stages[t][k]`` is the action at the k-th stage-t node in C order. Keys
+    come stage by stage, each stage in C order; a key past the horizon or
+    with a component out of range is missing.
+    """
+
+    __slots__ = ("_stages", "_sizes")
+
+    def __init__(self, stages: tuple[np.ndarray, ...], stage_sizes: tuple[int, ...]):
+        self._stages = stages
+        self._sizes = stage_sizes
+
+    def __getitem__(self, node) -> int:
+        if not isinstance(node, tuple) or len(node) >= len(self._stages):
+            raise KeyError(node)
+        k = 0
+        for xi, s in zip(node, self._sizes[1:]):
+            if not 0 <= xi < s:
+                raise KeyError(node)
+            k = k * s + xi
+        return int(self._stages[len(node)][k])
+
+    def __iter__(self):
+        for t in range(len(self._stages)):
+            yield from _stage_nodes(self._sizes, t)
+
+    def __len__(self) -> int:
+        return sum(a.size for a in self._stages)
+
+    def items(self):
+        return _StageItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return _StageActions, (self._stages, self._sizes)
+
+
+class _StageItems(ItemsView):
+    """Items of a ``_StageActions``, read off the arrays in key order rather
+    than looked up key by key."""
+
+    def __iter__(self):
+        stages = self._mapping._stages
+        return zip(self._mapping, itertools.chain.from_iterable(a.tolist() for a in stages))
+
+
 @dataclass(frozen=True)
 class Policy:
     """Action per history node: key ``()`` for stage 0, ``(xi_1, ..., xi_t)``
-    for the stage-t node reached by those outcomes."""
+    for the stage-t node reached by those outcomes.
+
+    ``actions`` is any mapping: policy enumeration builds dicts, and
+    ``solve_dp`` a read-only view over one flat action array per stage, in
+    C order.
+    """
 
     actions: Mapping[tuple[int, ...], int]
 
@@ -137,17 +208,27 @@ class Policy:
         return self.actions[history]
 
     def validate(self, prob: MultistageProblem) -> None:
-        x_prev = self.actions.get(())
-        if x_prev is None or x_prev not in prob.allowed(0, 0, 0):
-            raise ValidationError("infeasible or missing first-stage action")
-        for hist in itertools.product(*[range(s) for s in prob.scenario_shape()]):
-            xp = self.actions[()]
-            for t in range(1, prob.horizon):
-                node = hist[: t]
-                a = self.actions.get(node)
-                if a is None or a not in prob.allowed(t, xp, hist[t - 1]):
-                    raise ValidationError(f"policy infeasible at node {node}")
-                xp = a
+        """Raises at the shallowest node whose action is missing or not
+        allowed after its parent's action."""
+        _checked_actions(prob, self)
+
+
+def _checked_actions(prob: MultistageProblem, pi: Policy) -> list[list[int]]:
+    """The policy's actions stage by stage, each stage in C order, looking up
+    every node once and checking it against its parent's action."""
+    first = pi.actions.get(())
+    if first is None or first not in prob.allowed(0, 0, 0):
+        raise ValidationError("infeasible or missing first-stage action")
+    stages = [[first]]
+    for t in range(1, prob.horizon):
+        s, prev, acts = prob.stage_sizes[t], stages[-1], []
+        for k, node in enumerate(_stage_nodes(prob.stage_sizes, t)):
+            a = pi.actions.get(node)
+            if a is None or a not in prob.allowed(t, prev[k // s], node[-1]):
+                raise ValidationError(f"policy infeasible at node {node}")
+            acts.append(a)
+        stages.append(acts)
+    return stages
 
 
 @dataclass(frozen=True)
@@ -183,7 +264,14 @@ class DpSolution:
 
 
 def solve_dp(prob: MultistageProblem) -> DpSolution:
-    """Backward induction with smallest-index tie-breaking in the argmin."""
+    """Backward induction with smallest-index tie-breaking in the argmin.
+
+    The optimal policy is kept as one flat action array per stage, each in C
+    order over that stage's nodes and gathered from the previous stage's
+    array in one indexing step, with no per-node Python. The arrays are flat,
+    not shaped by the stage sizes, because numpy caps arrays at 64
+    dimensions and deep chains (1500 stages in the tests) must work.
+    """
     T = prob.horizon
     calV: list[Optional[np.ndarray]] = [None] * (T + 1)
     calV[0] = np.zeros(0)  # stage 0 has no continuation table
@@ -206,31 +294,32 @@ def solve_dp(prob: MultistageProblem) -> DpSolution:
         if t >= 1:
             calV[t], _ = worst_case(prob.stage_sets[t], V[t])
 
-    # stage by stage, each node follows the argmin of its parent's action
-    actions: dict[tuple[int, ...], int] = {(): int(argmin[0][0, 0])}
+    # stage by stage, each node follows the argmin of its parent's action:
+    # node k of stage t has parent k // s_t and last outcome k % s_t
+    stages = [argmin[0][0]]
     for t in range(1, T):
-        rule = argmin[t].tolist()
-        for node in itertools.product(*[range(s) for s in prob.stage_sizes[1 : t + 1]]):
-            actions[node] = rule[actions[node[:-1]]][node[-1]]
-    policy = Policy(actions)
+        prev, s = stages[-1], prob.stage_sizes[t]
+        stages.append(argmin[t][np.repeat(prev, s), np.tile(np.arange(s), prev.size)])
+    for a in stages:
+        a.flags.writeable = False
+    policy = Policy(_StageActions(tuple(stages), prob.stage_sizes))
     vf = ValueFunctions(V=tuple(V), calV=tuple(calV))
     return DpSolution(value=float(V[0][0, 0]), policy=policy, value_functions=vf)
 
 
 def policy_cost_array(prob: MultistageProblem, pi: Policy) -> np.ndarray:
-    """Total cost of the policy per scenario, on the random-stage grid."""
-    pi.validate(prob)
+    """Total cost of the policy per scenario, on the random-stage grid.
+
+    Each scenario's total adds its first-stage cost, then its stage costs in
+    stage order, so it is rounded exactly like the sum along its path.
+    """
+    stages = _checked_actions(prob, pi)
+    totals = [float(prob.costs[0][stages[0][0], 0])]
+    for t in range(1, prob.horizon):
+        s, cost = prob.stage_sizes[t], prob.costs[t].tolist()
+        totals = [totals[k // s] + cost[a][k % s] for k, a in enumerate(stages[t])]
     shape = prob.scenario_shape()
-    out = np.empty(shape if shape else (1,))
-    first_cost = prob.costs[0][pi.action(()), 0]
-    if not shape:
-        return np.array([first_cost])
-    for hist in itertools.product(*[range(s) for s in shape]):
-        total = first_cost
-        for t in range(1, prob.horizon):
-            total += prob.costs[t][pi.action(hist[:t]), hist[t - 1]]
-        out[hist] = total
-    return out
+    return np.array(totals).reshape(shape) if shape else np.array(totals)
 
 
 def nested_policy_value(prob: MultistageProblem, pi: Policy) -> float:
@@ -396,19 +485,18 @@ def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
         if nested_policy_value(prob, pi) > sol.value + _OPTIMALITY_TOL:
             continue
         optimal += 1
-        for hist in itertools.product(*[range(s) for s in prob.scenario_shape()]):
-            xp = 0  # single prior state at stage 0
-            for t in range(prob.horizon):
-                node = hist[:t] if t > 0 else ()
-                outcome = hist[t - 1] if t > 0 else 0
-                a = pi.action(node)
+        stages = _checked_actions(prob, pi)
+        for t in range(prob.horizon):
+            s = prob.stage_sizes[t]
+            for k, node in enumerate(_stage_nodes(prob.stage_sizes, t)):
+                a, outcome = stages[t][k], k % s
+                xp = stages[t - 1][k // s] if t > 0 else 0  # single prior state at stage 0
                 cell = prob.costs[t][a, outcome] + calV[t + 1][a]
                 best = vf.V[t][xp, outcome]
                 if cell > best + _OPTIMALITY_TOL:
                     violations.append(
                         f"node {node}: action {a} off the argmin by {cell - best:.3g}"
                     )
-                xp = a
     return NecessityReport(
         checked=True,
         sufficiency_ok=sufficiency,

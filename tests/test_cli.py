@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -416,3 +418,22 @@ def test_mutated_golden_files_exit_cleanly(golden, mutations, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+
+
+def test_python_m_drokit_runs_the_cli(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "drokit", *argv], capture_output=True, text=True, env=env
+        )
+
+    ok = run("verify", DP_TRANSPORT)
+    assert ok.returncode == 0, ok.stderr
+    assert "[PASS]" in ok.stdout
+    bad = run("verify", str(tmp_path / "missing.json"))
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert len([line for line in bad.stderr.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in bad.stderr

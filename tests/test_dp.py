@@ -1,6 +1,7 @@
 """Dynamic-programming solver tests with an exhaustive-enumeration oracle."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -282,3 +283,97 @@ def test_policy_helpers_on_deep_chain():
     (pi,) = list(enumerate_policies(prob))
     assert len(pi.actions) == T
     assert pi.action((0,) * (T - 1)) == 0
+
+
+def mixed_problem(rng):
+    """Random problem with T = 1..6 and stage sizes mixed between 1 and 4."""
+    T = 1 + rng.randint(6)
+    n_actions = tuple(1 + rng.randint(3) for _ in range(T))
+    stage_sizes = (1,) + tuple(1 + rng.randint(4) for _ in range(T - 1))
+    stage_sets = (None,) + tuple(
+        FiniteFamily(tuple(DiscreteMeasure(rng.simplex(s)) for _ in range(2)))
+        for s in stage_sizes[1:]
+    )
+    costs = tuple(
+        rng.uniforms(n_actions[t] * stage_sizes[t], -1.0, 1.0).reshape(n_actions[t], stage_sizes[t])
+        for t in range(T)
+    )
+    feasible = [tuple(range(n_actions[0]))] + [
+        tuple(
+            tuple(
+                tuple(sorted(rng.shuffled(list(range(n_actions[t])))[: 1 + rng.randint(n_actions[t])]))
+                for _ in range(stage_sizes[t])
+            )
+            for _ in range(n_actions[t - 1])
+        )
+        for t in range(1, T)
+    ]
+    return MultistageProblem(n_actions, stage_sizes, stage_sets, costs, tuple(feasible))
+
+
+def per_node_extraction(prob, vf):
+    """The optimal policy as a dict built node by node, each node following
+    the smallest argmin of its parent's action."""
+    rules = [
+        [
+            [
+                min(prob.allowed(t, xp, xi), key=lambda a: prob.costs[t][a, xi] + vf.calV[t + 1][a])
+                for xi in range(prob.stage_sizes[t])
+            ]
+            for xp in range(1 if t == 0 else prob.n_actions[t - 1])
+        ]
+        for t in range(prob.horizon)
+    ]
+    actions = {(): rules[0][0][0]}
+    for t in range(1, prob.horizon):
+        rule = rules[t]
+        for node in itertools.product(*[range(s) for s in prob.stage_sizes[1 : t + 1]]):
+            actions[node] = rule[actions[node[:-1]]][node[-1]]
+    return actions
+
+
+def deep_chain(T):
+    certain = FiniteFamily((DiscreteMeasure([1.0]),))
+    return MultistageProblem(
+        n_actions=(1,) * T,
+        stage_sizes=(1,) * T,
+        stage_sets=(None,) + (certain,) * (T - 1),
+        costs=(np.ones((1, 1)),) * T,
+        feasible=((0,),) + (carried_action(1, 1),) * (T - 1),
+    )
+
+
+def test_stage_array_policy_matches_per_node_extraction():
+    rng = Rng(241)
+    problems = [mixed_problem(rng) for _ in range(40)] + [deep_chain(1500)]
+    assert {p.horizon for p in problems} >= {1, 6, 1500}
+    for prob in problems:
+        sol = solve_dp(prob)
+        actions, ref = sol.policy.actions, per_node_extraction(prob, sol.value_functions)
+        items = list(actions.items())
+        assert items == list(ref.items())
+        assert all(type(a) is int for _, a in items)
+        assert len(actions) == len(ref)
+        assert all(node in actions for node in ref)
+        T, sizes = prob.horizon, prob.stage_sizes
+        missing = [(0,) * T, (-1,) + (0,) * (T - 2), "root", 0]
+        if T > 1:
+            missing.append((sizes[1],) + (0,) * (T - 2))
+        for node in missing:
+            assert node not in actions
+            assert actions.get(node) is None
+            with pytest.raises(KeyError):
+                actions[node]
+        assert pickle.loads(pickle.dumps(sol.policy)) == sol.policy
+        assert pickle.dumps(sol.policy) == pickle.dumps(solve_dp(prob).policy)
+        assert Policy(dict(actions)) == sol.policy
+
+
+def test_validate_names_the_shallowest_offending_node():
+    prob = witness_problem()  # stage 2 must repeat the stage-1 action
+    pi = Policy({(): 0, (0,): 0, (1,): 1, (0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0})
+    with pytest.raises(ValidationError, match=r"node \(1, 1\)"):
+        pi.validate(prob)
+    pi = Policy({(): 0, (0,): 0, (0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1})
+    with pytest.raises(ValidationError, match=r"node \(1,\)"):
+        pi.validate(prob)
