@@ -374,6 +374,7 @@ def test_validate_names_the_shallowest_offending_node():
     pi = Policy({(): 0, (0,): 0, (1,): 1, (0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0})
     with pytest.raises(ValidationError, match=r"node \(1, 1\)"):
         pi.validate(prob)
-    pi = Policy({(): 0, (0,): 0, (0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1})
+    # (0, 0) breaks the rule too and comes first in scenario order
+    pi = Policy({(): 0, (0,): 0, (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0})
     with pytest.raises(ValidationError, match=r"node \(1,\)"):
         pi.validate(prob)
