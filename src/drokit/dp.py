@@ -7,14 +7,13 @@ feasible actions with a worst-case expectation over the next stage's marginal
 ambiguity set, and an exhaustive policy-enumeration oracle validates the
 optimal value on small instances.
 
-The solver keeps its optimal policy as one flat integer array per stage:
-stage t's array holds the action at every stage-t node ``(xi_1, ..., xi_t)``
-at that node's C-order index, and is gathered from stage t-1's in one step.
-The arrays are flat rather than shaped by the stage sizes because numpy caps
-arrays at 64 dimensions, and a chain of 1500 one-outcome stages is a valid
-problem. ``Policy.actions`` reads them through a read-only mapping, so one
-``Policy`` type serves both these arrays and the plain dicts that policy
-enumeration builds.
+Every policy the module builds, the solver's and each enumerated one, is one
+flat integer array per stage: stage t's array holds the action at every
+stage-t node ``(xi_1, ..., xi_t)`` at that node's C-order index. The arrays
+are flat rather than shaped by the stage sizes because numpy caps arrays at
+64 dimensions, and a chain of 1500 one-outcome stages is a valid problem.
+``Policy.actions`` reads them through a read-only mapping; a hand-written
+dict works too.
 
 Two ways of pricing a fixed policy coexist: the nested (stagewise) value,
 which the recursion optimizes, and the static worst case over product
@@ -60,7 +59,9 @@ class MultistageProblem:
         ``feasible[0]`` lists the allowed first-stage actions;
         ``feasible[t][x_prev][outcome]`` lists allowed actions afterwards.
         Every such list must be nonempty (relatively complete recourse,
-        validated here rather than assumed).
+        validated here rather than assumed). The same lists are kept as one
+        read-only mask per stage, ``allow[t][x_prev, outcome, action]``
+        (``x_prev = outcome = 0`` at stage 0).
     """
 
     n_actions: tuple[int, ...]
@@ -84,6 +85,8 @@ class MultistageProblem:
         for t in range(T):
             if costs[t].shape != (self.n_actions[t], self.stage_sizes[t]):
                 raise ValidationError(f"cost table {t} has shape {costs[t].shape}")
+            if np.isnan(costs[t]).any():
+                raise ValidationError(f"cost table {t} contains NaN")
             if t >= 1:
                 M = self.stage_sets[t]
                 if M is None or M.n != self.stage_sizes[t]:
@@ -92,10 +95,13 @@ class MultistageProblem:
         if not first or any(a < 0 or a >= self.n_actions[0] for a in first):
             raise ValidationError("invalid first-stage action list")
         feas = [first]
+        allow = [np.zeros((1, 1, self.n_actions[0]), dtype=bool)]
+        allow[0][0, 0, list(first)] = True
         for t in range(1, T):
             per_prev = []
             if len(self.feasible[t]) != self.n_actions[t - 1]:
                 raise ValidationError(f"feasibility table {t} must cover every prior action")
+            mask = np.zeros((self.n_actions[t - 1], self.stage_sizes[t], self.n_actions[t]), bool)
             for xp in range(self.n_actions[t - 1]):
                 per_out = []
                 if len(self.feasible[t][xp]) != self.stage_sizes[t]:
@@ -109,9 +115,14 @@ class MultistageProblem:
                     if any(a < 0 or a >= self.n_actions[t] for a in allowed):
                         raise ValidationError(f"action out of range at stage {t}")
                     per_out.append(allowed)
+                    mask[xp, xi, list(allowed)] = True
                 per_prev.append(tuple(per_out))
             feas.append(tuple(per_prev))
+            allow.append(mask)
+        for mask in allow:
+            mask.setflags(write=False)
         object.__setattr__(self, "feasible", tuple(feas))
+        object.__setattr__(self, "_allow", tuple(allow))
 
     @property
     def horizon(self) -> int:
@@ -145,14 +156,16 @@ def _stage_nodes(stage_sizes, t: int):
 class _StageActions(Mapping):
     """Read-only node -> action view over flat per-stage action arrays.
 
-    ``stages[t][k]`` is the action at the k-th stage-t node in C order. Keys
-    come stage by stage, each stage in C order; a key past the horizon or
-    with a component out of range is missing.
+    ``stages[t][k]`` is the action at the k-th stage-t node in C order, and
+    the arrays are made read-only. Keys come stage by stage, each stage in C
+    order; a key past the horizon or with a component out of range is missing.
     """
 
     __slots__ = ("_stages", "_sizes")
 
     def __init__(self, stages: tuple[np.ndarray, ...], stage_sizes: tuple[int, ...]):
+        for a in stages:
+            a.flags.writeable = False
         self._stages = stages
         self._sizes = stage_sizes
 
@@ -197,9 +210,8 @@ class Policy:
     """Action per history node: key ``()`` for stage 0, ``(xi_1, ..., xi_t)``
     for the stage-t node reached by those outcomes.
 
-    ``actions`` is any mapping: policy enumeration builds dicts, and
-    ``solve_dp`` a read-only view over one flat action array per stage, in
-    C order.
+    ``actions`` is any mapping. ``solve_dp`` and ``enumerate_policies`` both
+    give a read-only view over one flat action array per stage, in C order.
     """
 
     actions: Mapping[tuple[int, ...], int]
@@ -214,21 +226,31 @@ class Policy:
 
 
 def _checked_actions(prob: MultistageProblem, pi: Policy) -> list[list[int]]:
-    """The policy's actions stage by stage, each stage in C order, looking up
-    every node once and checking it against its parent's action."""
-    first = pi.actions.get(())
-    if first is None or first not in prob.allowed(0, 0, 0):
+    """The policy's actions stage by stage, each stage in C order, each checked
+    against its parent's action; raises at the shallowest bad node. Stage
+    arrays over the problem's stage sizes are read off whole, any other
+    mapping once per node."""
+    sizes, acts = prob.stage_sizes, pi.actions
+    if isinstance(acts, _StageActions) and tuple(acts._sizes) == tuple(sizes):
+        stages = [a.tolist() for a in acts._stages]
+    else:
+        stages = [[acts.get(node) for node in _stage_nodes(sizes, t)] for t in range(prob.horizon)]
+    if stages[0][0] is None or stages[0][0] not in prob.allowed(0, 0, 0):
         raise ValidationError("infeasible or missing first-stage action")
-    stages = [[first]]
     for t in range(1, prob.horizon):
-        s, prev, acts = prob.stage_sizes[t], stages[-1], []
-        for k, node in enumerate(_stage_nodes(prob.stage_sizes, t)):
-            a = pi.actions.get(node)
-            if a is None or a not in prob.allowed(t, prev[k // s], node[-1]):
+        s, prev, feas = sizes[t], stages[t - 1], prob.feasible[t]
+        for k, a in enumerate(stages[t]):
+            if a is None or a not in feas[prev[k // s]][k % s]:
+                node = next(itertools.islice(_stage_nodes(sizes, t), k, None))
                 raise ValidationError(f"policy infeasible at node {node}")
-            acts.append(a)
-        stages.append(acts)
     return stages
+
+
+def _bellman_step(prob: MultistageProblem, t: int, cont: np.ndarray):
+    """Stage t's minimum of ``cost + continuation`` over the allowed actions,
+    per (prior action, outcome), and the smallest action attaining it."""
+    cells = np.where(prob._allow[t], prob.costs[t].T + cont, np.inf)
+    return cells.min(-1), cells.argmin(-1)
 
 
 @dataclass(frozen=True)
@@ -242,14 +264,8 @@ class ValueFunctions:
     def bellman_residual(self, prob: MultistageProblem) -> float:
         worst = 0.0
         for t in range(prob.horizon):
-            n_prev = 1 if t == 0 else prob.n_actions[t - 1]
-            for xp in range(n_prev):
-                for xi in range(prob.stage_sizes[t]):
-                    best = min(
-                        prob.costs[t][a, xi] + self.calV[t + 1][a]
-                        for a in prob.allowed(t, xp, xi)
-                    )
-                    worst = max(worst, abs(best - self.V[t][xp, xi]))
+            best, _ = _bellman_step(prob, t, self.calV[t + 1])
+            worst = max(worst, float(np.max(np.abs(best - self.V[t]))))
             if t >= 1:
                 vals, _ = worst_case(prob.stage_sets[t], self.V[t])
                 worst = max(worst, float(np.max(np.abs(vals - self.calV[t]))))
@@ -268,29 +284,14 @@ def solve_dp(prob: MultistageProblem) -> DpSolution:
 
     The optimal policy is kept as one flat action array per stage, each in C
     order over that stage's nodes and gathered from the previous stage's
-    array in one indexing step, with no per-node Python. The arrays are flat,
-    not shaped by the stage sizes, because numpy caps arrays at 64
-    dimensions and deep chains (1500 stages in the tests) must work.
+    array in one indexing step, with no per-node Python.
     """
     T = prob.horizon
-    calV: list[Optional[np.ndarray]] = [None] * (T + 1)
-    calV[0] = np.zeros(0)  # stage 0 has no continuation table
-    calV[T] = np.zeros(prob.n_actions[T - 1])
-    V: list[Optional[np.ndarray]] = [None] * T
-    argmin: list[Optional[np.ndarray]] = [None] * T
+    # stage 0 has no continuation table; calV[1..T-1] are filled below
+    calV = [np.zeros(0)] * T + [np.zeros(prob.n_actions[T - 1])]
+    V, argmin = [None] * T, [None] * T
     for t in range(T - 1, -1, -1):
-        n_prev = 1 if t == 0 else prob.n_actions[t - 1]
-        V[t] = np.empty((n_prev, prob.stage_sizes[t]))
-        argmin[t] = np.empty((n_prev, prob.stage_sizes[t]), dtype=int)
-        for xp in range(n_prev):
-            for xi in range(prob.stage_sizes[t]):
-                best, best_a = np.inf, -1
-                for a in prob.allowed(t, xp, xi):  # ascending: ties keep smallest
-                    val = prob.costs[t][a, xi] + calV[t + 1][a]
-                    if val < best:
-                        best, best_a = val, a
-                V[t][xp, xi] = best
-                argmin[t][xp, xi] = best_a
+        V[t], argmin[t] = _bellman_step(prob, t, calV[t + 1])
         if t >= 1:
             calV[t], _ = worst_case(prob.stage_sets[t], V[t])
 
@@ -300,8 +301,6 @@ def solve_dp(prob: MultistageProblem) -> DpSolution:
     for t in range(1, T):
         prev, s = stages[-1], prob.stage_sizes[t]
         stages.append(argmin[t][np.repeat(prev, s), np.tile(np.arange(s), prev.size)])
-    for a in stages:
-        a.flags.writeable = False
     policy = Policy(_StageActions(tuple(stages), prob.stage_sizes))
     vf = ValueFunctions(V=tuple(V), calV=tuple(calV))
     return DpSolution(value=float(V[0][0, 0]), policy=policy, value_functions=vf)
@@ -322,21 +321,22 @@ def policy_cost_array(prob: MultistageProblem, pi: Policy) -> np.ndarray:
     return np.array(totals).reshape(shape) if shape else np.array(totals)
 
 
-def nested_policy_value(prob: MultistageProblem, pi: Policy) -> float:
-    """Stagewise worst-case value of the policy's cost profile."""
-    cost = policy_cost_array(prob, pi)
+def _priced(fold, prob: MultistageProblem, cost: np.ndarray, spec=None) -> float:
+    """The fold's value of a policy cost array; a one-stage cost is its own."""
     if prob.horizon == 1:
         return float(cost[0])
-    return rectangular_nested(prob.random_spec(), cost).value
+    return fold(spec or prob.random_spec(), cost).value
+
+
+def nested_policy_value(prob: MultistageProblem, pi: Policy) -> float:
+    """Stagewise worst-case value of the policy's cost profile."""
+    return _priced(rectangular_nested, prob, policy_cost_array(prob, pi))
 
 
 def static_policy_value(prob: MultistageProblem, pi: Policy) -> float:
     """Worst case of the policy's cost over product measures; never exceeds
     the nested value."""
-    cost = policy_cost_array(prob, pi)
-    if prob.horizon == 1:
-        return float(cost[0])
-    return static_rectangular(prob.random_spec(), cost).value
+    return _priced(static_rectangular, prob, policy_cost_array(prob, pi))
 
 
 def count_policies(prob: MultistageProblem) -> int:
@@ -366,48 +366,39 @@ _POLICY_CAP = 10**5
 def enumerate_policies(prob: MultistageProblem):
     """Yield every feasible policy; raises when there are over ``_POLICY_CAP``.
 
-    Subtree tables are built backwards, stage by stage, for every node and
-    prior action some policy reaches; the stage-0 tables are then yielded one
-    at a time. Order: first-stage actions ascending, then the product of the
+    The subtrees under a node depend only on its prior action and its last
+    outcome, so the subtree tables, built backwards stage by stage for the
+    prior actions some policy reaches, are keyed by that pair. A subtree is
+    one tuple of actions per depth, in C order, joined from its children's
+    depth by depth; the stage-0 ones are yielded one at a time as stage
+    arrays. Order: first-stage actions in list order, then the product of the
     child subtrees with the last outcome varying fastest.
     """
     total = count_policies(prob)
     if total > _POLICY_CAP:
         raise ValidationError(f"{total} policies exceed the enumeration cap {_POLICY_CAP}")
-    T = prob.horizon
-    # reached[t]: stage-t node -> prior actions it can be reached with
-    reached: list[dict[tuple[int, ...], set[int]]] = [{(): {0}}]
+    T, sizes = prob.horizon, prob.stage_sizes
+    priors = [[0]]  # priors[t]: the actions some policy takes at stage t - 1
     for t in range(1, T):
-        nodes: dict[tuple[int, ...], set[int]] = {}
-        for node, priors in reached[-1].items():
-            outcome = node[-1] if node else 0
-            acts = {a for xp in priors for a in prob.allowed(t - 1, xp, outcome)}
-            for xi in range(prob.stage_sizes[t]):
-                nodes[node + (xi,)] = acts
-        reached.append(nodes)
+        priors.append(np.flatnonzero(prob._allow[t - 1][priors[-1]].any((0, 1))).tolist())
 
-    def tables(t, node, xp, below):
-        outcome = node[-1] if t > 0 else 0
+    def tables(t, xp, outcome, below):
         for a in prob.allowed(t, xp, outcome):
-            if t + 1 >= T:
-                yield {node: a}
+            if t + 1 == T:
+                yield ((a,),)
                 continue
-            child_opts = [below[node + (xi,), a] for xi in range(prob.stage_sizes[t + 1])]
-            for combo in itertools.product(*child_opts):
-                d = {node: a}
-                for sub in combo:
-                    d.update(sub)
-                yield d
+            for combo in itertools.product(*[below[a, xi] for xi in range(sizes[t + 1])]):
+                if len(combo) > 1:  # join depth by depth; a lone child (chains) needs no copy
+                    combo = (tuple(tuple(itertools.chain(*d)) for d in zip(*combo)),)
+                yield ((a,),) + combo[0]
 
     below: dict = {}
     for t in range(T - 1, 0, -1):
         below = {
-            (node, xp): list(tables(t, node, xp, below))
-            for node, priors in reached[t].items()
-            for xp in priors
+            (xp, xi): list(tables(t, xp, xi, below)) for xp in priors[t] for xi in range(sizes[t])
         }
-    for table in tables(0, (), 0, below):
-        yield Policy(table)
+    for table in tables(0, 0, 0, below):
+        yield Policy(_StageActions(tuple(np.array(d) for d in table), sizes))
 
 
 @dataclass(frozen=True)
@@ -423,11 +414,15 @@ class MinComparison:
 
 
 def compare_min_static_vs_min_nested(prob: MultistageProblem) -> MinComparison:
+    """Both optima over every policy; each policy's cost array is built once
+    and priced by both folds on one spec."""
+    spec = prob.random_spec() if prob.horizon > 1 else None
     best_s, best_n = np.inf, np.inf
     arg_s = arg_n = None
     for pi in enumerate_policies(prob):
-        s = static_policy_value(prob, pi)
-        v = nested_policy_value(prob, pi)
+        cost = policy_cost_array(prob, pi)
+        s = _priced(static_rectangular, prob, cost, spec)
+        v = _priced(rectangular_nested, prob, cost, spec)
         if s < best_s - 1e-12:
             best_s, arg_s = s, pi
         if v < best_n - 1e-12:
@@ -438,7 +433,7 @@ def compare_min_static_vs_min_nested(prob: MultistageProblem) -> MinComparison:
         argmin_static=arg_s,
         argmin_nested=arg_n,
         holds=best_s <= best_n + 1e-9,
-        argmins_differ=dict(arg_s.actions) != dict(arg_n.actions),
+        argmins_differ=arg_s != arg_n,
     )
 
 
@@ -478,7 +473,6 @@ def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
             note="some stage set is not strictly monotone; necessity skipped",
         )
     vf = sol.value_functions
-    calV = vf.calV
     violations: list[str] = []
     optimal = 0
     for pi in enumerate_policies(prob):
@@ -491,7 +485,7 @@ def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
             for k, node in enumerate(_stage_nodes(prob.stage_sizes, t)):
                 a, outcome = stages[t][k], k % s
                 xp = stages[t - 1][k // s] if t > 0 else 0  # single prior state at stage 0
-                cell = prob.costs[t][a, outcome] + calV[t + 1][a]
+                cell = prob.costs[t][a, outcome] + vf.calV[t + 1][a]
                 best = vf.V[t][xp, outcome]
                 if cell > best + _OPTIMALITY_TOL:
                     violations.append(

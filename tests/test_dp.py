@@ -141,6 +141,17 @@ def test_relatively_complete_recourse_validated():
         )
 
 
+def test_nan_cost_rejected():
+    with pytest.raises(ValidationError, match="NaN"):
+        MultistageProblem(
+            n_actions=(2,),
+            stage_sizes=(1,),
+            stage_sets=(None,),
+            costs=(np.array([[np.nan], [1.0]]),),
+            feasible=((0, 1),),
+        )
+
+
 def test_dp_matches_enumeration_randomized():
     rng = Rng(211)
     for _ in range(15):
@@ -332,6 +343,23 @@ def per_node_extraction(prob, vf):
     return actions
 
 
+def triple_loop_minima(prob, calV):
+    """``V[t][x_prev, outcome]`` as the minimum over the allowed actions, one
+    action at a time."""
+    return [
+        np.array(
+            [
+                [
+                    min(prob.costs[t][a, xi] + calV[t + 1][a] for a in prob.allowed(t, xp, xi))
+                    for xi in range(prob.stage_sizes[t])
+                ]
+                for xp in range(1 if t == 0 else prob.n_actions[t - 1])
+            ]
+        )
+        for t in range(prob.horizon)
+    ]
+
+
 def deep_chain(T):
     certain = FiniteFamily((DiscreteMeasure([1.0]),))
     return MultistageProblem(
@@ -349,7 +377,10 @@ def test_stage_array_policy_matches_per_node_extraction():
     assert {p.horizon for p in problems} >= {1, 6, 1500}
     for prob in problems:
         sol = solve_dp(prob)
-        actions, ref = sol.policy.actions, per_node_extraction(prob, sol.value_functions)
+        vf = sol.value_functions
+        assert all((v == m).all() for v, m in zip(vf.V, triple_loop_minima(prob, vf.calV)))
+        assert vf.bellman_residual(prob) == 0.0
+        actions, ref = sol.policy.actions, per_node_extraction(prob, vf)
         items = list(actions.items())
         assert items == list(ref.items())
         assert all(type(a) is int for _, a in items)
@@ -378,3 +409,83 @@ def test_validate_names_the_shallowest_offending_node():
     pi = Policy({(): 0, (0,): 0, (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0})
     with pytest.raises(ValidationError, match=r"node \(1,\)"):
         pi.validate(prob)
+
+
+def per_node_enumeration(prob):
+    """Every feasible policy as a dict built node by node: subtree tables for
+    each node and prior action it can be reached with, merged child by child."""
+    T = prob.horizon
+    reached = [{(): {0}}]  # stage-t node -> prior actions it can be reached with
+    for t in range(1, T):
+        nodes = {}
+        for node, priors in reached[-1].items():
+            outcome = node[-1] if node else 0
+            acts = {a for xp in priors for a in prob.allowed(t - 1, xp, outcome)}
+            for xi in range(prob.stage_sizes[t]):
+                nodes[node + (xi,)] = acts
+        reached.append(nodes)
+
+    def tables(t, node, xp, below):
+        for a in prob.allowed(t, xp, node[-1] if t > 0 else 0):
+            if t + 1 >= T:
+                yield {node: a}
+                continue
+            child_opts = [below[node + (xi,), a] for xi in range(prob.stage_sizes[t + 1])]
+            for combo in itertools.product(*child_opts):
+                d = {node: a}
+                for sub in combo:
+                    d.update(sub)
+                yield d
+
+    below = {}
+    for t in range(T - 1, 0, -1):
+        below = {
+            (node, xp): list(tables(t, node, xp, below))
+            for node, priors in reached[t].items()
+            for xp in priors
+        }
+    return list(tables(0, (), 0, below))
+
+
+def test_enumeration_matches_per_node_dicts():
+    rng = Rng(251)
+    problems = [random_problem(rng) for _ in range(15)] + [mixed_problem(rng) for _ in range(40)]
+    problems += [witness_problem(), deep_chain(1500)]
+    for prob in problems:
+        if count_policies(prob) > 5000:  # the reference takes ~0.2 ms a policy
+            continue
+        got = [dict(pi.actions) for pi in enumerate_policies(prob)]
+        assert got == per_node_enumeration(prob)
+        assert all(type(a) is int for d in got for a in d.values())
+
+
+def test_pricing_a_solved_policy_reads_its_stage_arrays(monkeypatch):
+    rng = Rng(257)
+    probs = [mixed_problem(rng) for _ in range(10)]
+    sols = [solve_dp(prob) for prob in probs]
+
+    def no_lookup(self, node):
+        raise AssertionError("per-node lookup")
+
+    monkeypatch.setattr(dp._StageActions, "__getitem__", no_lookup)
+    for prob, sol in zip(probs, sols):
+        assert nested_policy_value(prob, sol.policy) == pytest.approx(sol.value, abs=1e-9)
+        static_policy_value(prob, sol.policy)
+
+
+def test_min_comparison_builds_spec_and_costs_once(monkeypatch):
+    prob = random_problem(Rng(263))
+    n_policies = count_policies(prob)
+    calls = {"random_spec": 0, "policy_cost_array": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for owner, name in ((MultistageProblem, "random_spec"), (dp, "policy_cost_array")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    compare_min_static_vs_min_nested(prob)
+    assert calls == {"random_spec": 1, "policy_cost_array": n_policies}
