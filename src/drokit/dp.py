@@ -85,8 +85,8 @@ class MultistageProblem:
         for t in range(T):
             if costs[t].shape != (self.n_actions[t], self.stage_sizes[t]):
                 raise ValidationError(f"cost table {t} has shape {costs[t].shape}")
-            if np.isnan(costs[t]).any():
-                raise ValidationError(f"cost table {t} contains NaN")
+            if not np.isfinite(costs[t]).all():
+                raise ValidationError(f"cost table {t} must be finite")
             if t >= 1:
                 M = self.stage_sets[t]
                 if M is None or M.n != self.stage_sizes[t]:

@@ -141,15 +141,16 @@ def test_relatively_complete_recourse_validated():
         )
 
 
-def test_nan_cost_rejected():
-    with pytest.raises(ValidationError, match="NaN"):
-        MultistageProblem(
-            n_actions=(2,),
-            stage_sizes=(1,),
-            stage_sets=(None,),
-            costs=(np.array([[np.nan], [1.0]]),),
-            feasible=((0, 1),),
-        )
+def test_non_finite_cost_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="must be finite"):
+            MultistageProblem(
+                n_actions=(2,),
+                stage_sizes=(1,),
+                stage_sets=(None,),
+                costs=(np.array([[bad], [1.0]]),),
+                feasible=((0, 1),),
+            )
 
 
 def test_dp_matches_enumeration_randomized():
