@@ -155,8 +155,8 @@ class WassersteinBall:
         self.center.require_probability("ball center")
         if self.center.n != self.space.n:
             raise ValidationError("center and space sizes differ")
-        if self.radius < 0.0:
-            raise ValidationError("radius must be nonnegative")
+        if not 0.0 <= self.radius < np.inf:
+            raise ValidationError("radius must be finite and nonnegative")
         self.space.require_metric()
 
     @property

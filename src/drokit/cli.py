@@ -28,7 +28,6 @@ import numpy as np
 
 from .ambiguity import (
     AVaRSet,
-    FiniteFamily,
     default_reference,
     dominates_all,
     is_strictly_monotone,
@@ -159,7 +158,7 @@ def cmd_eval_composite(args) -> int:
             "stage_tables": [t.reshape(-1).tolist() for t in nested.tables],
         }
         checks = []
-        if all(isinstance(M, FiniteFamily) for M in spec.stage_sets):
+        if spec.finitely_generated:
             eq = rectangular_equivalence_check(spec, Z)
             results["composite_value"] = eq.composite_value
             checks.append(
@@ -369,7 +368,7 @@ def _verify_file(pf: ProblemFile, args) -> Report:
                     )
                 )
         for name, spec in pf.rectangular_specs.items():
-            if all(isinstance(M, FiniteFamily) for M in spec.stage_sets):
+            if spec.finitely_generated:
                 rng = rng_seeded()
                 Z = rng.uniforms(spec.product_size, -1.0, 1.0)
                 eq = rectangular_equivalence_check(spec, Z)
@@ -417,6 +416,8 @@ def _verify_file(pf: ProblemFile, args) -> Report:
 
 
 def cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 0:
+        raise InputError(f"--trials must be nonnegative, not {args.trials}")
     if args.builtin:
         results = run_builtin(seed=args.seed, trials=args.trials)
         report = Report(

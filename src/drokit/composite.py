@@ -140,12 +140,15 @@ class RectangularSpec:
             raise ValidationError("Z does not match the product space")
         return arr.reshape(self.sizes)
 
+    @property
+    def finitely_generated(self) -> bool:
+        """Whether every stage set is a ``FiniteFamily`` (the hull of listed
+        measures), so that worst cases are attained at listed members."""
+        return all(isinstance(M, FiniteFamily) for M in self.stage_sets)
+
     def require_finite_families(self) -> tuple[FiniteFamily, ...]:
-        for M in self.stage_sets:
-            if not isinstance(M, FiniteFamily):
-                raise ValidationError(
-                    "this operation needs finitely generated stage sets"
-                )
+        if not self.finitely_generated:
+            raise ValidationError("this operation needs finitely generated stage sets")
         return self.stage_sets
 
 
@@ -256,13 +259,9 @@ def static_rectangular(
     """
     table = spec.as_product_array(Z)
     T = spec.horizon
-    try:
-        families = spec.require_finite_families()
-    except ValidationError:
-        families = None
-    if families is not None:
+    if spec.finitely_generated:
         best_val, best_members = -np.inf, None
-        for combo in itertools.product(*[f.measures for f in families]):
+        for combo in itertools.product(*[f.measures for f in spec.stage_sets]):
             val = table
             for q in reversed(combo):
                 val = val @ q.weights

@@ -10,8 +10,10 @@ atom indicators decides which atoms some member charges, and Dinkelbach's
 iteration (Dinkelbach 1967) on ``theta -> sup_Q E_Q[(Z - theta) 1_A]`` finds
 the value of the others, for a whole stack of random variables in one batched
 oracle call per step (``_conditional_values``). The conditional values,
-property (P) and the strict monotonicity battery all call it; the tests check
-it against the Charnes-Cooper and pinned-outcome LPs of ``membership_system``.
+property (P) and the strict monotonicity battery all call it. The tests
+check the values against the Charnes-Cooper LP and (P) against the LP that
+pins the rest of each atom to zero; both LPs are built in the tests on
+``membership_system``, and the library solves neither.
 
 The nested conditional AVaR -- the law-invariant alternative -- is also
 provided and deliberately *not* reconciled with the worst-case conditional:

@@ -149,17 +149,14 @@ def _run_simplex(tab: _Tableau, cost: np.ndarray, banned: np.ndarray) -> str:
     for _ in range(cap):
         r = tab.reduced_costs(cost)
         r[banned] = 0.0  # never enter banned columns
-        entering = -1
-        for j in range(tab.n_cols):  # Bland: smallest eligible index
-            if r[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        eligible = np.flatnonzero(r < -PIVOT_TOL)
+        if eligible.size == 0:
             return "optimal"
+        entering = eligible[0]  # Bland: smallest eligible index
         col = tab.T[:, entering]
         rhs = tab.T[:, -1]
         best_ratio, leave = INF, -1
-        for i in range(tab.m):
+        for i in range(tab.m):  # sequential: the tie rule depends on order
             if col[i] > PIVOT_TOL:
                 ratio = rhs[i] / col[i]
                 if ratio < best_ratio - 1e-12 or (
@@ -179,160 +176,111 @@ def solve(lp: LinearProgram) -> LpSolution:
     Returns primal solution, per-row dual multipliers, and the dual objective
     value computed from the final tableau (so the strong-duality certificate
     exercises real arithmetic rather than restating the primal value).
+
+    Standard form. Each variable is ``x_j = shift_j + v[pos[j]] - v[neg]``
+    with ``v >= 0``: ``shift_j`` is a finite lower bound (else 0) and only a
+    free variable has a negative-part column ``neg``. The rows are the
+    constraint rows, then one ``x_j <= ub_j`` row per finite upper bound;
+    rows with a negative right-hand side are negated and their senses
+    swapped. The tableau's columns are one block ``[A_std | S | R]``: the
+    ``pos``/``neg`` columns, then a slack (``<=``, +1) or surplus (``>=``,
+    -1) column per inequality row and an artificial (+1) column per ``=`` or
+    ``>=`` row, each in row order. ``id_col[i]`` is row i's slack or
+    artificial column: it starts basic in row i, and its final reduced cost
+    gives the row's dual multiplier.
     """
     m0, n0 = lp.n_rows, lp.n_vars
     direction = -1.0 if lp.maximize else 1.0
     c_min = direction * lp.c
 
-    # --- substitute bounds: x = shift + (pos - neg) with pos, neg >= 0 ------
-    shift = np.where(np.isfinite(lp.lb), lp.lb, 0.0)
-    col_of: list[tuple[int, Optional[int]]] = []  # (pos column, neg column)
-    n_std = 0
-    for j in range(n0):
-        if np.isfinite(lp.lb[j]):
-            col_of.append((n_std, None))
-            n_std += 1
-        else:
-            col_of.append((n_std, n_std + 1))
-            n_std += 2
+    # --- column layout --------------------------------------------------------
+    free = ~np.isfinite(lp.lb)
+    shift = np.where(free, 0.0, lp.lb)
+    pos = np.arange(n0) + np.cumsum(free) - free
+    neg = pos[free] + 1
+    n_std = n0 + int(free.sum())
+    capped = np.flatnonzero(np.isfinite(lp.ub))
+    A = np.vstack([lp.A, np.eye(n0)[capped]])
+    b_std = np.concatenate([lp.b - lp.A @ shift, lp.ub[capped] - shift[capped]])
+    senses = np.array(lp.senses + (LE,) * capped.size, dtype=object)
+    m = b_std.size
 
-    def expand(coef: np.ndarray) -> np.ndarray:
-        row = np.zeros(n_std)
-        for j in range(n0):
-            pos, neg = col_of[j]
-            row[pos] = coef[j]
-            if neg is not None:
-                row[neg] = -coef[j]
-        return row
+    flip = b_std < 0.0
+    row_sign = np.where(flip, -1.0, 1.0)
+    A[flip] = -A[flip]
+    b_std[flip] = -b_std[flip]
+    eq = senses == EQ
+    le = np.where(flip, senses == GE, senses == LE)
 
-    rows = [expand(lp.A[i]) for i in range(m0)]
-    rhs = list(lp.b - lp.A @ shift)
-    senses = list(lp.senses)
-    for j in range(n0):  # finite upper bounds become explicit rows
-        if np.isfinite(lp.ub[j]):
-            coef = np.zeros(n0)
-            coef[j] = 1.0
-            rows.append(expand(coef))
-            rhs.append(lp.ub[j] - shift[j])
-            senses.append(LE)
-    m = len(rows)
-    A_std = np.array(rows) if rows else np.zeros((0, n_std))
-    b_std = np.array(rhs)
-    c_std = expand(c_min)
+    # extra columns: a slack or surplus per inequality row, then an artificial
+    # per non-<= row; the +1 column of each row is its id_col
+    extra_row = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(~le)])
+    extra_val = np.concatenate([np.where(le, 1.0, -1.0)[~eq], np.ones(m - le.sum())])
+    n_cols = n_std + extra_row.size
+    full = np.zeros((m, n_cols))
+    full[:, pos] = A
+    full[:, neg] = -A[:, free]
+    full[extra_row, n_std + np.arange(extra_row.size)] = extra_val
+    ident = extra_val > 0.0
+    id_col = np.empty(m, dtype=int)
+    id_col[extra_row[ident]] = n_std + np.flatnonzero(ident)
+    c2 = np.zeros(n_cols)
+    c2[pos] = c_min
+    c2[neg] = -c_min[free]
 
-    row_sign = np.ones(m)
-    for i in range(m):
-        if b_std[i] < 0.0:
-            row_sign[i] = -1.0
-            A_std[i] = -A_std[i]
-            b_std[i] = -b_std[i]
-            senses[i] = {LE: GE, GE: LE, EQ: EQ}[senses[i]]
-
-    # --- slack / surplus / artificial columns -------------------------------
-    slack_cols: list[int] = []
-    art_cols: list[int] = []
-    extra = []
-    id_col = np.full(m, -1, dtype=int)  # column whose final reduced cost yields y_i
-    next_col = n_std
-    for i in range(m):
-        if senses[i] == LE:
-            col = np.zeros(m)
-            col[i] = 1.0
-            extra.append(col)
-            slack_cols.append(next_col)
-            id_col[i] = next_col
-            next_col += 1
-        elif senses[i] == GE:
-            col = np.zeros(m)
-            col[i] = -1.0
-            extra.append(col)
-            next_col += 1
-    for i in range(m):
-        if senses[i] != LE:
-            col = np.zeros(m)
-            col[i] = 1.0
-            extra.append(col)
-            art_cols.append(next_col)
-            id_col[i] = next_col
-            next_col += 1
-    full = np.hstack([A_std] + ([np.array(extra).T] if extra else []))
     tab = _Tableau(full, b_std)
-
-    # starting basis: slack for <=, artificial otherwise
-    art_iter = iter(art_cols)
-    slack_iter = iter(slack_cols)
-    for i in range(m):
-        tab.basis[i] = next(slack_iter) if senses[i] == LE else next(art_iter)
-
-    n_cols = tab.n_cols
-    banned = np.zeros(n_cols, dtype=bool)
+    tab.basis[:] = id_col
+    art = np.zeros(n_cols, dtype=bool)
+    art[id_col[~le]] = True
 
     # --- phase 1 -------------------------------------------------------------
-    if art_cols:
-        c1 = np.zeros(n_cols)
-        c1[art_cols] = 1.0
-        # price out the initial artificial basis
-        status = _run_simplex(tab, c1, banned)
+    if art.any():
+        c1 = art.astype(float)
+        status = _run_simplex(tab, c1, np.zeros(n_cols, dtype=bool))
         if status != "optimal" or tab.objective(c1) > FEAS_TOL:
             return LpSolution(status="infeasible")
         # drive artificials out of the basis where possible; rows where no
         # non-artificial column can pivot are redundant and stay inert
-        art_set = set(art_cols)
         for i in range(m):
-            if tab.basis[i] in art_set:
-                for j in range(n_cols):
-                    if j not in art_set and abs(tab.T[i, j]) > PIVOT_TOL:
-                        tab.pivot(i, j)
-                        break
-        banned[art_cols] = True
+            if art[tab.basis[i]]:
+                movable = np.flatnonzero(~art & (np.abs(tab.T[i, :-1]) > PIVOT_TOL))
+                if movable.size:
+                    tab.pivot(i, movable[0])
 
-    # --- phase 2 -------------------------------------------------------------
-    c2 = np.zeros(n_cols)
-    c2[:n_std] = c_std
-    status = _run_simplex(tab, c2, banned)
-    if status == "unbounded":
+    # --- phase 2: artificial columns never re-enter ---------------------------
+    if _run_simplex(tab, c2, art) == "unbounded":
         return LpSolution(status="unbounded")
 
     v = np.zeros(n_cols)
     v[tab.basis] = tab.T[:, -1]
-    x = shift.copy()
-    for j in range(n0):
-        pos, neg = col_of[j]
-        x[j] += v[pos] - (v[neg] if neg is not None else 0.0)
+    delta = v[pos]
+    delta[free] -= v[neg]
+    x = shift + delta
     value = float(lp.c @ x)
 
-    r_final = tab.reduced_costs(c2)
-    y_hat = np.array([-r_final[id_col[i]] for i in range(m)])
-    dual_internal = float(y_hat @ b_std)
+    y_hat = -tab.reduced_costs(c2)[id_col]
     # undo: internal min-value = c_min@x - c_min@shift; user value flips sign for max
-    dual_value = direction * (dual_internal + float(c_min @ shift))
-    y_user = direction * row_sign[:m0] * y_hat[:m0] if m0 else np.zeros(0)
+    dual_value = direction * (float(y_hat @ b_std) + float(c_min @ shift))
+    y = direction * row_sign[:m0] * y_hat[:m0]
 
     # certificates
-    resid = 0.0
-    Ax = lp.A @ x
-    for i in range(m0):
-        gap = Ax[i] - lp.b[i]
-        if lp.senses[i] == LE:
-            resid = max(resid, gap)
-        elif lp.senses[i] == GE:
-            resid = max(resid, -gap)
-        else:
-            resid = max(resid, abs(gap))
-    resid = max(resid, float(np.max(lp.lb - x, initial=0.0)))
-    resid = max(resid, float(np.max(x - lp.ub, initial=0.0)))
-    cs = 0.0
-    for i in range(m0):
-        cs = max(cs, abs(y_user[i] * (Ax[i] - lp.b[i])))
-
+    gap = lp.A @ x - lp.b
+    sense = senses[:m0]
+    row_viol = np.where(sense == LE, gap, np.where(sense == GE, -gap, np.abs(gap)))
+    resid = max(
+        0.0,
+        float(np.max(row_viol, initial=0.0)),
+        float(np.max(lp.lb - x, initial=0.0)),
+        float(np.max(x - lp.ub, initial=0.0)),
+    )
     return LpSolution(
         status="optimal",
         value=value,
         x=x,
-        y=y_user,
+        y=y,
         dual_value=dual_value,
-        feasibility_residual=max(resid, 0.0),
-        comp_slack_residual=cs,
+        feasibility_residual=resid,
+        comp_slack_residual=max(0.0, float(np.max(np.abs(y * gap), initial=0.0))),
     )
 
 

@@ -303,7 +303,7 @@ def _check_bound_spec(pf: ProblemFile, name: str, spec: dict) -> dict:
         if rv not in pf.random_variables:
             raise InputError(f"{where}: unknown random variable {rv!r}")
         grid = _field(spec, "eps_grid", where, _float_tuple)
-        if any(e < 0 for e in grid):
-            raise InputError(f"{where}: radii must be nonnegative")
+        if not all(0.0 <= e < np.inf for e in grid):
+            raise InputError(f"{where}.eps_grid: radii must be finite and nonnegative")
         return {"kind": kind, "measure": measure, "space": space, "rv": rv, "grid": grid}
     raise InputError(f"{where}: unknown bound-spec kind {kind!r}")

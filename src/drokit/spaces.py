@@ -63,6 +63,8 @@ class FiniteSpace:
             d = np.asarray(self.metric, dtype=float)
             if d.shape != (self.n, self.n):
                 raise ValidationError("metric must be an n-by-n table")
+            if not np.isfinite(d).all():
+                raise ValidationError("metric entries must be finite")
             if np.any(d < -ATOL):
                 raise ValidationError("metric entries must be nonnegative")
             if np.any(np.abs(np.diag(d)) > ATOL):

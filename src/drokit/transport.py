@@ -192,12 +192,15 @@ class MultistageBoundSpec:
         object.__setattr__(self, "weights", weights)
         if not (len(eps) == len(kappa) == len(weights)):
             raise ValidationError("eps, kappa, and weights must share a length")
+        for name, values in (("eps", eps), ("kappa", kappa), ("weights", weights)):
+            if not np.isfinite(values).all():
+                raise ValidationError(f"{name} must be finite")
         if any(e < 0 for e in eps) or any(k < 0 for k in kappa):
             raise ValidationError("radii and moduli must be nonnegative")
         if any(w <= 0 for w in weights):
             raise ValidationError("stage weights must be positive")
-        if self.lipschitz < 0:
-            raise ValidationError("the Lipschitz certificate must be nonnegative")
+        if not self.lipschitz >= 0:  # +inf is the vacuous certificate; NaN is rejected
+            raise ValidationError("lipschitz must be nonnegative, not NaN")
 
     @property
     def horizon(self) -> int:
@@ -239,6 +242,8 @@ class TreeProcess:
         for t, k in enumerate(kernels):
             if k.shape != sizes[:t] + (sizes[t],):
                 raise ValidationError(f"kernel {t} has shape {k.shape}")
+            if not np.isfinite(k).all():
+                raise ValidationError(f"kernel {t} must be finite")
             if np.any(k < -1e-12):
                 raise ValidationError("kernel masses must be nonnegative")
             if np.max(np.abs(k.sum(axis=-1) - 1.0)) > 1e-9:

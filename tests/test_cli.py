@@ -207,6 +207,14 @@ def test_verify_trials_zero_vacuous(capsys):
     assert all("vacuous" in c["detail"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize("argv", [["verify", "--builtin"], ["verify", DP_TRANSPORT]], ids=["builtin", "file"])
+def test_negative_trials_exit_2(argv, capsys):
+    assert main(argv + ["--trials", "-3"]) == 2
+    err = capsys.readouterr().err
+    message = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(message) == 1 and "--trials" in message[0]
+
+
 def test_verify_problem_file(capsys):
     code, doc = run_json(["verify", CONDITIONAL, "--trials", "40"], capsys)
     assert code == 0
@@ -363,6 +371,46 @@ def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, section, name
     assert "Traceback" not in err
     with pytest.raises(InputError, match=path):
         load_problem_file(str(bad))
+
+
+NAN, INF = float("nan"), float("inf")
+_BALL = ["eval-static", "--rv", "jump", "--set", "pinned_ball"]
+_STAGEWISE = ["bounds", "--spec", "stagewise"]
+
+
+@pytest.mark.parametrize(
+    "golden, node, key, value, argv, field",
+    [
+        (STATIC, ("spaces", "bit", "metric", 0), 1, NAN, _BALL, "metric"),
+        (STATIC, ("ambiguity_sets", "pinned_ball"), "radius", NAN, _BALL, "radius"),
+        (STATIC, ("ambiguity_sets", "pinned_ball"), "radius", INF, _BALL, "radius"),
+        (DP_TRANSPORT, ("processes", "two_leg", "kernels", 1, 0), 0, NAN, _STAGEWISE, "kernel"),
+        (DP_TRANSPORT, ("bound_specs", "stagewise", "eps"), 0, NAN, _STAGEWISE, "eps"),
+        (DP_TRANSPORT, ("bound_specs", "stagewise", "kappa"), 1, NAN, _STAGEWISE, "kappa"),
+        (DP_TRANSPORT, ("bound_specs", "stagewise", "weights"), 0, NAN, _STAGEWISE, "weights"),
+        (DP_TRANSPORT, ("bound_specs", "stagewise"), "lipschitz", NAN, _STAGEWISE, "lipschitz"),
+        (DP_TRANSPORT, ("bound_specs", "ball_sweep", "eps_grid"), 2, NAN,
+         ["bounds", "--spec", "ball_sweep"], "eps_grid"),
+    ],
+    ids=["metric-nan", "radius-nan", "radius-inf", "kernel-nan", "eps-nan", "kappa-nan",
+         "weights-nan", "lipschitz-nan", "eps_grid-nan"],
+)
+def test_non_finite_input_exits_2_naming_its_field(tmp_path, capsys, golden, node, key, value, argv, field):
+    """NaN or infinite numbers, which JSON's NaN and Infinity literals let in,
+    are rejected where they enter, before any solve."""
+    with open(golden) as fh:
+        doc = json.load(fh)
+    parent = doc
+    for step in node:
+        parent = parent[step]
+    parent[key] = value
+    bad = tmp_path / "non_finite.json"
+    bad.write_text(json.dumps(doc))
+    assert main([argv[0], str(bad)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    message = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(message) == 1 and field in message[0].replace(str(bad), "")
+    assert "Traceback" not in err
 
 
 # mutated golden files: any document exits 0, 1 or 2 and never raises

@@ -11,6 +11,7 @@ from drokit.lp import (
     LE,
     FEAS_TOL,
     LinearProgram,
+    _Tableau,
     linear_fractional_max,
     solve,
 )
@@ -309,3 +310,84 @@ def test_fractional_unreachable_denominator():
         b=np.array([0.0]),
     )
     assert res is None
+
+
+def _pivot_instances():
+    """Seeded LPs mixing all three senses, negative right-hand sides, free
+    variables and finite upper bounds, then hand-made ones: a redundant
+    equality row, an infeasible and an unbounded program, two programs with
+    no constraint rows, and a degenerate pair of equality rows whose
+    artificial is driven out of the basis after phase 1."""
+    rng = Rng(311)
+    lps = []
+    for _ in range(14):
+        n = 2 + rng.randint(4)
+        m = 1 + rng.randint(4)
+        A = np.array([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(m)])
+        b = np.array([rng.uniform(-3, 3) for _ in range(m)])
+        c = np.array([rng.uniform(-2, 2) for _ in range(n)])
+        senses = tuple(rng.choice((LE, GE, EQ)) for _ in range(m))
+        lb = np.array([rng.choice((0.0, -np.inf, -1.0)) for _ in range(n)])
+        ub = np.where(lb == -np.inf, 3.0, [rng.choice((np.inf, 3.0)) for _ in range(n)])
+        lps.append(LinearProgram(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub,
+                                 maximize=bool(rng.randint(2))))
+    lps += [
+        LinearProgram(c=[1.0, -2.0, 0.5], A=[[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, -1.0, 0.0]],
+                      senses=(EQ, EQ, LE), b=[2.0, 4.0, 1.0]),
+        LinearProgram(c=[1.0, 1.0], A=[[1.0, 1.0], [1.0, 1.0]], senses=(LE, GE), b=[1.0, 3.0]),
+        LinearProgram(c=[1.0, 0.0], A=[[1.0, -1.0]], senses=(LE,), b=[1.0], maximize=True),
+        LinearProgram(c=[1.0, 1.0, 2.0], A=np.zeros((0, 3)), senses=(), b=np.zeros(0),
+                      lb=np.array([-1.0, -np.inf, 0.0]), ub=np.array([2.0, 1.0, 4.0]), maximize=True),
+        LinearProgram(c=[1.0, 2.0], A=np.zeros((0, 2)), senses=(), b=np.zeros(0)),
+        LinearProgram(c=[-1.0, -1.0], A=[[1.0, -2.0], [-3.0, 1.0]], senses=(GE, LE), b=[-2.0, -1.0],
+                      lb=np.array([-np.inf, -np.inf]), ub=np.array([5.0, np.inf])),
+        LinearProgram(c=[1.0, 1.0], A=[[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]],
+                      senses=(EQ, EQ, LE), b=[0.0, 0.0, 2.0], maximize=True),
+    ]
+    return lps
+
+
+#: (status, [(row, col), ...]) per instance of ``_pivot_instances``. A change
+#: of the standard-form layout or of the scaling must leave these as they are.
+PINNED_PIVOTS = [
+    ('unbounded', [(1, 0)]),
+    ('optimal', [(0, 1), (0, 2), (1, 0), (1, 5), (3, 1), (4, 4)]),
+    ('optimal', [(3, 0), (2, 1), (1, 3), (3, 4), (4, 6)]),
+    ('optimal', [(1, 0), (1, 1), (0, 3), (3, 0), (2, 5)]),
+    ('infeasible', [(1, 0), (1, 2), (3, 1)]),
+    ('unbounded', [(0, 1), (2, 2)]),
+    ('infeasible', [(1, 0)]),
+    ('unbounded', [(0, 0), (0, 3)]),
+    ('unbounded', [(0, 0), (0, 1)]),
+    ('optimal', [(2, 0), (0, 1), (1, 3), (1, 5), (1, 7), (0, 4), (5, 2)]),
+    ('optimal', [(0, 1), (2, 2), (0, 3), (1, 0)]),
+    ('infeasible', []),
+    ('optimal', [(3, 3), (2, 0), (1, 4), (0, 6), (5, 1)]),
+    ('infeasible', [(3, 0)]),
+    ('optimal', [(2, 0), (0, 1), (2, 3)]),
+    ('infeasible', [(0, 0)]),
+    ('unbounded', [(0, 0)]),
+    ('optimal', [(0, 0), (1, 1), (2, 3)]),
+    ('optimal', []),
+    ('optimal', [(1, 0), (0, 2), (2, 5)]),
+    ('optimal', [(0, 0), (2, 1)]),
+]
+
+
+def test_pivot_sequence_pinned(monkeypatch):
+    """Every tableau pivot, phase 1, artificial drive-out and phase 2, in
+    order: a change of column layout or of the pivot rules shows up here."""
+    log = []
+    pivot = _Tableau.pivot
+
+    def recording_pivot(self, row, col):
+        log.append((int(row), int(col)))
+        pivot(self, row, col)
+
+    monkeypatch.setattr(_Tableau, "pivot", recording_pivot)
+    recorded = []
+    for lp in _pivot_instances():
+        log.clear()
+        recorded.append((solve(lp).status, list(log)))
+    assert recorded == PINNED_PIVOTS
+    assert {status for status, _ in recorded} == {"optimal", "infeasible", "unbounded"}
