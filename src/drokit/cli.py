@@ -515,6 +515,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        if not 0.0 <= args.tolerance < np.inf:
+            raise InputError(f"--tolerance must be finite and nonnegative, not {args.tolerance}")
         code = args.fn(args)
     except (InputError, ValidationError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

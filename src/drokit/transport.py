@@ -1,10 +1,9 @@
 """Order-1 optimal transport on finite metric spaces and the bounds it buys.
 
-Contains the Wasserstein-1 distance as a transport LP, the
-Kantorovich-Rubinstein bound relating expectation gaps to Lipschitz constants,
-the worst-case-vs-reference gap bound for transport balls, and the multistage
-bound for trees whose per-node transition sets are transport balls inflated
-linearly in the history distance.
+Contains the Wasserstein-1 distance as a transport LP, the worst-case-vs-
+reference gap bound for transport balls, and the multistage bound for trees
+whose per-node transition sets are transport balls around their own kernel
+rows (the nested balls of Analui & Pflug 2014).
 
 Transport LPs here, like the ball's membership system, flatten an ``n x n``
 plan row-major and take its marginal rows from ``ambiguity._plan_marginals``.
@@ -20,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import WassersteinBall, _plan_marginals, robust_expectation
+from .ambiguity import WassersteinBall, _plan_marginals, robust_expectation, worst_case
 from .lp import EQ, LE, LinearProgram, solve
 from .spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
 
@@ -101,8 +100,7 @@ def wasserstein_dual_value(
 
 def _pairs(values: np.ndarray, D: np.ndarray):
     """Pairs ``i < j`` in row-major order with ``|values_i - values_j|`` and ``D[i, j]``."""
-    k = np.arange(values.size)
-    i, j = np.nonzero(np.less.outer(k, k))
+    i, j = np.triu_indices(values.size, 1)
     return i, j, np.abs(values[i] - values[j]), D[i, j]
 
 
@@ -119,30 +117,9 @@ def _lipschitz(values: np.ndarray, D: np.ndarray) -> float:
 def lipschitz_constant(Z: RandomVariable, space: FiniteSpace) -> float:
     """Smallest L with |Z(i) - Z(j)| <= L d(i, j); ``inf`` when two outcomes
     at distance zero carry different values (the bound is then vacuous)."""
+    if Z.n != space.n:
+        raise ValidationError(f"Z has {Z.n} values on a space of {space.n} points")
     return _lipschitz(Z.values, space.require_metric())
-
-
-@dataclass(frozen=True)
-class KrBound:
-    lhs: float  # |E_Q Z - E_P Z|
-    rhs: float  # L_Z * d_1(Q, P)
-    holds: bool
-    lipschitz: float
-    degenerate: bool  # infinite Lipschitz constant; bound vacuous
-
-
-def kr_bound_check(
-    P: DiscreteMeasure, Q: DiscreteMeasure, space: FiniteSpace, Z: RandomVariable
-) -> KrBound:
-    """Kantorovich-Rubinstein: expectation gaps are bounded by the Lipschitz
-    constant times the transport distance."""
-    L = lipschitz_constant(Z, space)
-    lhs = abs(float(Q.weights @ Z.values) - float(P.weights @ Z.values))
-    if not np.isfinite(L):
-        return KrBound(lhs, float("inf"), True, L, degenerate=True)
-    dist, _ = wasserstein_1(P, Q, space)
-    rhs = L * dist
-    return KrBound(lhs, rhs, lhs <= rhs + 1e-9, L, degenerate=False)
 
 
 @dataclass(frozen=True)
@@ -208,7 +185,10 @@ class MultistageBoundSpec:
 
 
 def multistage_bound(spec: MultistageBoundSpec) -> float:
-    """Closed-form gap bound: ``L * sum_t eps_t w_t prod_{s>t} (1 + w_s kappa_s)``."""
+    """Closed-form gap bound: ``L * sum_t eps_t w_t prod_{s>t} (1 + w_s kappa_s)``,
+    ``inf`` for the vacuous certificate ``L = inf`` even when every radius is 0."""
+    if spec.lipschitz == np.inf:
+        return float("inf")
     total = 0.0
     T = spec.horizon
     for t in range(T):
@@ -261,9 +241,11 @@ class TreeProcess:
 
     def as_array(self, Z) -> np.ndarray:
         arr = Z.values if isinstance(Z, RandomVariable) else np.asarray(Z, dtype=float)
-        if arr.shape != self.sizes:
-            arr = arr.reshape(self.sizes)
-        return arr
+        if arr.shape == self.sizes:
+            return arr
+        if arr.size != int(np.prod(self.sizes, dtype=int)):
+            raise ValidationError(f"Z has {arr.size} values on a process of sizes {self.sizes}")
+        return arr.reshape(self.sizes)
 
     def reference_expectation(self, Z) -> float:
         v = self.as_array(Z)
@@ -293,63 +275,32 @@ def scenario_lipschitz_certificate(
     return _lipschitz(process.as_array(Z).reshape(-1), D)
 
 
+def _kernel_moduli(process: TreeProcess, t: int, weights: Sequence[float]):
+    """History pairs ``i < j`` of stage ``t`` in row-major order, with the W1
+    between their kernel rows, their weighted history distance and the ratio
+    of the two: 0 where the rows are within 1e-12, ``inf`` where rows apart
+    sit at history distance 0."""
+    rows = process.kernels[t].reshape(-1, process.sizes[t])
+    i, j = np.triu_indices(len(rows), 1)
+    space = process.stage_spaces[t]
+    w1 = np.array(
+        [wasserstein_1(DiscreteMeasure(rows[a]), DiscreteMeasure(rows[b]), space)[0]
+         for a, b in zip(i, j)]
+    )
+    dist = process.history_metric(t, weights)[i, j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(w1 <= 1e-12, 0.0, np.where(dist > 0.0, w1 / dist, np.inf))
+    return i, j, w1, dist, ratio
+
+
 def kernel_history_moduli(process: TreeProcess, weights: Sequence[float]) -> tuple[float, ...]:
     """Per-stage certificate kappa_t: the largest ratio of transition distance
-    to weighted history distance over history pairs (0 for stage 0)."""
-    out = [0.0]
-    for t in range(1, process.horizon):
-        hist = list(np.ndindex(*process.sizes[:t]))
-        D = process.history_metric(t, weights)
-        worst = 0.0
-        for i, h in enumerate(hist):
-            for j in range(i + 1, len(hist)):
-                dist = float(D[i, j])
-                w1, _ = wasserstein_1(
-                    DiscreteMeasure(process.kernels[t][h]),
-                    DiscreteMeasure(process.kernels[t][hist[j]]),
-                    process.stage_spaces[t],
-                )
-                if w1 <= 1e-12:
-                    continue
-                if dist <= 0.0:
-                    return tuple(out + [float("inf")] * (process.horizon - t))
-                worst = max(worst, w1 / dist)
-        out.append(worst)
-    return tuple(out)
-
-
-def _node_worst_value(
-    refs: list[np.ndarray], radii: list[float], metric: np.ndarray, values: np.ndarray
-) -> float:
-    """max E_Q[values] over measures within radius r_k of every reference k.
-
-    The variables are ``q`` and then one flattened plan per reference: plan
-    ``k`` has row sums ``refs[k]``, column sums ``q`` and cost at most
-    ``radii[k]``, rows in that order. An infeasible LP means an empty transition set.
-    """
-    s, K = values.size, len(refs)
-    rows, cols = _plan_marginals(s)
-    block = np.vstack([rows, cols, metric.reshape(1, -1)])
-    m = block.shape[0]
-    q = np.zeros((K, m, s))
-    q[:, s + np.arange(s), np.arange(s)] = -1.0  # column sums of every plan minus q
-    plans = np.zeros((K, m, K, s * s))
-    plans[np.arange(K), :, np.arange(K)] = block  # plan k's rows meet only its columns
-    sol = solve(
-        LinearProgram(
-            c=np.concatenate([values, np.zeros(K * s * s)]),
-            A=np.hstack([q.reshape(K * m, s), plans.reshape(K * m, -1)]),
-            senses=((EQ,) * (2 * s) + (LE,)) * K,
-            b=np.hstack([np.asarray(refs), np.zeros((K, s)), np.asarray(radii)[:, None]]).ravel(),
-            maximize=True,
-        )
+    to weighted history distance over history pairs (0 for stage 0, ``inf``
+    when rows apart sit at history distance 0)."""
+    return tuple(
+        float(_kernel_moduli(process, t, weights)[-1].max(initial=0.0))
+        for t in range(process.horizon)
     )
-    if not sol.optimal:
-        raise ValidationError(
-            "empty transition set: the reference kernel is not compatible "
-            "with the declared history moduli"
-        )
-    return float(sol.value)
 
 
 @dataclass(frozen=True)
@@ -368,10 +319,17 @@ def multistage_bound_empirical_check(
     and compare its gap from the reference expectation to the closed form.
 
     The stage-t set at history h collects transitions within
-    ``eps_t + kappa_t * D(h, g)`` of the reference transition at *every*
-    history g, where D is the weighted stage-metric sum. Inputs whose
-    objective violates the declared weighted Lipschitz certificate are
-    rejected with the offending scenario pair.
+    ``eps_t + kappa_t * D(h, g)`` of the reference transition ``P_g`` at
+    *every* history g, where D is the weighted stage-metric sum. The
+    declared ``kappa_t`` must be a modulus of the kernels:
+    ``W1(P_h, P_g) <= kappa_t * D(h, g)`` for every pair, compared through
+    the same ratio that ``kernel_history_moduli`` maximises. Then by the
+    triangle inequality the node's own ball ``ball(P_h, eps_t)`` lies inside
+    every other ball, so it is the whole set, and each node value is one
+    closed-form ball worst case. Inputs that violate the declared modulus or
+    the declared weighted Lipschitz certificate are rejected with the stage
+    and the first offending pair in row-major order: below either, the
+    closed-form bound is not proved.
 
     The closed-form bound is stated for the static functional but proved
     through the stagewise recursion; this check compares it against the
@@ -392,16 +350,25 @@ def multistage_bound_empirical_check(
             f"objective violates the Lipschitz certificate on {scen[i[k]]} vs {scen[j[k]]}: "
             f"|dZ| = {dz[k]:.6g} > L * D = {spec.lipschitz * dist[k]:.6g}"
         )
+    # modulus check: the first offending history pair of each stage
+    for t in range(1, T):
+        i, j, w1, dist, ratio = _kernel_moduli(process, t, spec.weights)
+        bad = np.flatnonzero(ratio > spec.kappa[t])
+        if bad.size:
+            k = bad[0]
+            hist = list(np.ndindex(*process.sizes[:t]))
+            raise ValidationError(
+                f"kernel {t} violates the history modulus on {hist[i[k]]} vs {hist[j[k]]}: "
+                f"W1 = {w1[k]:.6g} > kappa * D = {spec.kappa[t] * dist[k]:.6g}"
+            )
     v = arr
     for t in range(T - 1, -1, -1):
-        hist = list(np.ndindex(*process.sizes[:t]))
-        D = process.history_metric(t, spec.weights)
-        metric = process.stage_spaces[t].metric
         out = np.empty(process.sizes[:t])
-        for k, h in enumerate(hist):
-            refs = [process.kernels[t][g] for g in hist]
-            radii = list(spec.eps[t] + spec.kappa[t] * D[k])
-            out[h] = _node_worst_value(refs, radii, metric, v[h])
+        for h in np.ndindex(*process.sizes[:t]):
+            own = WassersteinBall(
+                DiscreteMeasure(process.kernels[t][h]), spec.eps[t], process.stage_spaces[t]
+            )
+            out[h] = worst_case(own, v[h])[0]
         v = out
     nested = float(v)
     reference = process.reference_expectation(arr)

@@ -215,6 +215,76 @@ def test_negative_trials_exit_2(argv, capsys):
     assert len(message) == 1 and "--trials" in message[0]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_bad_tolerance_exit_2(value, capsys):
+    argv = ["eval-static", STATIC, "--rv", "payout", "--set", "two_corners", f"--tolerance={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    message = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(message) == 1 and "--tolerance" in message[0]
+    assert captured.out == ""
+
+
+def _edited_golden(tmp_path, edit):
+    with open(DP_TRANSPORT) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _one_error_line(err):
+    message = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(message) == 1 and "Traceback" not in err
+    return message[0]
+
+
+def _shrink_grid4(doc):
+    doc["spaces"]["grid4"]["n"] = 3
+    doc["random_variables"]["grid_cost"]["values"] = [0.0, 0.5, 1.0]
+
+
+def _sweep_grid_cost(doc):
+    doc["bound_specs"]["ball_sweep"]["rv"] = "grid_cost"
+
+
+@pytest.mark.parametrize(
+    "edit, spec",
+    [(_shrink_grid4, "stagewise"), (_sweep_grid_cost, "ball_sweep")],
+    ids=["multistage-rv-count", "ball-sweep-rv-size"],
+)
+def test_objective_sized_off_its_space_exits_2(tmp_path, capsys, edit, spec):
+    path = _edited_golden(tmp_path, edit)
+    assert main(["bounds", path, "--spec", spec]) == 2
+    assert "Z has" in _one_error_line(capsys.readouterr().err)
+
+
+def test_kappa_below_the_kernel_modulus_exits_2(tmp_path, capsys):
+    """Declared kappa = (0, 0) with stage-1 rows 0.35 apart in W1: the
+    closed-form bound is not proved, so the input is rejected."""
+
+    def edit(doc):
+        doc["processes"]["two_leg"]["kernels"][1] = [[0.9, 0.1], [0.2, 0.8]]
+
+    path = _edited_golden(tmp_path, edit)
+    assert main(["bounds", path, "--spec", "stagewise"]) == 2
+    message = _one_error_line(capsys.readouterr().err)
+    assert "kernel 1 violates the history modulus on (0,) vs (1,): W1 = 0.35 > kappa * D = 0" in message
+
+
+def test_infinite_lipschitz_with_zero_radii_is_a_vacuous_pass(tmp_path, capsys):
+    def edit(doc):
+        doc["bound_specs"]["stagewise"]["lipschitz"] = float("inf")
+        doc["bound_specs"]["stagewise"]["eps"] = [0.0, 0.0]
+
+    path = _edited_golden(tmp_path, edit)
+    code, doc = run_json(["bounds", path, "--spec", "stagewise"], capsys)
+    assert code == 0
+    assert doc["results"]["formula_bound"] == "inf"
+    assert doc["checks"][0]["passed"] is True
+
+
 def test_verify_problem_file(capsys):
     code, doc = run_json(["verify", CONDITIONAL, "--trials", "40"], capsys)
     assert code == 0

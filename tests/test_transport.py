@@ -1,13 +1,17 @@
 """Transport distance and bound-check tests."""
 
 import re
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import drokit.ambiguity as ambiguity
+import drokit.lp as lp_module
 import drokit.transport as transport
-from drokit.ambiguity import WassersteinBall, membership_system
-from drokit.lp import EQ, LE, LinearProgram
+from drokit.ambiguity import WassersteinBall, _plan_marginals, membership_system
+from drokit.lp import EQ, LE, LinearProgram, solve
 from drokit.rng import Rng
 from drokit.spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
 from drokit.transport import (
@@ -15,7 +19,7 @@ from drokit.transport import (
     TreeProcess,
     ball_robust_gap_check,
     kernel_history_moduli,
-    kr_bound_check,
+    lipschitz_constant,
     multistage_bound,
     multistage_bound_empirical_check,
     scenario_lipschitz_certificate,
@@ -132,6 +136,59 @@ def _loop_dual_lp(p, q, d):
     )
 
 
+def _node_worst_value(
+    refs: list[np.ndarray], radii: list[float], metric: np.ndarray, values: np.ndarray
+) -> float:
+    """max E_Q[values] over measures within radius r_k of every reference k.
+
+    The variables are ``q`` and then one flattened plan per reference: plan
+    ``k`` has row sums ``refs[k]``, column sums ``q`` and cost at most
+    ``radii[k]``, rows in that order. An infeasible LP means an empty transition set.
+    """
+    s, K = values.size, len(refs)
+    rows, cols = _plan_marginals(s)
+    block = np.vstack([rows, cols, metric.reshape(1, -1)])
+    m = block.shape[0]
+    q = np.zeros((K, m, s))
+    q[:, s + np.arange(s), np.arange(s)] = -1.0  # column sums of every plan minus q
+    plans = np.zeros((K, m, K, s * s))
+    plans[np.arange(K), :, np.arange(K)] = block  # plan k's rows meet only its columns
+    sol = solve(
+        LinearProgram(
+            c=np.concatenate([values, np.zeros(K * s * s)]),
+            A=np.hstack([q.reshape(K * m, s), plans.reshape(K * m, -1)]),
+            senses=((EQ,) * (2 * s) + (LE,)) * K,
+            b=np.hstack([np.asarray(refs), np.zeros((K, s)), np.asarray(radii)[:, None]]).ravel(),
+            maximize=True,
+        )
+    )
+    if not sol.optimal:
+        raise ValidationError(
+            "empty transition set: the reference kernel is not compatible "
+            "with the declared history moduli"
+        )
+    return float(sol.value)
+
+
+def _node_lp_nested_value(process, spec, Z):
+    """The nested value with each node solved as the LP over the intersection
+    of the balls around every reference transition of its stage, each of
+    radius ``eps_t + kappa_t * D(h, g)``: the independent route to the own-ball
+    oracle that ``multistage_bound_empirical_check`` uses."""
+    v = process.as_array(Z)
+    for t in range(process.horizon - 1, -1, -1):
+        hist = list(np.ndindex(*process.sizes[:t]))
+        D = process.history_metric(t, spec.weights)
+        metric = process.stage_spaces[t].metric
+        out = np.empty(process.sizes[:t])
+        for k, h in enumerate(hist):
+            refs = [process.kernels[t][g] for g in hist]
+            radii = list(spec.eps[t] + spec.kappa[t] * D[k])
+            out[h] = _node_worst_value(refs, radii, metric, v[h])
+        v = out
+    return float(v)
+
+
 def _loop_node_lp(refs, radii, d, values):
     s, K = values.size, len(refs)
     nv = s + K * s * s
@@ -176,15 +233,15 @@ class _Captured(Exception):
     pass
 
 
-def _captured_lp(monkeypatch, call):
-    """The LinearProgram ``call`` hands to ``transport.solve``, unsolved."""
+def _captured_lp(monkeypatch, call, module=transport):
+    """The LinearProgram ``call`` hands to ``module.solve``, unsolved."""
     seen = []
 
     def capture(lp):
         seen.append(lp)
         raise _Captured
 
-    monkeypatch.setattr(transport, "solve", capture)
+    monkeypatch.setattr(module, "solve", capture)
     with pytest.raises(_Captured):
         call()
     return seen[0]
@@ -192,17 +249,19 @@ def _captured_lp(monkeypatch, call):
 
 def test_plan_layout_matches_the_entrywise_encodings(monkeypatch):
     """Ball rows and q_map, the W1 plan LP, the potential LP and the node LP
-    are bit for bit the matrices of the entry-by-entry construction: the same
-    rows in the same order, with no signed zeros, so every pivot is kept."""
+    of the intersection route are bit for bit the matrices of the
+    entry-by-entry construction: the same rows in the same order, with no
+    signed zeros, so every pivot is kept."""
     rng = Rng(23)
     for n in range(1, 8):
         sp = random_metric_space(rng, n)
         d = sp.metric
         P, Q = DiscreteMeasure(rng.simplex(n)), DiscreteMeasure(rng.simplex(n))
-        sys = membership_system(WassersteinBall(P, 0.3, sp))
+        system = membership_system(WassersteinBall(P, 0.3, sp))
         rows, b, q_map = _loop_ball_system(P.weights, 0.3, d)
-        assert _same_bits(sys.A, rows) and _same_bits(sys.b, b) and _same_bits(sys.q_map, q_map)
-        assert sys.senses == (EQ,) * n + (LE,) and sys.n_vars == n * n
+        assert _same_bits(system.A, rows) and _same_bits(system.b, b)
+        assert _same_bits(system.q_map, q_map)
+        assert system.senses == (EQ,) * n + (LE,) and system.n_vars == n * n
         lp = _captured_lp(monkeypatch, lambda: transport.wasserstein_1(P, Q, sp))
         assert _same_lp(lp, _loop_w1_lp(P.weights, Q.weights, d))
         lp = _captured_lp(monkeypatch, lambda: transport.wasserstein_dual_value(P, Q, sp))
@@ -212,43 +271,41 @@ def test_plan_layout_matches_the_entrywise_encodings(monkeypatch):
             radii = list(rng.uniforms(K, 0.0, 0.5))
             values = rng.uniforms(n, -1.0, 1.0)
             lp = _captured_lp(
-                monkeypatch, lambda: transport._node_worst_value(refs, radii, d, values)
+                monkeypatch,
+                lambda: _node_worst_value(refs, radii, d, values),
+                sys.modules[__name__],
             )
             assert _same_lp(lp, _loop_node_lp(refs, radii, d, values))
 
 
 def test_kr_bound_cases():
+    """Kantorovich-Rubinstein: |E_Q Z - E_P Z| <= L_Z * W1(P, Q)."""
     rng = Rng(107)
     sp = line_space([0.0, 0.5, 1.0, 2.0])
     Z = RandomVariable([0.3, -0.1, 0.8, 1.4])
+    L = lipschitz_constant(Z, sp)
+    assert np.isfinite(L)
     for _ in range(30):
         P = DiscreteMeasure(rng.simplex(4))
         Q = DiscreteMeasure(rng.simplex(4))
-        chk = kr_bound_check(P, Q, sp, Z)
-        assert chk.holds
-    const = kr_bound_check(
-        DiscreteMeasure(rng.simplex(4)),
-        DiscreteMeasure(rng.simplex(4)),
-        sp,
-        RandomVariable([2.0] * 4),
+        dist, _ = wasserstein_1(P, Q, sp)
+        assert abs(float(Q.weights @ Z.values) - float(P.weights @ Z.values)) <= L * dist + 1e-9
+    const = RandomVariable([2.0] * 4)
+    assert lipschitz_constant(const, sp) == 0.0
+    P, Q = DiscreteMeasure(rng.simplex(4)), DiscreteMeasure(rng.simplex(4))
+    assert abs(float(Q.weights @ const.values) - float(P.weights @ const.values)) == (
+        pytest.approx(0.0, abs=1e-12)
     )
-    assert const.lhs == pytest.approx(0.0, abs=1e-12)
     P = DiscreteMeasure(rng.simplex(4))
-    same = kr_bound_check(P, P, sp, Z)
-    assert same.lhs == pytest.approx(0.0, abs=1e-12)
-    assert same.rhs == pytest.approx(0.0, abs=1e-9)
+    same, _ = wasserstein_1(P, P, sp)
+    assert L * same == pytest.approx(0.0, abs=1e-9)
 
 
 def test_kr_bound_degenerate_metric_flagged():
+    """Two points at distance zero with different values: the constant is
+    infinite and the bound vacuous."""
     sp = FiniteSpace(2, metric=[[0.0, 0.0], [0.0, 0.0]])
-    chk = kr_bound_check(
-        DiscreteMeasure([1.0, 0.0]),
-        DiscreteMeasure([0.0, 1.0]),
-        sp,
-        RandomVariable([0.0, 1.0]),
-    )
-    assert chk.degenerate
-    assert chk.lipschitz == float("inf")
+    assert lipschitz_constant(RandomVariable([0.0, 1.0]), sp) == float("inf")
 
 
 def test_ball_gap_zero_radius():
@@ -432,3 +489,75 @@ def test_intersection_matches_self_ball_tree_when_kernels_certified():
     tree_spec = HistoryDependentSpec(tree, node_sets)
     value, _ = nested_tree_value(tree_spec, list(Z.reshape(-1)))
     assert value == pytest.approx(res.nested_value, abs=1e-6)
+
+
+def test_node_values_match_the_intersection_lp():
+    """Each node's own ball is the whole intersection once kappa is a modulus
+    of the kernels, so the oracle route equals the node LP to 1e-12 relative,
+    with the derived kappa and with a declared kappa above it."""
+    rng = Rng(149)
+    for _ in range(50):
+        T = 2 + rng.randint(2)
+        process = random_process(rng, T=T, max_size=4 if T == 2 else 3)
+        spec, Z = certified_spec(rng, process)
+        above = replace(spec, kappa=tuple(k + rng.uniform(0.0, 0.5) for k in spec.kappa))
+        for declared in (spec, above):
+            got = multistage_bound_empirical_check(process, declared, Z).nested_value
+            want = _node_lp_nested_value(process, declared, Z)
+            assert abs(got - want) <= 1e-12 * max(abs(want), np.abs(Z).max())
+
+
+def test_kappa_below_the_kernel_modulus_is_rejected():
+    """A declared kappa below the modulus is rejected on the stage and the
+    first offending history pair in row-major order; the derived kappa passes
+    at its own argmax pair with no slack, and one ulp less does not."""
+    rng = Rng(151)
+    process = random_process(rng, T=3)
+    spec, Z = certified_spec(rng, process)
+    w = spec.weights
+    hist = list(np.ndindex(*process.sizes[:1]))
+    D = process.history_metric(1, w)
+    low = 0.5 * spec.kappa[1]
+    first = None
+    for i in range(len(hist)):
+        for j in range(i + 1, len(hist)):
+            w1, _ = wasserstein_1(
+                DiscreteMeasure(process.kernels[1][hist[i]]),
+                DiscreteMeasure(process.kernels[1][hist[j]]),
+                process.stage_spaces[1],
+            )
+            if first is None and w1 > 1e-12 and w1 / D[i, j] > low:
+                first = (hist[i], hist[j])
+    assert first is not None
+    bad = replace(spec, kappa=(0.0, low, spec.kappa[2]))
+    message = f"kernel 1 violates the history modulus on {first[0]} vs {first[1]}:"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        multistage_bound_empirical_check(process, bad, Z)
+    assert multistage_bound_empirical_check(process, spec, Z).holds
+    t = 2
+    ulp_below = replace(spec, kappa=spec.kappa[:t] + (np.nextafter(spec.kappa[t], 0.0),))
+    with pytest.raises(ValidationError, match=f"kernel {t} violates the history modulus"):
+        multistage_bound_empirical_check(process, ulp_below, Z)
+
+
+def test_check_solves_one_w1_per_history_pair(monkeypatch):
+    """The check's only LPs are the W1 between the kernel rows of each
+    history pair of each stage, recomputed on every call."""
+    rng = Rng(157)
+    process = random_process(rng, T=3)
+    spec, Z = certified_spec(rng, process)
+    callers = []
+    real_solve = lp_module.solve
+
+    def recording(lp):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_solve(lp)
+
+    for module in (lp_module, ambiguity, transport):
+        monkeypatch.setattr(module, "solve", recording)
+    H = [int(np.prod(process.sizes[:t], dtype=int)) for t in range(process.horizon)]
+    pairs = sum(h * (h - 1) // 2 for h in H)
+    for _ in range(2):
+        callers.clear()
+        multistage_bound_empirical_check(process, spec, Z)
+        assert callers == ["wasserstein_1"] * pairs
