@@ -28,6 +28,7 @@ import numpy as np
 
 from .ambiguity import (
     AVaRSet,
+    contains,
     default_reference,
     dominates_all,
     is_strictly_monotone,
@@ -347,7 +348,8 @@ def _verify_file(pf: ProblemFile, args) -> Report:
             checks.append(
                 Check(
                     f"strict_monotonicity_certificate[{name}]",
-                    (not cert.strict) or cert.epsilon > 0.0,
+                    abs(cert.witness.weights[cert.outcome] - cert.epsilon) <= 1e-9
+                    and contains(M, cert.witness),
                     None,
                     "strict" if cert.strict else "not strict",
                 )

@@ -35,10 +35,10 @@ from .spaces import (
     DiscreteMeasure,
     Filtration,
     FiniteSpace,
-    Partition,
     RandomVariable,
     ScenarioTree,
     ValidationError,
+    tree_filtration,
 )
 
 
@@ -153,18 +153,10 @@ class RectangularSpec:
 
 
 def product_filtration(spec: RectangularSpec) -> Filtration:
-    """History filtration on the product space: knowing the first k stage
-    outcomes for k = 0..T. Atoms are contiguous ranges in row-major order."""
-    sizes = spec.sizes
-    total = spec.product_size
-    stages = []
-    for k in range(len(sizes) + 1):
-        block = int(np.prod(sizes[k:])) if k < len(sizes) else 1
-        atoms = tuple(
-            tuple(range(start, start + block)) for start in range(0, total, block)
-        )
-        stages.append(Partition(total, atoms))
-    return Filtration(tuple(stages))
+    """History filtration on the product space, knowing the first k stage
+    outcomes for k = 0..T: the filtration of the uniform tree with the stage
+    sizes as branching, whose depth-first leaves are the row-major outcomes."""
+    return tree_filtration(ScenarioTree.from_branching(spec.sizes))
 
 
 def _product_weights(members: Sequence[DiscreteMeasure]) -> np.ndarray:
@@ -431,9 +423,9 @@ def nested_tree_value(
     spec: HistoryDependentSpec, leaf_values: Sequence[float]
 ) -> tuple[float, dict[int, float]]:
     """Backward recursion on the tree: each internal node takes the worst
-    expected child value over its own ambiguity set. Nodes are folded stage
-    by stage from the deepest one, so tree depth is not bounded by the
-    interpreter's recursion limit."""
+    expected child value over its own ambiguity set. Every parent precedes
+    its children, so nodes are folded in reverse index order, and tree depth
+    is not bounded by the interpreter's recursion limit."""
     tree = spec.tree
     leaves = tree.leaves
     if len(leaf_values) != len(leaves):
@@ -441,8 +433,8 @@ def nested_tree_value(
     values: dict[int, float] = {
         leaf: float(v) for leaf, v in zip(leaves, leaf_values)
     }
-    for node in sorted(tree.nodes, key=lambda v: v.stage, reverse=True):
+    for node in reversed(tree.nodes):
         if node.children:
             child_vals = [values[c] for c in node.children]
             values[node.index] = float(worst_case(spec.node_sets[node.index], child_vals)[0])
-    return values[tree.root.index], values
+    return values[0], values

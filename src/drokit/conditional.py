@@ -79,8 +79,8 @@ def conditional_robust(
 ) -> ConditionalValue:
     """Per-atom worst-case conditional expectation, all atoms at once.
 
-    ``P`` is the reference probability fixing the off-support convention;
-    the finite values themselves depend only on the ambiguity set.
+    ``P`` is only validated as a probability on the set's space: the
+    values, and which atoms get ``-inf``, depend on ``M`` alone.
     """
     P.require_probability("P")
     if Z.n != M.n or G.n != M.n or P.n != M.n:

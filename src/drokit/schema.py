@@ -30,7 +30,6 @@ from .spaces import (
     Partition,
     RandomVariable,
     ScenarioTree,
-    TreeNode,
     ValidationError,
     tree_filtration,
 )
@@ -195,36 +194,15 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
 
 
 def _load_tree(name: str, spec: dict) -> ScenarioTree:
-    """Either a uniform ``branching`` profile or an explicit ``parents`` list
-    (parents given as indices, ``null`` for the root; stages are derived)."""
+    """Either a uniform ``branching`` profile or an explicit ``parents``
+    array (``null`` for the root, node 0; every other parent is an earlier
+    index). ``ScenarioTree`` derives the stages and children."""
     where = f"trees.{name}"
     if "branching" in spec:
         return ScenarioTree.from_branching(_field(spec, "branching", where, _int_tuple))
-    parents = _field(
-        spec, "parents", where, lambda v: [None if p is None else int(p) for p in v]
+    return ScenarioTree(
+        _field(spec, "parents", where, lambda v: tuple(None if p is None else int(p) for p in v))
     )
-    labels = spec.get("labels", [""] * len(parents))
-    children: dict[int, list[int]] = {i: [] for i in range(len(parents))}
-    stages = [0] * len(parents)
-    for i, parent in enumerate(parents):
-        if parent is None:
-            stages[i] = 1
-        else:
-            if parent >= i:
-                raise InputError(f"{where}: parents must precede children")
-            children[parent].append(i)
-            stages[i] = stages[parent] + 1
-    nodes = tuple(
-        TreeNode(
-            index=i,
-            stage=stages[i],
-            parent=parents[i],
-            children=tuple(children[i]),
-            label=str(labels[i]),
-        )
-        for i in range(len(parents))
-    )
-    return ScenarioTree(nodes)
 
 
 def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:

@@ -11,7 +11,7 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -45,7 +45,8 @@ class FiniteSpace:
         One label per outcome.
     metric : array_like, optional
         Symmetric nonnegative distance table ``d(i, j)`` with zero diagonal
-        satisfying the triangle inequality (validated on construction).
+        satisfying the triangle inequality (validated on construction, to
+        ``ATOL`` times the largest distance).
     """
 
     n: int
@@ -65,15 +66,16 @@ class FiniteSpace:
                 raise ValidationError("metric must be an n-by-n table")
             if not np.isfinite(d).all():
                 raise ValidationError("metric entries must be finite")
-            if np.any(d < -ATOL):
+            tol = ATOL * float(np.abs(d).max())  # the axioms hold in any unit
+            if np.any(d < -tol):
                 raise ValidationError("metric entries must be nonnegative")
-            if np.any(np.abs(np.diag(d)) > ATOL):
+            if np.any(np.abs(np.diag(d)) > tol):
                 raise ValidationError("metric diagonal must be zero")
-            if np.any(np.abs(d - d.T) > ATOL):
+            if np.any(np.abs(d - d.T) > tol):
                 raise ValidationError("metric must be symmetric")
             # triangle inequality over all index triples
             for k in range(self.n):
-                if np.any(d > d[:, [k]] + d[[k], :] + ATOL):
+                if np.any(d > d[:, [k]] + d[[k], :] + tol):
                     raise ValidationError("metric violates the triangle inequality")
             object.__setattr__(self, "metric", _readonly(d))
 
@@ -297,77 +299,60 @@ class TreeNode:
     stage: int
     parent: Optional[int]
     children: tuple[int, ...]
-    label: str = ""
 
 
 @dataclass(frozen=True)
 class ScenarioTree:
-    """Staged tree: one root at stage 1, all leaves at stage T.
+    """Staged tree given by its parent array: node 0 is the root at stage 1
+    (parent ``None``), and every other node's parent is an earlier node.
 
+    One pass over ``parents`` derives each node's stage and its children in
+    ascending order as ``nodes``; every leaf must sit at the final stage.
     Leaves enumerate scenarios in depth-first order; grouping leaves by their
     stage-t ancestor yields the induced filtration (see ``tree_filtration``).
     """
 
-    nodes: tuple[TreeNode, ...]
+    parents: tuple[Optional[int], ...]
+    nodes: tuple[TreeNode, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = tuple(self.nodes)
+        parents = tuple(self.parents)
+        object.__setattr__(self, "parents", parents)
+        if not parents or parents[0] is not None:
+            raise ValidationError("node 0 must be the root")
+        stages = [1]
+        children: list[list[int]] = [[] for _ in parents]
+        for i, p in enumerate(parents[1:], 1):
+            if p is None or not 0 <= p < i:
+                raise ValidationError(f"node {i}: its parent must be an earlier node")
+            stages.append(stages[p] + 1)
+            children[p].append(i)
+        # the last node is a leaf, so it sits at the final stage
+        if any(not c and s != stages[-1] for s, c in zip(stages, children)):
+            raise ValidationError("all leaves must sit at the final stage")
+        nodes = tuple(map(TreeNode, range(len(parents)), stages, parents, map(tuple, children)))
         object.__setattr__(self, "nodes", nodes)
-        if not nodes:
-            raise ValidationError("a tree needs at least one node")
-        roots = [v for v in nodes if v.parent is None]
-        if len(roots) != 1 or roots[0].stage != 1:
-            raise ValidationError("exactly one root at stage 1 is required")
-        for i, v in enumerate(nodes):
-            if v.index != i:
-                raise ValidationError("node indices must match their position")
-            if v.parent is not None:
-                p = nodes[v.parent]
-                if v.stage != p.stage + 1:
-                    raise ValidationError("child stage must be parent stage + 1")
-                if v.index not in p.children:
-                    raise ValidationError("parent/child links inconsistent")
-            for c in v.children:
-                if nodes[c].parent != v.index:
-                    raise ValidationError("parent/child links inconsistent")
-        depth = max(v.stage for v in nodes)
-        for v in nodes:
-            if not v.children and v.stage != depth:
-                raise ValidationError("all leaves must sit at the final stage")
-        object.__setattr__(self, "_depth", depth)
 
     @classmethod
     def from_branching(cls, branching: Sequence[int]) -> "ScenarioTree":
-        """Uniform tree whose stage-t nodes all have ``branching[t-1]`` children.
-
-        Nodes are numbered in preorder, children in ascending order."""
+        """Uniform tree whose stage-t nodes all have ``branching[t-1]`` children,
+        numbered in preorder."""
         parents: list[Optional[int]] = []
-        stages: list[int] = []
-        stack: list[tuple[Optional[int], int]] = [(None, 1)]
+        stack: list[tuple[Optional[int], int]] = [(None, 0)]
         while stack:
-            parent, stage = stack.pop()
+            parent, t = stack.pop()
             parents.append(parent)
-            stages.append(stage)
-            if stage <= len(branching):
-                stack.extend([(len(parents) - 1, stage + 1)] * branching[stage - 1])
-        children: list[list[int]] = [[] for _ in parents]
-        for i, p in enumerate(parents):
-            if p is not None:
-                children[p].append(i)
-        return cls(
-            tuple(
-                TreeNode(i, s, p, tuple(c))
-                for i, (s, p, c) in enumerate(zip(stages, parents, children))
-            )
-        )
+            if t < len(branching):
+                stack.extend([(len(parents) - 1, t + 1)] * branching[t])
+        return cls(tuple(parents))
 
     @property
     def depth(self) -> int:
-        return self._depth
+        return self.nodes[-1].stage
 
     @property
     def root(self) -> TreeNode:
-        return next(v for v in self.nodes if v.parent is None)
+        return self.nodes[0]
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -403,7 +388,7 @@ def tree_filtration(tree: ScenarioTree) -> Filtration:
             groups.setdefault(v, []).append(k)
         stages.append(Partition(len(leaves), tuple(tuple(g) for _, g in sorted(groups.items()))))
         if t > 1:
-            ancestors = [tree.nodes[v].parent for v in ancestors]
+            ancestors = [tree.parents[v] for v in ancestors]
     return Filtration(tuple(reversed(stages)))
 
 

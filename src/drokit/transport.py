@@ -48,7 +48,9 @@ def wasserstein_1(
     P: DiscreteMeasure, Q: DiscreteMeasure, space: FiniteSpace
 ) -> tuple[float, TransportPlan]:
     """Minimal transport cost between two probabilities on a metric space: the
-    plan LP with row sums ``P`` and column sums ``Q`` (one row is redundant)."""
+    plan LP with row sums ``P`` and column sums ``Q`` (one row is redundant).
+    The plan's cost is summed from the returned plan, independently of the
+    LP value."""
     d = space.require_metric()
     P.require_probability("P")
     Q.require_probability("Q")
@@ -65,12 +67,8 @@ def wasserstein_1(
     )
     if not sol.optimal:
         raise ValidationError(f"transport LP unexpectedly {sol.status}")
-    plan = TransportPlan(
-        matrix=np.maximum(sol.x.reshape(n, n), 0.0),
-        cost=float(sol.value),
-        source=P,
-        target=Q,
-    )
+    pi = np.maximum(sol.x.reshape(n, n), 0.0)
+    plan = TransportPlan(matrix=pi, cost=float(np.sum(pi * d)), source=P, target=Q)
     return float(sol.value), plan
 
 

@@ -1,6 +1,7 @@
 """CLI, schema, and report round-trip tests against the golden files."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from drokit.cli import main
 from drokit.report import Check, Report, to_csv
 from drokit.schema import InputError, load_problem_file
+from drokit.spaces import DiscreteMeasure
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 STATIC = os.path.join(GOLDEN, "static_examples.json")
@@ -408,6 +410,46 @@ def test_verify_builtin_byte_deterministic(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("edit", ["epsilon", "witness"])
+def test_verify_file_fails_an_unattained_strictness_certificate(monkeypatch, capsys, edit):
+    """The certificate check holds only if the witness is a member that
+    charges its outcome with epsilon."""
+    import drokit.cli as cli
+
+    real = cli.is_strictly_monotone
+
+    def patched(M, P):
+        cert = real(M, P)
+        if edit == "epsilon":
+            return dataclasses.replace(cert, epsilon=cert.epsilon + 0.1)
+        elsewhere = DiscreteMeasure.point_mass(M.n, (cert.outcome + 1) % M.n)
+        return dataclasses.replace(cert, strict=False, epsilon=0.0, witness=elsewhere)
+
+    monkeypatch.setattr(cli, "is_strictly_monotone", patched)
+    code, doc = run_json(["verify", STATIC, "--trials", "5"], capsys)
+    assert code == 1
+    failed = {c["name"] for c in doc["checks"] if not c["passed"]}
+    assert "strict_monotonicity_certificate[pinned_ball]" in failed
+
+
+def test_wasserstein_plan_cost_is_summed_from_the_plan(monkeypatch, capsys):
+    """``plan_cost`` is the returned plan's cost, so an LP value off its own
+    plan fails ``plan_cost_matches``."""
+    import drokit.transport as transport
+
+    argv = ["wasserstein", DP_TRANSPORT, "--p", "spread", "--q", "shifted"]
+    code, doc = run_json(argv, capsys)
+    assert code == 0 and doc["results"]["plan_cost"] == doc["results"]["distance"] == 0.125
+    real = transport.solve
+    monkeypatch.setattr(
+        transport, "solve", lambda lp: dataclasses.replace(real(lp), value=real(lp).value + 1e-3)
+    )
+    code, doc = run_json(argv, capsys)
+    assert code == 1
+    assert doc["results"]["plan_cost"] == 0.125
+    assert doc["checks"][0]["name"] == "plan_cost_matches" and not doc["checks"][0]["passed"]
 
 
 def test_report_csv_roundtrip():

@@ -1,5 +1,7 @@
 """Composite functional, rectangular recursion, and induced-set tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,26 @@ def test_composite_dominates_static_randomized():
         Z = RandomVariable(rng.uniforms(4, -3, 3))
         chk = composite_dominates_static(M, F4, Z, U4)
         assert chk.holds
+
+
+def contiguous_product_filtration(sizes):
+    """The history filtration built directly: knowing the first k stage
+    outcomes groups row-major scenarios into contiguous ranges."""
+    total = int(np.prod(sizes))
+    stages = []
+    for k in range(len(sizes) + 1):
+        block = int(np.prod(sizes[k:]))
+        atoms = tuple(tuple(range(start, start + block)) for start in range(0, total, block))
+        stages.append(Partition(total, atoms))
+    return Filtration(tuple(stages))
+
+
+def test_product_filtration_matches_contiguous_ranges():
+    for T in (1, 2, 3):
+        for sizes in itertools.product((1, 2, 3), repeat=T):
+            certain = [FiniteFamily((DiscreteMeasure.uniform(n),)) for n in sizes]
+            spec = RectangularSpec(tuple(FiniteSpace(n) for n in sizes), tuple(certain))
+            assert product_filtration(spec) == contiguous_product_filtration(sizes), sizes
 
 
 def test_composite_gap_witness_strict():
@@ -288,6 +310,28 @@ def test_history_dependent_tree_value():
     assert node_values[kids[0]] == pytest.approx(1.0)
     assert node_values[kids[1]] == pytest.approx(0.0)
     assert value == pytest.approx(0.5)
+
+
+def test_tree_value_does_not_depend_on_the_numbering():
+    """The same irregular tree numbered in preorder and in level order folds
+    to the same root and node values."""
+    pre = ScenarioTree((None, 0, 1, 1, 1, 0, 5, 5, 0, 8))
+    order = [0]
+    for v in order:
+        order.extend(pre.nodes[v].children)
+    new = {v: k for k, v in enumerate(order)}
+    level = ScenarioTree(tuple(None if v == 0 else new[pre.parents[v]] for v in order))
+    assert level.parents == (None, 0, 0, 0, 1, 1, 1, 2, 2, 3)
+    rng = Rng(17)
+    sets = {
+        v.index: random_family(rng, len(v.children), 2) for v in pre.nodes if v.children
+    }
+    leaf_z = rng.uniforms(len(pre.leaves), -1.0, 1.0)
+    value, values = nested_tree_value(HistoryDependentSpec(pre, sets), leaf_z)
+    level_spec = HistoryDependentSpec(level, {new[v]: M for v, M in sets.items()})
+    level_value, level_values = nested_tree_value(level_spec, leaf_z)
+    assert level_value == value
+    assert {new[v]: x for v, x in values.items()} == level_values
 
 
 def test_deep_chain_loads_and_folds():

@@ -1,5 +1,6 @@
 """Measure/partition/tree substrate tests."""
 
+import json
 import os
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drokit.rng import Rng
 from drokit.spaces import (
     DiscreteMeasure,
     Filtration,
+    FiniteSpace,
     Partition,
     RandomVariable,
     ScenarioTree,
@@ -19,6 +22,8 @@ from drokit.spaces import (
     refines,
     tree_filtration,
 )
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def test_expectation_uniform_mean():
@@ -149,7 +154,7 @@ def ancestor_walk_filtration(tree):
 def test_tree_filtration_matches_ancestor_walk():
     from drokit.schema import load_problem_file
 
-    golden = os.path.join(os.path.dirname(__file__), "golden", "conditional_composite.json")
+    golden = os.path.join(GOLDEN, "conditional_composite.json")
     trees = [ScenarioTree.from_branching(b) for b in ([2, 2], [1, 1, 1], [3, 3], [3, 1, 2], [2])]
     trees += list(load_problem_file(golden).trees.values())
     for tree in trees:
@@ -158,6 +163,58 @@ def test_tree_filtration_matches_ancestor_walk():
     filt = tree_filtration(chain)
     assert filt.horizon == 4000
     assert filt.stages == (Partition(1, ((0,),)),) * 4000
+
+
+def test_tree_from_a_level_order_parent_array():
+    tree = ScenarioTree((None, 0, 0, 1, 1, 2, 2))
+    assert [v.stage for v in tree.nodes] == [1, 2, 2, 3, 3, 3, 3]
+    assert [v.children for v in tree.nodes] == [(1, 2), (3, 4), (5, 6), (), (), (), ()]
+    assert tree.root.index == 0 and tree.depth == 3
+    assert tree.leaves == (3, 4, 5, 6)
+    assert tree == ScenarioTree([None, 0, 0, 1, 1, 2, 2])
+
+
+BAD_PARENTS = {
+    "root not first": (0, None, 1),
+    "parent after its child": (None, 2, 0, 1),
+    "two roots": (None, 0, None, 1, 2),
+    "leaf above the final stage": (None, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("parents", BAD_PARENTS.values(), ids=BAD_PARENTS.keys())
+def test_bad_parent_arrays_raise_and_exit_2(tmp_path, capsys, parents):
+    from drokit.cli import main
+
+    with pytest.raises(ValidationError):
+        ScenarioTree(parents)
+    with open(os.path.join(GOLDEN, "conditional_composite.json")) as fh:
+        doc = json.load(fh)
+    doc["trees"]["explicit"]["parents"] = parents
+    bad = tmp_path / "bad_tree.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["eval-composite", str(bad), "--rv", "zigzag", "--set", "avar_half", "--filtration", "steps"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
+
+
+def test_metric_axioms_hold_in_any_unit():
+    """The axioms are checked relative to the largest distance: rounding in
+    a line metric passes at every scale, and a triangle excess of 1e-6
+    relative fails at every scale."""
+    rng = Rng(5)
+    lines = []
+    for _ in range(40):
+        x = rng.uniforms(8, 0.0, 1.0)
+        lines.append(np.abs(np.subtract.outer(x, x)))
+    bent = np.array([[0.0, 1.0, 2.000002], [1.0, 0.0, 1.0], [2.000002, 1.0, 0.0]])
+    for scale in (1e-8, 1.0, 1e8):
+        for d in lines:
+            FiniteSpace(8, metric=d * scale)
+        with pytest.raises(ValidationError, match="triangle"):
+            FiniteSpace(3, metric=bent * scale)
 
 
 def test_filtration_must_refine():

@@ -461,7 +461,7 @@ def test_intersection_matches_self_ball_tree_when_kernels_certified():
     single-ball tree evaluation."""
     from drokit.ambiguity import WassersteinBall
     from drokit.composite import HistoryDependentSpec, nested_tree_value
-    from drokit.spaces import ScenarioTree, TreeNode
+    from drokit.spaces import ScenarioTree
 
     rng = Rng(139)
     process = random_process(rng, T=2)
@@ -469,14 +469,8 @@ def test_intersection_matches_self_ball_tree_when_kernels_certified():
     res = multistage_bound_empirical_check(process, spec, Z)
 
     s0, s1 = process.sizes
-    nodes = [TreeNode(0, 1, None, tuple(range(1, s0 + 1)))]
-    for i in range(s0):
-        first_leaf = 1 + s0 + i * s1
-        nodes.append(TreeNode(1 + i, 2, 0, tuple(range(first_leaf, first_leaf + s1))))
-    for i in range(s0):
-        for j in range(s1):
-            nodes.append(TreeNode(1 + s0 + i * s1 + j, 3, 1 + i, ()))
-    tree = ScenarioTree(tuple(nodes))
+    # level order: the root, its s0 children, then s1 leaves under each child
+    tree = ScenarioTree((None,) + (0,) * s0 + tuple(1 + i for i in range(s0) for _ in range(s1)))
     node_sets = {
         0: WassersteinBall(
             DiscreteMeasure(process.kernels[0]), spec.eps[0], process.stage_spaces[0]
