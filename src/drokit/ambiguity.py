@@ -579,8 +579,3 @@ def _mass_floor(M: AmbiguitySet) -> float:
     """
     return ZERO_MASS_TOL if isinstance(M, MomentSet) and M.n_moments != 1 else 0.0
 
-
-def reachable_outcomes(M: AmbiguitySet) -> np.ndarray:
-    """Boolean mask of outcomes charged by at least one member, beyond the
-    set's mass floor (the same test ``conditional_robust`` applies to atoms)."""
-    return worst_case(M, np.eye(M.n))[0] > _mass_floor(M)

@@ -34,6 +34,7 @@ from .ambiguity import (
     is_strictly_monotone,
     reference_measure,
     robust_expectation,
+    worst_case,
 )
 from .avar import AvarSpec, check_axioms
 from .composite import (
@@ -173,8 +174,7 @@ def cmd_eval_composite(args) -> int:
             if spec.horizon != 2:
                 raise InputError("--induced-set needs a two-stage spec")
             ind = induced_set(spec)
-            flat = spec.as_product_array(Z).reshape(-1)
-            best = max(float(q.weights @ flat) for q in ind.measures)
+            best = float(worst_case(ind.family(), spec.as_product_array(Z).reshape(-1))[0])
             results["induced_pre_dedup_count"] = ind.pre_dedup_count
             results["induced_distinct"] = len(ind.measures)
             results["induced_max"] = best

@@ -24,7 +24,6 @@ import numpy as np
 from .ambiguity import (
     AmbiguitySet,
     FiniteFamily,
-    reachable_outcomes,
     robust_expectation,
     worst_case,
 )
@@ -52,28 +51,23 @@ def composite_functional(
 ) -> float:
     """Backward fold of the conditional functional through the filtration.
 
-    With a trivial first stage the result is a scalar. Singleton partitions
-    act as the identity on reachable outcomes, so they shortcut to a
-    reachability mask rather than one fractional solve per outcome.
+    Every stage after the first replaces ``Z`` by its conditional value,
+    atom by atom; an atom no member charges aborts the fold. The first stage
+    is trivial, and on the trivial partition the conditional functional is
+    the worst case itself, so the fold ends in one oracle call. ``P`` is only
+    validated as a probability on the set's space.
     """
-    if F.n != M.n:
-        raise ValidationError("filtration and ambiguity set sizes differ")
-    reachable = reachable_outcomes(M)
+    P.require_probability("P")
+    if F.n != M.n or P.n != M.n:
+        raise ValidationError("filtration, P and the ambiguity set sizes differ")
     vals = Z.values
-    for G in reversed(F.stages):
-        if G.is_singleton:
-            if not reachable.all():
-                bad = int(np.argmin(reachable))
-                raise UnreachableAtomError(f"outcome {bad} unreachable by every member")
-            continue  # identity fold
+    for G in reversed(F.stages[1:]):
         cond = conditional_robust(M, RandomVariable(vals), G, P)
         if not cond.finite:
             bad = cond.atom_values.index(NEG_INF)
             raise UnreachableAtomError(f"atom {G.atoms[bad]} unreachable by every member")
         vals = cond.per_outcome()
-    if not F.stages[0].is_trivial:
-        raise ValidationError("filtrations start with the trivial partition")
-    return float(vals[0])
+    return float(worst_case(M, vals)[0])
 
 
 @dataclass(frozen=True)
@@ -159,22 +153,16 @@ def product_filtration(spec: RectangularSpec) -> Filtration:
     return tree_filtration(ScenarioTree.from_branching(spec.sizes))
 
 
-def _product_weights(members: Sequence[DiscreteMeasure]) -> np.ndarray:
-    w = members[0].weights
-    for q in members[1:]:
-        w = np.multiply.outer(w, q.weights)
-    return w.reshape(-1)
-
-
 def product_family(spec: RectangularSpec) -> FiniteFamily:
     """Vertex products of the per-stage families: the extreme points of the
     rectangular product set (extreme points of a product of polytopes are
-    products of extreme points)."""
+    products of extreme points). One outer product per stage of the member
+    matrices; the first stage's member varies slowest."""
     families = spec.require_finite_families()
-    members = []
-    for combo in itertools.product(*[f.measures for f in families]):
-        members.append(DiscreteMeasure(_product_weights(combo)))
-    return FiniteFamily(tuple(members))
+    W = families[0].matrix()
+    for mat in (f.matrix() for f in families[1:]):
+        W = (W[:, None, :, None] * mat[:, None]).reshape(len(W) * len(mat), -1)
+    return FiniteFamily(tuple(DiscreteMeasure(w) for w in W))
 
 
 @dataclass(frozen=True)
@@ -349,15 +337,12 @@ class InducedSet:
 
     Each measure pairs a first-stage generator with a selector assigning a
     second-stage generator to every first-stage outcome; constant selectors
-    reproduce the plain product family. ``pre_dedup_count`` is exactly
-    ``m1 * m2 ** n`` before removing duplicates.
+    reproduce the plain product family. ``pre_dedup_count`` is the number of
+    products built, ``m1 * m2 ** n1``, before duplicates are removed.
     """
 
     measures: tuple[DiscreteMeasure, ...]
     pre_dedup_count: int
-    m1: int
-    m2: int
-    n_first: int
 
     def family(self) -> FiniteFamily:
         return FiniteFamily(self.measures)
@@ -369,30 +354,27 @@ _INDUCED_SET_CAP = 10**6
 
 def induced_set(spec: RectangularSpec) -> InducedSet:
     """Enumerate the selector products exactly (no sampling fallback), at
-    most ``_INDUCED_SET_CAP`` of them before duplicates are removed."""
+    most ``_INDUCED_SET_CAP`` of them before duplicates are removed.
+
+    All products are built as one array: first-stage generator slowest, then
+    the selectors in row-major order (last first-stage outcome fastest).
+    Products equal after rounding to 12 decimals are duplicates; the first
+    of each is kept, in order.
+    """
     if spec.horizon != 2:
         raise ValidationError("the induced set is built for two-stage specs")
-    fam1, fam2 = spec.require_finite_families()
-    n1 = spec.sizes[0]
-    m1, m2 = len(fam1.measures), len(fam2.measures)
+    mat1, mat2 = (f.matrix() for f in spec.require_finite_families())
+    (m1, n1), m2 = mat1.shape, mat2.shape[0]
     count = m1 * m2**n1
     if count > _INDUCED_SET_CAP:
         raise ValidationError(
             f"induced set would hold {count} measures (cap {_INDUCED_SET_CAP}); "
             "use a smaller instance"
         )
-    mat2 = fam2.matrix()
-    seen: dict[bytes, None] = {}
-    measures: list[DiscreteMeasure] = []
-    for q1 in fam1.measures:
-        for selector in itertools.product(range(m2), repeat=n1):
-            w = np.vstack([q1.weights[i] * mat2[selector[i]] for i in range(n1)])
-            flat = w.reshape(-1)
-            key = np.round(flat, 12).tobytes()
-            if key not in seen:
-                seen[key] = None
-                measures.append(DiscreteMeasure(flat))
-    return InducedSet(tuple(measures), count, m1, m2, n1)
+    selectors = np.indices((m2,) * n1).reshape(n1, -1).T
+    flat = (mat1[:, None, :, None] * mat2[selectors]).reshape(count, -1)
+    _, first = np.unique(np.round(flat, 12), axis=0, return_index=True)
+    return InducedSet(tuple(DiscreteMeasure(w) for w in flat[np.sort(first)]), len(flat))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ class ProblemFile:
     processes: dict[str, TreeProcess] = field(default_factory=dict)
     bound_specs: dict[str, dict] = field(default_factory=dict)
     measure_space: dict[str, str] = field(default_factory=dict)
-    rv_space: dict[str, str] = field(default_factory=dict)
 
     def lookup(self, table: str, name: str):
         store = getattr(self, table)
@@ -95,8 +94,16 @@ def _float_tuple(value) -> tuple[float, ...]:
     return tuple(float(x) for x in value)
 
 
+def _int(value) -> int:
+    """A JSON integer (``2.0`` too); bools, fractions and non-numbers are
+    rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(int(x) for x in value)
+    return tuple(_int(x) for x in value)
 
 
 def _as_mapping(doc: dict, key: str) -> dict:
@@ -135,7 +142,7 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
     for name, spec in _as_mapping(doc, "spaces").items():
         where = f"spaces.{name}"
         pf.spaces[name] = FiniteSpace(
-            n=_field(spec, "n", where, int),
+            n=_field(spec, "n", where, _int),
             labels=tuple(spec["labels"]) if "labels" in spec else None,
             metric=_field(spec, "metric", where, _floats, optional=True),
         )
@@ -150,13 +157,11 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
         pf.measure_space[name] = space_name
     for name, spec in _as_mapping(doc, "random_variables").items():
         where = f"random_variables.{name}"
-        space_name = _require(spec, "space", where)
-        space = pf.lookup("spaces", space_name)
+        space = pf.lookup("spaces", _require(spec, "space", where))
         rv = RandomVariable(_field(spec, "values", where, _floats))
         if rv.n != space.n:
             raise InputError(f"{where}: value count differs from the space size")
         pf.random_variables[name] = rv
-        pf.rv_space[name] = space_name
     for name, spec in _as_mapping(doc, "partitions").items():
         where = f"partitions.{name}"
         space = pf.lookup("spaces", _require(spec, "space", where))
@@ -201,7 +206,7 @@ def _load_tree(name: str, spec: dict) -> ScenarioTree:
     if "branching" in spec:
         return ScenarioTree.from_branching(_field(spec, "branching", where, _int_tuple))
     return ScenarioTree(
-        _field(spec, "parents", where, lambda v: tuple(None if p is None else int(p) for p in v))
+        _field(spec, "parents", where, lambda v: tuple(None if p is None else _int(p) for p in v))
     )
 
 

@@ -29,6 +29,7 @@ from .ambiguity import (
     reference_argmax,
     reference_measure,
     robust_expectation,
+    worst_case,
 )
 from .avar import AvarSpec, avar_dual, avar_primal, check_axioms
 from .composite import (
@@ -51,8 +52,6 @@ from .conditional import (
 from .dp import (
     MultistageProblem,
     compare_min_static_vs_min_nested,
-    enumerate_policies,
-    nested_policy_value,
     solve_dp,
     verify_optimality_necessity,
 )
@@ -356,10 +355,10 @@ def check_induced_set(trials: int = 50, rng: Optional[Rng] = None) -> CheckResul
         ind = induced_set(spec)
         if ind.pre_dedup_count != m1 * m2**n1:
             return CheckResult(name, False, 1.0, "pre-dedup count mismatch")
-        best = max(float(q.weights @ Z) for q in ind.measures)
+        best = float(worst_case(ind.family(), Z)[0])
         nested = rectangular_nested(spec, Z).value
         worst = max(worst, abs(best - nested))
-        family1 = max(float(q.weights @ Z) for q in product_family(spec).measures)
+        family1 = float(worst_case(product_family(spec), Z)[0])
         static = static_rectangular(spec, Z).value
         worst = max(worst, abs(family1 - static))
         if family1 > best + 1e-9:
@@ -601,10 +600,8 @@ def check_dp(trials: int = 50, rng: Optional[Rng] = None) -> CheckResult:
         strict = i % 5 == 0
         prob = random_problem(strict)
         sol = solve_dp(prob)
-        oracle = min(nested_policy_value(prob, pi) for pi in enumerate_policies(prob))
-        worst = max(worst, abs(sol.value - oracle))
         cmp = compare_min_static_vs_min_nested(prob)
-        worst = max(worst, cmp.min_static - cmp.min_nested)
+        worst = max(worst, abs(sol.value - cmp.min_nested), cmp.min_static - cmp.min_nested)
         if strict and necessity_runs < 6:
             rep = verify_optimality_necessity(prob)
             necessity_runs += 1

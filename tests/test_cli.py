@@ -242,6 +242,32 @@ def _one_error_line(err):
     return message[0]
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("trees", "explicit", "parents"), [None, 0, 0, 1.9, 1, 2, 2]),
+        (("trees", "explicit", "parents"), [None, 0, 0, True, 1, 2, 2]),
+        (("trees", "binary", "branching"), [2.7, 2]),
+        (("spaces", "stage2", "n"), 2.5),
+        (("partitions", "halves", "atoms"), [[0, 1.5], [2, 3]]),
+    ],
+    ids=["parents", "bool-parent", "branching", "space-n", "atom"],
+)
+def test_non_integer_indices_and_sizes_exit_2(tmp_path, capsys, path, value):
+    # each of these used to be truncated to an integer and load
+    with open(CONDITIONAL) as fh:
+        doc = json.load(fh)
+    *head, key = path
+    node = doc
+    for part in head:
+        node = node[part]
+    node[key] = value
+    bad = tmp_path / "non_integer.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 2
+    assert key in _one_error_line(capsys.readouterr().err)
+
+
 def _shrink_grid4(doc):
     doc["spaces"]["grid4"]["n"] = 3
     doc["random_variables"]["grid_cost"]["values"] = [0.0, 0.5, 1.0]

@@ -41,7 +41,7 @@ FILE_CALLS = [
     ["verify", DP_TRANSPORT],
 ]
 CALLS = [argv + ["--format", fmt] for argv in FILE_CALLS for fmt in ("text", "json")]
-CALLS.append(["verify", "--builtin", "--format", "json"])
+CALLS += [["verify", "--builtin", "--format", fmt] for fmt in ("text", "json")]
 
 
 def run(argv):

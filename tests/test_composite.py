@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import drokit.composite as composite
-from drokit.ambiguity import AVaRSet, FiniteFamily, robust_expectation
+from drokit.ambiguity import (
+    AVaRSet,
+    FiniteFamily,
+    WassersteinBall,
+    _mass_floor,
+    robust_expectation,
+    worst_case,
+)
 from drokit.composite import (
     HistoryDependentSpec,
     RectangularSpec,
@@ -31,7 +38,9 @@ from drokit.spaces import (
     Partition,
     RandomVariable,
     ScenarioTree,
+    ValidationError,
 )
+from drokit.verify import SET_KINDS, rand_ambiguity_set
 
 U4 = DiscreteMeasure.uniform(4)
 F4 = Filtration(
@@ -86,7 +95,7 @@ def test_unreachable_atom_aborts():
 
 def test_singleton_stage_keeps_outcomes_conditional_robust_keeps():
     # The AVaR set charges outcome 2 with 8e-13 at most: an exact oracle
-    # keeps it, so the singleton shortcut must keep it too.
+    # keeps it, so the fold's singleton stage must keep it too.
     M = AVaRSet(0.5, DiscreteMeasure([0.5, 0.5 - 4e-13, 4e-13]))
     Z = RandomVariable([0.0, 1.0, 2.0])
     singletons = Partition.singletons(3)
@@ -95,6 +104,103 @@ def test_singleton_stage_keeps_outcomes_conditional_robust_keeps():
     assert composite_functional(M, F, Z, M.reference) == robust_expectation(M, Z)[0]
     coarse = Filtration((Partition.trivial(3), Partition(3, ((0,), (1, 2)))))
     assert composite_functional(M, coarse, Z, M.reference) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_trivial_filtration_composite_is_the_worst_case_bit_for_bit():
+    # on the trivial partition the conditional functional is the static one
+    rng = Rng(47)
+    for i in range(400):
+        n = 3 + rng.randint(4)
+        M = rand_ambiguity_set(rng, n, SET_KINDS[i % 4])
+        Z = RandomVariable(rng.uniforms(n, -3.0, 3.0))
+        F = Filtration((Partition.trivial(n),))
+        assert composite_functional(M, F, Z, DiscreteMeasure.uniform(n)) == (
+            robust_expectation(M, Z)[0]
+        )
+
+
+def test_one_stage_fold_validates_p():
+    M, Z = AVaRSet(0.5, U4), RandomVariable([1.0, 5.0, 2.0, 7.0])
+    F = Filtration((Partition.trivial(4),))
+    for P in (DiscreteMeasure([0.5, 0.5, 0.5, 0.5]), DiscreteMeasure.uniform(3)):
+        with pytest.raises(ValidationError):
+            composite_functional(M, F, Z, P)
+
+
+def reference_composite(M, F, Z, P):
+    """The fold as it was before it ended in one oracle call: singleton
+    stages checked reachability on the unit vectors, and every other stage,
+    the trivial one included, took the conditional value."""
+    reachable = worst_case(M, np.eye(M.n))[0] > _mass_floor(M)
+    vals = Z.values
+    for G in reversed(F.stages):
+        if G.is_singleton:
+            if not reachable.all():
+                raise UnreachableAtomError(f"outcome {int(np.argmin(reachable))} unreachable")
+            continue
+        cond = conditional_robust(M, RandomVariable(vals), G, P)
+        if not cond.finite:
+            raise UnreachableAtomError("atom unreachable")
+        vals = cond.per_outcome()
+    return float(vals[0])
+
+
+def sparse_set(rng, n, kind):
+    """A random set of one family whose members may all miss outcomes."""
+
+    def sparse():
+        w = rng.simplex(n) * (rng.uniforms(n) < 0.7)
+        if not w.any():
+            w[rng.randint(n)] = 1.0
+        return DiscreteMeasure(w / w.sum())
+
+    if kind == "finite_family":
+        return FiniteFamily(tuple(sparse() for _ in range(1 + rng.randint(3))))
+    if kind == "avar":
+        return AVaRSet(rng.uniform(0.0, 0.9), sparse())
+    if kind == "wasserstein":
+        x = np.sort(rng.uniforms(n, 0.0, 2.0))
+        radius = rng.uniform(0.05, 0.8) if rng.randint(2) else 0.0
+        space = FiniteSpace(n, metric=np.abs(np.subtract.outer(x, x)))
+        return WassersteinBall(sparse(), radius, space)
+    return rand_ambiguity_set(rng, n, kind)
+
+
+def random_filtration(rng, n):
+    """Trivial first, then up to three random refinements, then sometimes
+    the singletons."""
+    keys = [()] * n
+    stages = [Partition.trivial(n)]
+    for _ in range(rng.randint(4)):
+        keys = [k + (rng.randint(2),) for k in keys]
+        atoms = {}
+        for w, k in enumerate(keys):
+            atoms.setdefault(k, []).append(w)
+        stages.append(Partition(n, tuple(tuple(a) for a in atoms.values())))
+    if rng.randint(2):
+        stages.append(Partition.singletons(n))
+    return Filtration(tuple(stages))
+
+
+def test_composite_matches_the_reference_fold_on_random_filtrations():
+    rng = Rng(53)
+    aborted = 0
+    for i in range(400):
+        n = 3 + rng.randint(4)
+        M = sparse_set(rng, n, SET_KINDS[i % 4])
+        F = random_filtration(rng, n)
+        Z = RandomVariable(rng.uniforms(n, -3.0, 3.0))
+        P = DiscreteMeasure(rng.simplex(n))
+        try:
+            want = reference_composite(M, F, Z, P)
+        except UnreachableAtomError:
+            aborted += 1
+            with pytest.raises(UnreachableAtomError):
+                composite_functional(M, F, Z, P)
+            continue
+        got = composite_functional(M, F, Z, P)
+        assert abs(got - want) <= 1e-12 * np.abs(Z.values).max(), (i, got, want)
+    assert 20 <= aborted <= 380
 
 
 def test_composite_dominates_static_randomized():
@@ -237,6 +343,75 @@ def test_permutation_symmetric_z_keeps_nested():
     chk = permutation_invariance_check(spec, Zs, [(0, 1), (1, 0)])
     assert chk.static_invariant
     assert not chk.nested_changed
+
+
+def reference_product_family(spec):
+    """Vertex products one combination at a time, last stage fastest."""
+    members = []
+    for combo in itertools.product(*[f.measures for f in spec.stage_sets]):
+        w = combo[0].weights
+        for q in combo[1:]:
+            w = np.multiply.outer(w, q.weights)
+        members.append(w.reshape(-1))
+    return members
+
+
+def reference_induced_set(spec):
+    """Selector products one at a time, keeping the first of each product
+    whose weights rounded to 12 decimals repeat, byte for byte."""
+    fam1, fam2 = spec.stage_sets
+    mat2 = fam2.matrix()
+    seen, members = set(), []
+    for q1 in fam1.measures:
+        for selector in itertools.product(range(len(fam2.measures)), repeat=fam1.n):
+            w = np.vstack([q1.weights[i] * mat2[selector[i]] for i in range(fam1.n)])
+            flat = w.reshape(-1)
+            key = np.round(flat, 12).tobytes()
+            if key not in seen:
+                seen.add(key)
+                members.append(flat)
+    return members
+
+
+def family_with_repeats(rng, n, m):
+    """``m`` members, some repeated, some missing outcomes."""
+    pool = []
+    for _ in range(m):
+        if pool and rng.randint(3) == 0:
+            pool.append(pool[rng.randint(len(pool))])
+        elif rng.randint(3) == 0:
+            pool.append(DiscreteMeasure.point_mass(n, rng.randint(n)))
+        else:
+            pool.append(DiscreteMeasure(rng.simplex(n)))
+    return FiniteFamily(tuple(pool))
+
+
+def test_products_and_induced_set_match_the_member_loops_byte_for_byte():
+    rng = Rng(71)
+    for _ in range(60):
+        T = 1 + rng.randint(3)
+        sizes = [1 + rng.randint(3) for _ in range(T)]
+        spec = RectangularSpec(
+            tuple(FiniteSpace(s) for s in sizes),
+            tuple(family_with_repeats(rng, s, 1 + rng.randint(3)) for s in sizes),
+        )
+        got = [q.weights.tobytes() for q in product_family(spec).measures]
+        assert got == [w.tobytes() for w in reference_product_family(spec)]
+        if T != 2:
+            continue
+        ind = induced_set(spec)
+        m1, m2 = (len(f.measures) for f in spec.stage_sets)
+        assert ind.pre_dedup_count == m1 * m2 ** sizes[0]
+        got = [q.weights.tobytes() for q in ind.measures]
+        assert got == [w.tobytes() for w in reference_induced_set(spec)]
+
+
+def test_induced_set_counts_signed_zeros_as_one_member():
+    fam1 = FiniteFamily((DiscreteMeasure([1.0, 0.0]), DiscreteMeasure([1.0, -0.0])))
+    spec = RectangularSpec((FiniteSpace(2), FiniteSpace(2)), (fam1, full_simplex(2)))
+    ind = induced_set(spec)
+    assert ind.pre_dedup_count == 8
+    assert len(ind.measures) == 2
 
 
 def test_induced_set_counts_and_dedup():
