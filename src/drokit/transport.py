@@ -1,12 +1,10 @@
 """Order-1 optimal transport on finite metric spaces and the bounds it buys.
 
-Contains the Wasserstein-1 distance as a transport LP, the worst-case-vs-
-reference gap bound for transport balls, and the multistage bound for trees
-whose per-node transition sets are transport balls around their own kernel
-rows (the nested balls of Analui & Pflug 2014).
-
-Transport LPs here, like the ball's membership system, flatten an ``n x n``
-plan row-major and take its marginal rows from ``ambiguity._plan_marginals``.
+Contains the Wasserstein-1 distance, solved by a transportation simplex on
+the excess measures, the worst-case-vs-reference gap bound for transport
+balls, and the multistage bound for trees whose per-node transition sets are
+transport balls around their own kernel rows (the nested balls of Analui &
+Pflug 2014).
 
 Everything is fixed to order 1: every bound consumed downstream is stated for
 the order-1 distance, and higher orders are out of scope.
@@ -19,9 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambiguity import WassersteinBall, _plan_marginals, robust_expectation, worst_case
-from .lp import EQ, LE, LinearProgram, solve
+from .ambiguity import WassersteinBall, robust_expectation, worst_case
 from .spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
+
+#: A reduced cost below ``-COST_RTOL * max C`` prices an arc into the basis.
+COST_RTOL = 1e-12
+#: Excess masses at or below ``MASS_RTOL`` times the total excess stay in place.
+MASS_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -44,56 +46,129 @@ class TransportPlan:
         object.__setattr__(self, "matrix", pi)
 
 
+def _northwest_corner(a: list, b: list) -> tuple[list, list]:
+    """Basic cells and flows of the northwest-corner plan. A row and a column
+    exhausted together step down, so the zero cell hangs a source below its
+    column: the tree rooted at source 0 is strongly feasible."""
+    cells, flow = [], []
+    i = j = 0
+    while True:
+        f = min(a[i], b[j])
+        cells.append((i, j))
+        flow.append(f)
+        a[i] -= f
+        b[j] -= f
+        if i == len(a) - 1 and j == len(b) - 1:
+            return cells, flow
+        if j == len(b) - 1 or (i < len(a) - 1 and a[i] <= b[j]):
+            i += 1
+        else:
+            j += 1
+
+
+def _basis_tree(cells: list, cost: list, k: int, l: int):
+    """Parent node, parent arc, depth and potential of every node of the basis
+    tree rooted at source 0, with ``u_i + v_j = C_ij`` on each tree arc.
+    Sources are nodes ``0..k-1`` and sinks ``k..k+l-1``."""
+    n = k + l
+    arcs = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(cells):
+        arcs[i].append(e)
+        arcs[k + j].append(e)
+    parent, up, depth, pot = [0] * n, [-1] * n, [0] * n, [0.0] * n
+    order = [0]
+    for node in order:  # breadth first: ``order`` grows while it is walked
+        for e in arcs[node]:
+            if e != up[node]:
+                i, j = cells[e]
+                child = k + j if node == i else i
+                parent[child], up[child], depth[child] = node, e, depth[node] + 1
+                pot[child] = cost[i][j] - pot[node]
+                order.append(child)
+    return parent, up, depth, pot
+
+
+def transport_simplex(cost, supply, demand) -> tuple[float, np.ndarray]:
+    """Minimal cost of shipping a positive ``supply`` (length k) to a positive
+    ``demand`` (length l, the same total) over a nonnegative ``k x l`` cost
+    matrix, and an optimal flow.
+
+    The transportation simplex: a northwest-corner start, MODI potentials
+    ``u_i + v_j = C_ij`` on the basis tree, the smallest row-major index among
+    arcs whose reduced cost is below ``-COST_RTOL * max C`` entering, and the
+    last blocking arc met along the cycle from its apex leaving, which keeps
+    the tree strongly feasible and so rules out cycling (Ahuja, Magnanti &
+    Orlin 1993, ch. 11). The returned cost is the dual objective
+    ``<supply, u> + <demand, v>`` of the final potentials. With one source
+    or one sink the plan is forced, and so are the potentials (the costs on
+    that side, zero on the other). Otherwise the demand is first rescaled to
+    the supply's total, so rounding in the totals leaves no column unserved.
+    """
+    C = np.asarray(cost, dtype=float)
+    a, b = np.array(supply, dtype=float), np.array(demand, dtype=float)
+    k, l = C.shape
+    if k == 1:
+        return float(b @ C[0]), b[None, :]
+    if l == 1:
+        return float(a @ C[:, 0]), a[:, None]
+    b = b * (a.sum() / b.sum())
+    cells, flow = _northwest_corner(a.tolist(), b.tolist())
+    table, tol = C.tolist(), COST_RTOL * float(np.abs(C).max())
+    while True:
+        parent, up, depth, pot = _basis_tree(cells, table, k, l)
+        entering = np.flatnonzero(C - np.add.outer(pot[:k], pot[k:]) < -tol)
+        if not entering.size:
+            break
+        i, j = divmod(int(entering[0]), l)
+        # climb from both ends of the entering arc to the apex of its cycle
+        p, q, down, rise = i, k + j, [], []
+        while p != q:
+            if depth[p] >= depth[q]:
+                down.append(p)
+                p = parent[p]
+            else:
+                rise.append(q)
+                q = parent[q]
+        # the cycle runs apex -> source i -> sink j -> apex; the arcs it
+        # crosses against their direction (source to sink) lose flow
+        back = [x for x in reversed(down) if x < k] + [x for x in rise if x >= k]
+        theta = min(flow[up[x]] for x in back)
+        leaving = up[next(x for x in reversed(back) if flow[up[x]] == theta)]
+        for x in down:
+            flow[up[x]] += theta if x >= k else -theta
+        for x in rise:
+            flow[up[x]] += theta if x < k else -theta
+        cells[leaving], flow[leaving] = (i, j), theta
+    plan = np.zeros((k, l))
+    plan[tuple(np.array(cells).T)] = flow
+    return float(a @ pot[:k] + b @ pot[k:]), plan
+
+
 def wasserstein_1(
     P: DiscreteMeasure, Q: DiscreteMeasure, space: FiniteSpace
 ) -> tuple[float, TransportPlan]:
-    """Minimal transport cost between two probabilities on a metric space: the
-    plan LP with row sums ``P`` and column sums ``Q`` (one row is redundant).
-    The plan's cost is summed from the returned plan, independently of the
-    LP value."""
+    """Minimal transport cost between two probabilities on a metric space.
+
+    The common mass ``min(P, Q)`` stays in place, which is optimal because the
+    cost is a metric, so only the excess ``(P - Q)+`` travels to ``(P - Q)-``,
+    over the metric's sub-matrix, by ``transport_simplex``. The distance is
+    that solver's dual objective; the plan's cost is summed from the returned
+    plan, independently of it."""
     d = space.require_metric()
     P.require_probability("P")
     Q.require_probability("Q")
-    n = space.n
-    if P.n != n or Q.n != n:
+    if P.n != space.n or Q.n != space.n:
         raise ValidationError("P, Q must live on the given space")
-    sol = solve(
-        LinearProgram(
-            c=d.reshape(-1),
-            A=np.vstack(_plan_marginals(n)),
-            senses=(EQ,) * (2 * n),
-            b=np.concatenate([P.weights, Q.weights]),
-        )
-    )
-    if not sol.optimal:
-        raise ValidationError(f"transport LP unexpectedly {sol.status}")
-    pi = np.maximum(sol.x.reshape(n, n), 0.0)
+    p, q = P.weights, Q.weights
+    excess = p - q
+    tol = MASS_RTOL * np.abs(excess).sum()
+    src, dst = np.flatnonzero(excess > tol), np.flatnonzero(excess < -tol)
+    pi = np.diag(np.minimum(p, q))
+    value = 0.0
+    if src.size and dst.size:
+        value, pi[src[:, None], dst] = transport_simplex(d[src][:, dst], excess[src], -excess[dst])
     plan = TransportPlan(matrix=pi, cost=float(np.sum(pi * d)), source=P, target=Q)
-    return float(sol.value), plan
-
-
-def wasserstein_dual_value(
-    P: DiscreteMeasure, Q: DiscreteMeasure, space: FiniteSpace
-) -> float:
-    """Transport cost via the potential (dual) LP, as an independent route:
-    max <P - Q, f> over 1-Lipschitz potentials f."""
-    d = space.require_metric()
-    n = space.n
-    i, j = np.nonzero(~np.eye(n, dtype=bool))  # f_i - f_j <= d_ij for i != j
-    eye = np.eye(n)
-    lp = LinearProgram(
-        c=P.weights - Q.weights,
-        A=eye[i] - eye[j],
-        senses=(LE,) * i.size,
-        b=d[i, j],
-        lb=np.full(n, -np.inf),
-        ub=np.full(n, float(d.max()) + 1.0),  # translation-invariant; keep bounded
-        maximize=True,
-    )
-    sol = solve(lp)
-    if not sol.optimal:
-        raise ValidationError(f"potential LP unexpectedly {sol.status}")
-    return float(sol.value)
+    return value, plan
 
 
 def _pairs(values: np.ndarray, D: np.ndarray):

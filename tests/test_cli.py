@@ -9,12 +9,14 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drokit.cli import main
 from drokit.report import Check, Report, to_csv
+from drokit.rng import Rng
 from drokit.schema import InputError, load_problem_file
 from drokit.spaces import DiscreteMeasure
 
@@ -461,21 +463,48 @@ def test_verify_file_fails_an_unattained_strictness_certificate(monkeypatch, cap
 
 
 def test_wasserstein_plan_cost_is_summed_from_the_plan(monkeypatch, capsys):
-    """``plan_cost`` is the returned plan's cost, so an LP value off its own
+    """``plan_cost`` is the returned plan's cost, so a distance off its own
     plan fails ``plan_cost_matches``."""
     import drokit.transport as transport
 
     argv = ["wasserstein", DP_TRANSPORT, "--p", "spread", "--q", "shifted"]
     code, doc = run_json(argv, capsys)
     assert code == 0 and doc["results"]["plan_cost"] == doc["results"]["distance"] == 0.125
-    real = transport.solve
-    monkeypatch.setattr(
-        transport, "solve", lambda lp: dataclasses.replace(real(lp), value=real(lp).value + 1e-3)
-    )
+    real = transport.transport_simplex
+
+    def shifted(*args):
+        value, flow = real(*args)
+        return value + 1e-3, flow
+
+    monkeypatch.setattr(transport, "transport_simplex", shifted)
     code, doc = run_json(argv, capsys)
     assert code == 1
     assert doc["results"]["plan_cost"] == 0.125
     assert doc["checks"][0]["name"] == "plan_cost_matches" and not doc["checks"][0]["passed"]
+
+
+def test_bounds_with_a_stage_metric_in_large_units_exits_0_or_2(tmp_path, capsys):
+    """A stage metric in units of 1e8 is valid input. With ``leg2`` an
+    8-point line metric scaled by 1e8, length-8 kernel rows and the objective
+    on 16 points, ``bounds`` ends in a report or in one ``error:`` line on
+    every draw, never in a traceback."""
+    rng = Rng(5)
+    for _ in range(10):
+        x = np.sort(rng.uniforms(8, 0.0, 2.0))
+        rows = [rng.simplex(8).tolist(), rng.simplex(8).tolist()]
+        values = rng.uniforms(16, 0.0, 1.0).tolist()
+
+        def edit(doc):
+            doc["spaces"]["leg2"] = {"n": 8, "metric": (1e8 * np.abs(x[:, None] - x)).tolist()}
+            doc["spaces"]["grid16"] = {"n": 16}
+            doc["processes"]["two_leg"]["kernels"][1] = rows
+            doc["random_variables"]["grid_cost"] = {"space": "grid16", "values": values}
+
+        path = _edited_golden(tmp_path, edit)
+        assert main(["bounds", path, "--spec", "stagewise"]) in (0, 2)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
 
 
 def test_report_csv_roundtrip():

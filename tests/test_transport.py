@@ -23,8 +23,8 @@ from drokit.transport import (
     multistage_bound,
     multistage_bound_empirical_check,
     scenario_lipschitz_certificate,
+    transport_simplex,
     wasserstein_1,
-    wasserstein_dual_value,
 )
 
 
@@ -79,15 +79,180 @@ def test_metric_axioms_randomized():
         assert dpr <= dpq + dqr + 1e-7
 
 
+def transport_lp(C, a, b):
+    """The dense plan LP of shipping ``a`` to ``b`` over the ``k x l`` cost
+    ``C``: the plan flattened row-major, row sums ``a``, then column sums ``b``."""
+    k, l = C.shape
+    lp = LinearProgram(
+        c=C.reshape(-1),
+        A=np.vstack([np.kron(np.eye(k), np.ones(l)), np.kron(np.ones(k), np.eye(l))]),
+        senses=(EQ,) * (k + l),
+        b=np.concatenate([a, b]),
+    )
+    sol = solve(lp)
+    assert sol.optimal
+    return float(sol.value)
+
+
+def w1_plan_lp(P, Q, space):
+    """W1 as the dense plan LP: the independent route to ``wasserstein_1``."""
+    return transport_lp(space.metric, P.weights, Q.weights)
+
+
+def wasserstein_dual_value(P, Q, space):
+    """W1 via the potential (dual) LP, a second independent route:
+    max <P - Q, f> over 1-Lipschitz potentials f."""
+    d = space.metric
+    n = space.n
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # f_i - f_j <= d_ij for i != j
+    eye = np.eye(n)
+    lp = LinearProgram(
+        c=P.weights - Q.weights,
+        A=eye[i] - eye[j],
+        senses=(LE,) * i.size,
+        b=d[i, j],
+        lb=np.full(n, -np.inf),
+        ub=np.full(n, float(d.max()) + 1.0),  # translation-invariant; keep bounded
+        maximize=True,
+    )
+    sol = solve(lp)
+    assert sol.optimal
+    return float(sol.value)
+
+
+def plane_space(rng, n):
+    pts = rng.uniforms(2 * n, 0.0, 2.0).reshape(n, 2)
+    return FiniteSpace(n, metric=np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)))
+
+
+def grid_space(n):
+    """Points of a 2-wide integer grid under the L1 metric: many tied distances."""
+    pts = np.array([(i // 2, i % 2) for i in range(n)], dtype=float)
+    return FiniteSpace(n, metric=np.abs(pts[:, None] - pts[None]).sum(axis=-1))
+
+
+def w1_cases(rng):
+    """Random plane and line metrics and tied grid distances, each with random
+    measures, P = Q, disjoint supports and one-point supports."""
+    for trial in range(60):
+        n = 2 + rng.randint(6)
+        sp = (plane_space(rng, n), random_metric_space(rng, n), grid_space(n))[trial % 3]
+        P, Q = DiscreteMeasure(rng.simplex(n)), DiscreteMeasure(rng.simplex(n))
+        yield sp, P, Q
+        yield sp, P, P
+        cut = 1 + rng.randint(n - 1)
+        left, right = np.zeros(n), np.zeros(n)
+        left[:cut], right[cut:] = rng.simplex(cut), rng.simplex(n - cut)
+        yield sp, DiscreteMeasure(left), DiscreteMeasure(right)
+        yield sp, DiscreteMeasure.point_mass(n, rng.randint(n)), Q
+        yield sp, P, DiscreteMeasure.point_mass(n, rng.randint(n))
+
+
 def test_cost_matches_potential_dual():
+    """W1 equals the potential LP and the dense plan LP to 1e-12 relative,
+    and its plan is a coupling of P and Q whose cost is the distance."""
     rng = Rng(103)
-    for _ in range(20):
-        n = 2 + rng.randint(4)
-        sp = random_metric_space(rng, n)
-        P = DiscreteMeasure(rng.simplex(n))
-        Q = DiscreteMeasure(rng.simplex(n))
-        primal, _ = wasserstein_1(P, Q, sp)
-        assert wasserstein_dual_value(P, Q, sp) == pytest.approx(primal, abs=1e-7)
+    for sp, P, Q in w1_cases(rng):
+        primal, plan = wasserstein_1(P, Q, sp)
+        # P = Q is exact: the references are then off zero by their own rounding
+        scale = primal if P is not Q else 1e-3 * float(sp.metric.max())
+        assert primal > 0.0 if P is not Q else primal == plan.cost == 0.0
+        assert abs(wasserstein_dual_value(P, Q, sp) - primal) <= 1e-12 * scale
+        assert abs(w1_plan_lp(P, Q, sp) - primal) <= 1e-12 * scale
+        assert abs(plan.cost - primal) <= 1e-12 * scale
+        assert plan.matrix.min() >= 0.0
+        assert np.allclose(plan.matrix.sum(axis=1), P.weights, rtol=0.0, atol=1e-15)
+        assert np.allclose(plan.matrix.sum(axis=0), Q.weights, rtol=0.0, atol=1e-15)
+
+
+def test_w1_on_line_metrics_matches_the_cdf_formula_in_any_unit():
+    """On a line, W1 is ``sum |F_P - F_Q| * dx``; it holds to 1e-12 relative
+    with the points scaled by 1e-8, 1 and 1e8, and never raises."""
+    rng = Rng(5)
+    draws = []
+    for _ in range(40):
+        x = np.sort(rng.uniforms(8, 0.0, 2.0))
+        draws.append((x, DiscreteMeasure(rng.simplex(8)), DiscreteMeasure(rng.simplex(8))))
+    for scale in (1e-8, 1.0, 1e8):
+        for x, P, Q in draws:
+            pts = scale * x
+            cdf = np.abs(np.cumsum(P.weights - Q.weights))[:-1] @ np.diff(pts)
+            dist, _ = wasserstein_1(P, Q, line_space(pts))
+            assert abs(dist - cdf) <= 1e-12 * cdf
+
+
+def test_transport_simplex_on_general_costs_matches_the_dense_lp():
+    """On random nonnegative costs that are no metric, the simplex equals the
+    dense plan LP to 1e-12 relative, and its flow is a plan of that cost.
+    Half the masses are small integers, a third of those equal on both sides,
+    so the northwest corner often exhausts a row and a column together and
+    the pivots start from zero flows; a third of the costs are tied."""
+    rng = Rng(211)
+    degenerate = 0
+    for trial in range(300):
+        k, l = 1 + rng.randint(6), 1 + rng.randint(6)
+        C = rng.uniforms(k * l, 0.0, 1.0).reshape(k, l)
+        if trial % 3 == 0:
+            C = np.round(4.0 * C)
+        if trial % 2:
+            a, b = rng.simplex(k), rng.simplex(l)
+        else:  # small integers with equal totals
+            a = np.array([1.0 + rng.randint(3) for _ in range(k)])
+            b = np.array([1.0 + rng.randint(3) for _ in range(l)])
+            if trial % 6 == 0:
+                l, b, C = k, a.copy(), np.round(4.0 * rng.uniforms(k * k, 0.0, 1.0).reshape(k, k))
+            b[-1] += a.sum() - b.sum()
+            if b[-1] <= 0.0:
+                a[-1] += 1.0 - b[-1]
+                b[-1] = 1.0
+        degenerate += 0.0 in transport._northwest_corner(a.tolist(), b.tolist())[1]
+        value, flow = transport_simplex(C, a, b)
+        want = transport_lp(C, a, b)
+        scale = max(want, 1e-3)  # a tied cost matrix can have a zero optimum
+        assert abs(value - want) <= 1e-12 * scale
+        assert abs(float(np.sum(flow * C)) - want) <= 1e-12 * scale
+        assert flow.shape == (k, l) and flow.min() >= 0.0
+        assert np.allclose(flow.sum(axis=1), a, rtol=0.0, atol=1e-12 * a.sum())
+        assert np.allclose(flow.sum(axis=0), b, rtol=0.0, atol=1e-12 * a.sum())
+    assert degenerate >= 50
+
+
+def test_every_priced_basis_is_strongly_feasible(monkeypatch):
+    """Against cycling, every basis tree the simplex prices is strongly
+    feasible from its root, source 0: a tree arc without flow always hangs a
+    source below a sink. Checked on small integer masses, equal on both sides
+    half the time, and tied costs, where most pivots are degenerate."""
+    real_corner, real_tree = transport._northwest_corner, transport._basis_tree
+    flows, trees = [], [0]
+
+    def corner(a, b):
+        cells, flow = real_corner(a, b)
+        flows.append(flow)  # the simplex updates this list in place
+        return cells, flow
+
+    def tree(cells, cost, k, l):
+        parent, up, depth, pot = real_tree(cells, cost, k, l)
+        zero_below = [x for x in range(1, k + l) if flows[-1][up[x]] == 0.0]
+        assert all(x < k for x in zero_below), (cells, flows[-1])
+        trees[0] += 1
+        return parent, up, depth, pot
+
+    monkeypatch.setattr(transport, "_northwest_corner", corner)
+    monkeypatch.setattr(transport, "_basis_tree", tree)
+    rng = Rng(223)
+    for trial in range(400):
+        k = 2 + rng.randint(6)
+        a = np.array([1.0 + rng.randint(2) for _ in range(k)])
+        l = k if trial % 2 else 2 + rng.randint(6)
+        b = a.copy() if trial % 2 else np.array([1.0 + rng.randint(2) for _ in range(l)])
+        b[-1] += a.sum() - b.sum()
+        if b[-1] <= 0.0:
+            a[-1] += 1.0 - b[-1]
+            b[-1] = 1.0
+        C = np.round(2.0 * rng.uniforms(k * l, 0.0, 1.0).reshape(k, l))
+        value, flow = transport_simplex(C, a, b)
+        assert value == float(np.sum(flow * C))
+    assert trees[0] > 1000
 
 
 def _loop_ball_system(center, radius, d):
@@ -104,20 +269,22 @@ def _loop_ball_system(center, radius, d):
     return rows, np.concatenate([center, [radius]]), q_map
 
 
-def _loop_w1_lp(p, q, d):
-    n = p.size
-    rows, b = [], []
-    for i in range(n):
-        r = np.zeros(n * n)
-        r[i * n : (i + 1) * n] = 1.0
+def _loop_w1_lp(a, b, C):
+    k, l = C.shape
+    rows, rhs = [], []
+    for i in range(k):
+        r = np.zeros(k * l)
+        r[i * l : (i + 1) * l] = 1.0
         rows.append(r)
-        b.append(p[i])
-    for j in range(n):
-        r = np.zeros(n * n)
-        r[j::n] = 1.0
+        rhs.append(a[i])
+    for j in range(l):
+        r = np.zeros(k * l)
+        r[j::l] = 1.0
         rows.append(r)
-        b.append(q[j])
-    return LinearProgram(c=d.reshape(-1), A=np.array(rows), senses=(EQ,) * (2 * n), b=np.array(b))
+        rhs.append(b[j])
+    return LinearProgram(
+        c=C.reshape(-1), A=np.array(rows), senses=(EQ,) * (k + l), b=np.array(rhs)
+    )
 
 
 def _loop_dual_lp(p, q, d):
@@ -248,10 +415,11 @@ def _captured_lp(monkeypatch, call, module=transport):
 
 
 def test_plan_layout_matches_the_entrywise_encodings(monkeypatch):
-    """Ball rows and q_map, the W1 plan LP, the potential LP and the node LP
-    of the intersection route are bit for bit the matrices of the
-    entry-by-entry construction: the same rows in the same order, with no
-    signed zeros, so every pivot is kept."""
+    """Ball rows and q_map, and the test-side references (the plan LP, square
+    and rectangular, the potential LP and the node LP of the intersection
+    route) are bit for bit the matrices of the entry-by-entry construction:
+    the same rows in the same order, with no signed zeros, so every pivot is
+    kept."""
     rng = Rng(23)
     for n in range(1, 8):
         sp = random_metric_space(rng, n)
@@ -262,9 +430,14 @@ def test_plan_layout_matches_the_entrywise_encodings(monkeypatch):
         assert _same_bits(system.A, rows) and _same_bits(system.b, b)
         assert _same_bits(system.q_map, q_map)
         assert system.senses == (EQ,) * n + (LE,) and system.n_vars == n * n
-        lp = _captured_lp(monkeypatch, lambda: transport.wasserstein_1(P, Q, sp))
+        here = sys.modules[__name__]
+        lp = _captured_lp(monkeypatch, lambda: w1_plan_lp(P, Q, sp), here)
         assert _same_lp(lp, _loop_w1_lp(P.weights, Q.weights, d))
-        lp = _captured_lp(monkeypatch, lambda: transport.wasserstein_dual_value(P, Q, sp))
+        l = 1 + rng.randint(7)
+        C, b = rng.uniforms(n * l, 0.0, 1.0).reshape(n, l), rng.simplex(l)
+        lp = _captured_lp(monkeypatch, lambda: transport_lp(C, P.weights, b), here)
+        assert _same_lp(lp, _loop_w1_lp(P.weights, b, C))
+        lp = _captured_lp(monkeypatch, lambda: wasserstein_dual_value(P, Q, sp), here)
         assert _same_lp(lp, _loop_dual_lp(P.weights, Q.weights, d))
         for K in range(1, 10):
             refs = [rng.simplex(n) for _ in range(K)]
@@ -535,23 +708,36 @@ def test_kappa_below_the_kernel_modulus_is_rejected():
 
 
 def test_check_solves_one_w1_per_history_pair(monkeypatch):
-    """The check's only LPs are the W1 between the kernel rows of each
-    history pair of each stage, recomputed on every call."""
+    """The check solves no LP: its only transport problems are the W1 between
+    the kernel rows of each history pair of each stage, in row-major order,
+    recomputed on every call."""
     rng = Rng(157)
     process = random_process(rng, T=3)
     spec, Z = certified_spec(rng, process)
-    callers = []
-    real_solve = lp_module.solve
+    real_solve, real_w1 = lp_module.solve, transport.wasserstein_1
+    solves, pairs_seen = [], []
 
-    def recording(lp):
-        callers.append(sys._getframe(1).f_code.co_name)
+    def recording_solve(lp):
+        solves.append(sys._getframe(1).f_code.co_name)
         return real_solve(lp)
 
-    for module in (lp_module, ambiguity, transport):
-        monkeypatch.setattr(module, "solve", recording)
-    H = [int(np.prod(process.sizes[:t], dtype=int)) for t in range(process.horizon)]
-    pairs = sum(h * (h - 1) // 2 for h in H)
+    def recording_w1(P, Q, space):
+        pairs_seen.append((P.weights.tobytes(), Q.weights.tobytes()))
+        return real_w1(P, Q, space)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "drokit" and getattr(module, "solve", None) is real_solve:
+            monkeypatch.setattr(module, "solve", recording_solve)
+    monkeypatch.setattr(transport, "wasserstein_1", recording_w1)
+    expected = []
+    for t in range(process.horizon):
+        rows = process.kernels[t].reshape(-1, process.sizes[t])
+        i, j = np.triu_indices(len(rows), 1)
+        expected += [(rows[a].tobytes(), rows[b].tobytes()) for a, b in zip(i, j)]
+    assert len(expected) > 3
     for _ in range(2):
-        callers.clear()
+        solves.clear()
+        pairs_seen.clear()
         multistage_bound_empirical_check(process, spec, Z)
-        assert callers == ["wasserstein_1"] * pairs
+        assert solves == []
+        assert pairs_seen == expected
