@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import drokit.ambiguity as ambiguity
 import drokit.lp as lp_module
 import drokit.transport as transport
 from drokit.ambiguity import WassersteinBall, _plan_marginals, membership_system
