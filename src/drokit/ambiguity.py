@@ -37,36 +37,32 @@ import numpy as np
 
 from .lp import EQ, FEAS_TOL, GE, LE, LinearProgram, solve
 from .rng import Rng
-from .spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
+from .spaces import ATOL, DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError, as_weights
 
 
 @dataclass(frozen=True)
 class FiniteFamily:
-    """Convex hull of finitely many probability measures."""
+    """Convex hull of finitely many probability measures, held as one
+    read-only ``(m, n)`` array with a member per row. Any array-like
+    converts, a sequence of ``DiscreteMeasure`` included."""
 
-    measures: tuple[DiscreteMeasure, ...]
+    weights: np.ndarray
 
     def __post_init__(self):
-        measures = tuple(self.measures)
-        object.__setattr__(self, "measures", measures)
-        if not measures:
-            raise ValidationError("a finite family needs at least one measure")
-        n = measures[0].n
-        for q in measures:
-            if q.n != n:
-                raise ValidationError("family members live on different spaces")
-            q.require_probability("family member")
-        matrix = np.vstack([q.weights for q in measures])
-        matrix.setflags(write=False)
-        object.__setattr__(self, "_matrix", matrix)
+        W = as_weights(self.weights, 2, "family weights")
+        off = float(np.abs(W.sum(axis=1) - 1.0).max())
+        if off > ATOL:
+            raise ValidationError(f"family members must be probabilities (mass off by {off:.3g})")
+        object.__setattr__(self, "weights", W)
 
     @property
     def n(self) -> int:
-        return self.measures[0].n
+        return self.weights.shape[1]
 
-    def matrix(self) -> np.ndarray:
-        """Members as rows, shape (m, n), read-only."""
-        return self._matrix
+    @property
+    def measures(self) -> tuple[DiscreteMeasure, ...]:
+        """The members as measures, built on each call."""
+        return tuple(DiscreteMeasure(w) for w in self.weights)
 
 
 @dataclass(frozen=True)
@@ -190,15 +186,8 @@ def membership_system(M: AmbiguitySet) -> MembershipSystem:
     and the cost budget and the column-sum operator as ``q_map``."""
     n = M.n
     if isinstance(M, FiniteFamily):
-        mat = M.matrix()  # (m, n)
-        m = mat.shape[0]
-        return MembershipSystem(
-            n_vars=m,
-            A=np.ones((1, m)),
-            senses=(EQ,),
-            b=np.array([1.0]),
-            q_map=mat.T,
-        )
+        m = len(M.weights)
+        return MembershipSystem(m, np.ones((1, m)), (EQ,), np.array([1.0]), q_map=M.weights.T)
     if isinstance(M, AVaRSet):
         p = M.reference.weights
         A = np.vstack([p.reshape(1, -1), np.eye(n)])
@@ -273,9 +262,8 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(Z).all():
         raise ValidationError("random variables must be finite-valued")
     if isinstance(M, FiniteFamily):
-        mat = M.matrix()
-        vals = Z @ mat.T
-        return vals.max(axis=-1), mat[vals.argmax(axis=-1)]
+        vals = Z @ M.weights.T
+        return vals.max(axis=-1), M.weights[vals.argmax(axis=-1)]
     if isinstance(M, AVaRSet):
         order = np.argsort(-Z, axis=-1, kind="stable")
         caps = M.cap * M.reference.weights[order]

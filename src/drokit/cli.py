@@ -73,10 +73,6 @@ def _digest(pf: Optional[ProblemFile], args: argparse.Namespace) -> str:
     return hashlib.sha256(f"{base};{flags}".encode()).hexdigest()
 
 
-def _measure_list(m) -> list[float]:
-    return [float(x) for x in m.weights]
-
-
 def _emit(report: Report, args: argparse.Namespace, csv_block: Optional[str] = None) -> int:
     if args.format == "json":
         text = to_json(report)
@@ -105,7 +101,7 @@ def cmd_eval_static(args) -> int:
         inputs_digest=_digest(pf, args),
         results={
             "value": value,
-            "argmax_measure": _measure_list(argmax),
+            "argmax_measure": argmax.weights.tolist(),
             "argmax_expectation": float(argmax.weights @ Z.values),
         },
         checks=[
@@ -174,17 +170,16 @@ def cmd_eval_composite(args) -> int:
             if spec.horizon != 2:
                 raise InputError("--induced-set needs a two-stage spec")
             ind = induced_set(spec)
-            best = float(worst_case(ind.family(), spec.as_product_array(Z).reshape(-1))[0])
+            table = spec.as_product_array(Z).reshape(-1)
+            best = float(worst_case(ind, table)[0])
             results["induced_pre_dedup_count"] = ind.pre_dedup_count
-            results["induced_distinct"] = len(ind.measures)
+            results["induced_distinct"] = len(ind.weights)
             results["induced_max"] = best
-            shown = ind.measures[:256]
-            results["induced_measures"] = [_measure_list(q) for q in shown]
-            results["induced_measures_truncated"] = len(shown) < len(ind.measures)
-            checks.append(
-                Check("induced_max_equals_value", abs(best - nested.value) <= 1e-9,
-                      abs(best - nested.value))
-            )
+            shown = ind.weights[:256]
+            results["induced_measures"] = shown.tolist()
+            results["induced_measures_truncated"] = len(shown) < len(ind.weights)
+            gap = abs(best - nested.value)  # compared in the units of Z
+            checks.append(Check("induced_max_equals_value", gap <= 1e-9 * np.abs(table).max(), gap))
         report = Report(
             command=f"eval-composite --rv {args.rv} --spec {args.spec}",
             inputs_digest=_digest(pf, args),
@@ -266,7 +261,8 @@ def cmd_wasserstein(args) -> int:
             "plan": plan.matrix.tolist(),
             "plan_cost": plan.cost,
         },
-        checks=[Check("plan_cost_matches", abs(plan.cost - dist) <= 1e-9,
+        # compared in the units of the metric, which bounds both values
+        checks=[Check("plan_cost_matches", abs(plan.cost - dist) <= 1e-9 * space.metric.max(),
                       abs(plan.cost - dist))],
     )
     return _emit(report, args)

@@ -80,11 +80,11 @@ class DominanceCheck:
 def composite_dominates_static(
     M: AmbiguitySet, F: Filtration, Z: RandomVariable, P: DiscreteMeasure
 ) -> DominanceCheck:
-    """Check ``R(Z) <= composite(Z)``; the inequality is never strict the
-    other way."""
+    """Check ``R(Z) <= composite(Z)`` to ``1e-9 max|Z|``; the inequality is
+    never strict the other way."""
     static, _ = robust_expectation(M, Z)
     comp = composite_functional(M, F, Z, P)
-    return DominanceCheck(static, comp, static <= comp + 1e-9)
+    return DominanceCheck(static, comp, static <= comp + 1e-9 * float(np.abs(Z.values).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +159,10 @@ def product_family(spec: RectangularSpec) -> FiniteFamily:
     products of extreme points). One outer product per stage of the member
     matrices; the first stage's member varies slowest."""
     families = spec.require_finite_families()
-    W = families[0].matrix()
-    for mat in (f.matrix() for f in families[1:]):
+    W = families[0].weights
+    for mat in (f.weights for f in families[1:]):
         W = (W[:, None, :, None] * mat[:, None]).reshape(len(W) * len(mat), -1)
-    return FiniteFamily(tuple(DiscreteMeasure(w) for w in W))
+    return FiniteFamily(W)
 
 
 @dataclass(frozen=True)
@@ -193,21 +193,24 @@ class EquivalenceCheck:
     agree: bool
 
 
-#: How far the nested and composite values may differ and still agree.
+#: How far the nested and composite values may differ and still agree, in
+#: units of ``max |Z|``.
 _EQUIVALENCE_TOL = 1e-7
 
 
 def rectangular_equivalence_check(spec: RectangularSpec, Z) -> EquivalenceCheck:
     """Nested recursion vs. conditional composition over the product family
     with the history filtration; under rectangularity the two evaluation
-    paths must agree to ``_EQUIVALENCE_TOL``."""
-    nested = rectangular_nested(spec, Z).value
+    paths must agree to ``_EQUIVALENCE_TOL`` times ``max |Z|``."""
+    table = spec.as_product_array(Z)
+    nested = rectangular_nested(spec, table).value
     family = product_family(spec)
     filt = product_filtration(spec)
     reference = DiscreteMeasure.uniform(spec.product_size)
-    flat = RandomVariable(spec.as_product_array(Z).reshape(-1))
+    flat = RandomVariable(table.reshape(-1))
     comp = composite_functional(family, filt, flat, reference)
-    return EquivalenceCheck(nested, comp, abs(nested - comp) <= _EQUIVALENCE_TOL)
+    tol = _EQUIVALENCE_TOL * float(np.abs(table).max())
+    return EquivalenceCheck(nested, comp, abs(nested - comp) <= tol)
 
 
 @dataclass(frozen=True)
@@ -240,14 +243,14 @@ def static_rectangular(
     table = spec.as_product_array(Z)
     T = spec.horizon
     if spec.finitely_generated:
-        best_val, best_members = -np.inf, None
-        for combo in itertools.product(*[f.measures for f in spec.stage_sets]):
+        best_val, best_rows = -np.inf, None
+        for rows in itertools.product(*(f.weights for f in spec.stage_sets)):
             val = table
-            for q in reversed(combo):
-                val = val @ q.weights
+            for w in reversed(rows):
+                val = val @ w
             if val > best_val:
-                best_val, best_members = float(val), combo
-        return StaticRectangularResult(best_val, tuple(best_members), exact=True)
+                best_val, best_rows = float(val), rows
+        return StaticRectangularResult(best_val, tuple(map(DiscreteMeasure, best_rows)), exact=True)
 
     rng = rng or Rng()
     overall_best, overall_members = -np.inf, None
@@ -332,29 +335,27 @@ def permutation_invariance_check(
 
 
 @dataclass(frozen=True)
-class InducedSet:
-    """Selector products for a two-stage rectangular spec.
+class InducedSet(FiniteFamily):
+    """Selector products for a two-stage rectangular spec, as a family.
 
-    Each measure pairs a first-stage generator with a selector assigning a
+    Each member pairs a first-stage generator with a selector assigning a
     second-stage generator to every first-stage outcome; constant selectors
     reproduce the plain product family. ``pre_dedup_count`` is the number of
     products built, ``m1 * m2 ** n1``, before duplicates are removed.
     """
 
-    measures: tuple[DiscreteMeasure, ...]
     pre_dedup_count: int
 
-    def family(self) -> FiniteFamily:
-        return FiniteFamily(self.measures)
 
-
-#: Largest induced set ``induced_set`` enumerates; larger specs are rejected.
-_INDUCED_SET_CAP = 10**6
+#: Largest product array ``induced_set`` builds, in cells (products times
+#: ``n1 * n2``); larger specs are rejected. Deduplication holds several copies
+#: of the array, about 42 bytes a cell at its peak, so about 90 MB at the cap.
+_INDUCED_SET_CAP = 1 << 21
 
 
 def induced_set(spec: RectangularSpec) -> InducedSet:
     """Enumerate the selector products exactly (no sampling fallback), at
-    most ``_INDUCED_SET_CAP`` of them before duplicates are removed.
+    most ``_INDUCED_SET_CAP`` cells of them before duplicates are removed.
 
     All products are built as one array: first-stage generator slowest, then
     the selectors in row-major order (last first-stage outcome fastest).
@@ -363,18 +364,18 @@ def induced_set(spec: RectangularSpec) -> InducedSet:
     """
     if spec.horizon != 2:
         raise ValidationError("the induced set is built for two-stage specs")
-    mat1, mat2 = (f.matrix() for f in spec.require_finite_families())
-    (m1, n1), m2 = mat1.shape, mat2.shape[0]
+    mat1, mat2 = (f.weights for f in spec.require_finite_families())
+    (m1, n1), (m2, n2) = mat1.shape, mat2.shape
     count = m1 * m2**n1
-    if count > _INDUCED_SET_CAP:
+    if count * n1 * n2 > _INDUCED_SET_CAP:
         raise ValidationError(
-            f"induced set would hold {count} measures (cap {_INDUCED_SET_CAP}); "
-            "use a smaller instance"
+            f"induced set would hold {count} measures of {n1 * n2} cells "
+            f"(cap {_INDUCED_SET_CAP} cells); use a smaller instance"
         )
     selectors = np.indices((m2,) * n1).reshape(n1, -1).T
     flat = (mat1[:, None, :, None] * mat2[selectors]).reshape(count, -1)
     _, first = np.unique(np.round(flat, 12), axis=0, return_index=True)
-    return InducedSet(tuple(DiscreteMeasure(w) for w in flat[np.sort(first)]), len(flat))
+    return InducedSet(flat[np.sort(first)], count)
 
 
 # ---------------------------------------------------------------------------

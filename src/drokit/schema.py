@@ -214,8 +214,7 @@ def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:
     where = f"ambiguity_sets.{name}"
     kind = _require(spec, "kind", where)
     if kind == "finite_family":
-        members = tuple(pf.lookup("measures", m) for m in _require(spec, "measures", where))
-        return FiniteFamily(members)
+        return FiniteFamily([pf.lookup("measures", m) for m in _require(spec, "measures", where)])
     if kind == "avar":
         return AVaRSet(
             alpha=_field(spec, "alpha", where, float),

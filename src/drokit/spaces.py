@@ -32,6 +32,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def as_weights(w, ndim: int, what: str) -> np.ndarray:
+    """``w`` as a read-only, nonempty, finite and nonnegative float array with
+    ``ndim`` axes: one measure (1) or one per row (2). Entries in
+    ``[-ATOL, 0)`` are solver dust and are clipped to zero."""
+    try:
+        w = np.array(w, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+    if w.ndim != ndim or w.size < 1:
+        raise ValidationError(f"{what} must be a nonempty array with {ndim} axes")
+    if not np.isfinite(w).all():
+        raise ValidationError(f"{what} must be finite")
+    if w.min() < 0.0:
+        if w.min() < -ATOL:
+            raise ValidationError(f"{what} must be nonnegative")
+        w[w < 0.0] = 0.0
+    return _readonly(w)
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """Finite sample space of ``n`` outcomes, optionally metrized.
@@ -96,16 +115,12 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValidationError("weights must be a nonempty vector")
-        if not np.isfinite(w).all():
-            raise ValidationError("weights must be finite")
-        if w.min() < 0.0:
-            if w.min() < -ATOL:
-                raise ValidationError("weights must be nonnegative")
-            w[w < 0.0] = 0.0  # clip solver dust inside tolerance
-        object.__setattr__(self, "weights", _readonly(w))
+        object.__setattr__(self, "weights", as_weights(self.weights, 1, "weights"))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The weights, so that a sequence of measures converts to the
+        matrix of its rows."""
+        return np.array(self.weights, dtype=dtype, copy=copy)
 
     @classmethod
     def uniform(cls, n: int) -> "DiscreteMeasure":

@@ -127,8 +127,7 @@ def rand_ambiguity_set(rng: Rng, n: int, kind: str) -> AmbiguitySet:
     """Random instance of one set family, fully supported so every atom of
     every partition is reachable."""
     if kind == "finite_family":
-        members = tuple(rand_positive_measure(rng, n) for _ in range(2 + rng.randint(3)))
-        return FiniteFamily(members)
+        return rand_finite_family(rng, n, 2 + rng.randint(3))
     if kind == "avar":
         return AVaRSet(rng.uniform(0.0, 0.9), rand_positive_measure(rng, n))
     if kind == "moment":
@@ -144,7 +143,7 @@ def rand_ambiguity_set(rng: Rng, n: int, kind: str) -> AmbiguitySet:
 
 
 def rand_finite_family(rng: Rng, n: int, members: int) -> FiniteFamily:
-    return FiniteFamily(tuple(rand_positive_measure(rng, n) for _ in range(members)))
+    return FiniteFamily([rng.simplex(n) for _ in range(members)])
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +155,8 @@ def witness_rectangular() -> tuple[RectangularSpec, np.ndarray]:
     """Two-stage instance with a 0.5 gap between the composite and static
     values: uniform first stage, point-mass second-stage family, diagonal
     objective."""
-    m1 = FiniteFamily((DiscreteMeasure([0.5, 0.5]),))
-    m2 = FiniteFamily((DiscreteMeasure([1.0, 0.0]), DiscreteMeasure([0.0, 1.0])))
+    m1 = FiniteFamily([[0.5, 0.5]])
+    m2 = FiniteFamily(np.eye(2))
     spec = RectangularSpec((FiniteSpace(2), FiniteSpace(2)), (m1, m2))
     return spec, np.array([[1.0, 0.0], [0.0, 1.0]])
 
@@ -174,8 +173,8 @@ def witness_conditional_discrepancy():
 def witness_dp() -> MultistageProblem:
     """Three-stage problem where the static and nested policy optima differ
     by 0.5 and the argmin policies differ."""
-    simplex2 = FiniteFamily((DiscreteMeasure([1.0, 0.0]), DiscreteMeasure([0.0, 1.0])))
-    unif2 = FiniteFamily((DiscreteMeasure([0.5, 0.5]),))
+    simplex2 = FiniteFamily(np.eye(2))
+    unif2 = FiniteFamily([[0.5, 0.5]])
     return MultistageProblem(
         n_actions=(1, 2, 2),
         stage_sizes=(1, 2, 2),
@@ -244,9 +243,7 @@ def check_property_p_atom_max(trials: int = 40, rng: Optional[Rng] = None) -> Ch
         P = rand_positive_measure(rng, n)
         which = i % 3
         if which == 0:
-            M: AmbiguitySet = FiniteFamily(
-                tuple(DiscreteMeasure.point_mass(n, j) for j in range(n))
-            )
+            M: AmbiguitySet = FiniteFamily(np.eye(n))
         elif which == 1:
             biggest = max(P.of(atom) for atom in G.atoms)
             alpha = min(0.97, biggest + (1.0 - biggest) * rng.uniform(0.0, 0.9))
@@ -355,7 +352,7 @@ def check_induced_set(trials: int = 50, rng: Optional[Rng] = None) -> CheckResul
         ind = induced_set(spec)
         if ind.pre_dedup_count != m1 * m2**n1:
             return CheckResult(name, False, 1.0, "pre-dedup count mismatch")
-        best = float(worst_case(ind.family(), Z)[0])
+        best = float(worst_case(ind, Z)[0])
         nested = rectangular_nested(spec, Z).value
         worst = max(worst, abs(best - nested))
         family1 = float(worst_case(product_family(spec), Z)[0])
@@ -435,10 +432,7 @@ def check_strict_monotonicity(trials: int = 200, rng: Optional[Rng] = None) -> C
     for i in range(6):
         n = 2 + rng.randint(3)
         if i % 2 == 0:
-            members = tuple(
-                DiscreteMeasure(0.6 * rng.simplex(n) + 0.4 / n) for _ in range(2)
-            )
-            M: AmbiguitySet = FiniteFamily(members)
+            M: AmbiguitySet = FiniteFamily([0.6 * rng.simplex(n) + 0.4 / n for _ in range(2)])
             P = rand_positive_measure(rng, n)
         else:
             P = DiscreteMeasure(0.5 * rng.simplex(n) + 0.5 / n)
@@ -564,8 +558,8 @@ def check_dp(trials: int = 50, rng: Optional[Rng] = None) -> CheckResult:
                 wgt = rng.simplex(stage_sizes[t])
                 if strictly_monotone:
                     wgt = 0.7 * wgt + 0.3 / stage_sizes[t]
-                members.append(DiscreteMeasure(wgt))
-            sets.append(FiniteFamily(tuple(members)))
+                members.append(wgt)
+            sets.append(FiniteFamily(members))
         costs = tuple(
             np.array(
                 [

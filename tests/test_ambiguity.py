@@ -41,6 +41,41 @@ def test_finite_family_vertex_scan():
     assert argmax.weights == pytest.approx([0.0, 1.0])
 
 
+def test_finite_family_from_an_array_or_from_measures_is_the_same_family():
+    rng = Rng(97)
+    for trial in range(30):
+        n, m = 2 + rng.randint(4), 1 + rng.randint(4)
+        W = np.array([rng.simplex(n) for _ in range(m)])
+        if trial % 3 == 0:  # solver dust below zero, clipped on both routes
+            W[0] = np.eye(n)[0] * (1.0 + 1e-12)
+            W[0, 1] = -1e-12
+        from_array = FiniteFamily(W)
+        from_measures = FiniteFamily(tuple(DiscreteMeasure(w) for w in W))
+        assert from_array.weights.tobytes() == from_measures.weights.tobytes()
+        assert not from_array.weights.flags.writeable
+        Z = rng.uniforms(5 * n, -1.0, 1.0).reshape(5, n)
+        for got, want in zip(worst_case(from_array, Z), worst_case(from_measures, Z)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [[1.0, 0.0], [0.0, 0.5, 0.5]],
+        (DiscreteMeasure([1.0, 0.0]), DiscreteMeasure([0.0, 0.5, 0.5])),
+        [[np.nan, 1.0]],
+        [[1.0 + 1e-6, -1e-6]],
+        [[0.5, 0.4]],
+        np.empty((0, 3)),
+        [0.5, 0.5],
+    ],
+    ids=["ragged", "ragged-measures", "nan", "negative", "mass", "empty", "one-axis"],
+)
+def test_finite_family_rejects_malformed_weights(weights):
+    with pytest.raises(ValidationError):
+        FiniteFamily(weights)
+
+
 def test_zero_radius_ball_pins_center():
     M = WassersteinBall(DiscreteMeasure([1.0, 0.0]), 0.0, two_point_metric_space())
     value, argmax = robust_expectation(M, RandomVariable([1.0, 9.0]))

@@ -483,6 +483,85 @@ def test_wasserstein_plan_cost_is_summed_from_the_plan(monkeypatch, capsys):
     assert doc["checks"][0]["name"] == "plan_cost_matches" and not doc["checks"][0]["passed"]
 
 
+def test_wasserstein_in_large_units_exits_0(tmp_path, capsys):
+    """``plan_cost_matches`` compares in the units of the metric: on line
+    metrics scaled by 1e8 the plan's cost and the distance agree to about
+    1e-16 relative, which can exceed 1e-9 absolute."""
+    rng = Rng(5)
+    path = tmp_path / "large_units.json"
+    for _ in range(20):
+        x = np.sort(rng.uniforms(6, 0.0, 2.0))
+        doc = {
+            "version": "1",
+            "spaces": {"line": {"n": 6, "metric": (1e8 * np.abs(x[:, None] - x)).tolist()}},
+            "measures": {
+                name: {"space": "line", "weights": rng.simplex(6).tolist()} for name in "pq"
+            },
+        }
+        path.write_text(json.dumps(doc))
+        assert main(["wasserstein", str(path), "--p", "p", "--q", "q"]) == 0
+    capsys.readouterr()
+
+
+def _two_stage_file(path, stage_weights, values) -> str:
+    """Problem file with a two-stage rectangular spec ``two`` whose stage
+    sets list the given member weights, and the objective ``z``."""
+    doc = {"version": "1", "spaces": {"prod": {"n": len(values)}}, "measures": {},
+           "random_variables": {"z": {"space": "prod", "values": list(values)}},
+           "ambiguity_sets": {},
+           "rectangular_specs": {"two": {"stage_spaces": ["s0", "s1"], "stage_sets": ["m0", "m1"]}}}
+    for t, W in enumerate(stage_weights):
+        doc["spaces"][f"s{t}"] = {"n": len(W[0])}
+        names = [f"q{t}_{k}" for k in range(len(W))]
+        for name, w in zip(names, W):
+            doc["measures"][name] = {"space": f"s{t}", "weights": list(w)}
+        doc["ambiguity_sets"][f"m{t}"] = {"kind": "finite_family", "measures": names}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_induced_set_checks_agree_in_the_units_of_z(tmp_path, capsys):
+    """The induced maximum and the nested value agree to about 1e-16
+    relative at any scale of Z; with Z scaled by 1e8 both checks pass."""
+    rng = Rng(7)
+    for _ in range(40):
+        n1, n2 = 2 + rng.randint(2), 2 + rng.randint(2)
+        W = [[rng.simplex(n).tolist() for _ in range(1 + rng.randint(3))] for n in (n1, n2)]
+        Z = (1e8 * rng.uniforms(n1 * n2, -1.0, 1.0)).tolist()
+        path = _two_stage_file(tmp_path / "two_stage.json", W, Z)
+        argv = ["eval-composite", path, "--rv", "z", "--spec", "two", "--induced-set"]
+        code, doc = run_json(argv, capsys)
+        assert code == 0 and all(c["passed"] for c in doc["checks"])
+
+
+def test_induced_set_above_the_cell_cap_exits_2(monkeypatch, capsys):
+    """The cap counts cells: the witness's 4 products of 4 cells pass a cap
+    of 10 products but not of 10 cells."""
+    import drokit.composite as composite
+
+    monkeypatch.setattr(composite, "_INDUCED_SET_CAP", 10)
+    argv = ["eval-composite", CONDITIONAL, "--rv", "diagonal", "--spec", "gap_witness"]
+    assert main(argv + ["--induced-set"]) == 2
+    assert "cap" in _one_error_line(capsys.readouterr().err)
+
+
+def test_ragged_finite_family_exits_2(tmp_path, capsys):
+    """Members of different lengths make no weight matrix: one error line,
+    exit 2, no traceback."""
+    doc = {
+        "version": "1",
+        "spaces": {"two": {"n": 2}, "three": {"n": 3}},
+        "measures": {"a": {"space": "two", "weights": [0.5, 0.5]},
+                     "b": {"space": "three", "weights": [0.2, 0.3, 0.5]}},
+        "random_variables": {"z": {"space": "two", "values": [1.0, 2.0]}},
+        "ambiguity_sets": {"ragged": {"kind": "finite_family", "measures": ["a", "b"]}},
+    }
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval-static", str(path), "--rv", "z", "--set", "ragged"]) == 2
+    assert "family" in _one_error_line(capsys.readouterr().err)
+
+
 def test_bounds_with_a_stage_metric_in_large_units_exits_0_or_2(tmp_path, capsys):
     """A stage metric in units of 1e8 is valid input. With ``leg2`` an
     8-point line metric scaled by 1e8, length-8 kernel rows and the objective

@@ -40,7 +40,7 @@ from drokit.spaces import (
     ScenarioTree,
     ValidationError,
 )
-from drokit.verify import SET_KINDS, rand_ambiguity_set
+from drokit.verify import SET_KINDS, rand_ambiguity_set, rand_refining_filtration
 
 U4 = DiscreteMeasure.uniform(4)
 F4 = Filtration(
@@ -360,7 +360,7 @@ def reference_induced_set(spec):
     """Selector products one at a time, keeping the first of each product
     whose weights rounded to 12 decimals repeat, byte for byte."""
     fam1, fam2 = spec.stage_sets
-    mat2 = fam2.matrix()
+    mat2 = fam2.weights
     seen, members = set(), []
     for q1 in fam1.measures:
         for selector in itertools.product(range(len(fam2.measures)), repeat=fam1.n):
@@ -384,6 +384,30 @@ def family_with_repeats(rng, n, m):
         else:
             pool.append(DiscreteMeasure(rng.simplex(n)))
     return FiniteFamily(tuple(pool))
+
+
+def test_composite_dominance_holds_in_the_units_of_z():
+    """With one member the composite is the static value up to rounding,
+    which at Z in units of 1e8 can exceed an absolute 1e-9."""
+    rng = Rng(11)
+    for _ in range(40):
+        n = 4 + rng.randint(3)
+        P = DiscreteMeasure(rng.simplex(n))
+        F = rand_refining_filtration(rng, n)
+        Z = RandomVariable(1e8 * rng.uniforms(n, -1.0, 1.0))
+        assert composite_dominates_static(FiniteFamily([P]), F, Z, P).holds
+
+
+def test_rectangular_equivalence_agrees_in_the_units_of_z():
+    rng = Rng(7)
+    for _ in range(40):
+        n1, n2 = 2 + rng.randint(2), 2 + rng.randint(2)
+        spec = RectangularSpec(
+            (FiniteSpace(n1), FiniteSpace(n2)),
+            (random_family(rng, n1, 1 + rng.randint(3)), random_family(rng, n2, 1 + rng.randint(3))),
+        )
+        Z = 1e10 * rng.uniforms(n1 * n2, -1.0, 1.0)
+        assert rectangular_equivalence_check(spec, Z).agree
 
 
 def test_products_and_induced_set_match_the_member_loops_byte_for_byte():
@@ -466,7 +490,7 @@ def test_induced_set_cap(monkeypatch):
     rng = Rng(89)
     fam = random_family(rng, 6, 6)
     spec = RectangularSpec((FiniteSpace(6), FiniteSpace(6)), (fam, fam))
-    with pytest.raises(Exception):
+    with pytest.raises(ValidationError):
         induced_set(spec)
 
 
