@@ -227,12 +227,13 @@ def cmd_solve(args) -> int:
         "continuation_values": [v.tolist() for v in sol.value_functions.calV],
     }
     residual = sol.value_functions.bellman_residual(prob)
-    checks = [Check("bellman_residual", residual <= 1e-9, residual)]
+    tol = 1e-9 * prob.cost_scale
+    checks = [Check("bellman_residual", residual <= tol, residual)]
     if args.enumerate:
         oracle = min(nested_policy_value(prob, pi) for pi in enumerate_policies(prob))
         results["enumeration_value"] = oracle
         checks.append(
-            Check("matches_enumeration", abs(oracle - sol.value) <= 1e-9,
+            Check("matches_enumeration", abs(oracle - sol.value) <= tol,
                   abs(oracle - sol.value))
         )
     report = Report(
@@ -388,6 +389,7 @@ def _verify_file(pf: ProblemFile, args) -> Report:
                 )
         for name, prob in pf.problems.items():
             sol = solve_dp(prob)
+            tol = 1e-9 * prob.cost_scale
             try:
                 oracle = min(
                     nested_policy_value(prob, pi) for pi in enumerate_policies(prob)
@@ -395,14 +397,14 @@ def _verify_file(pf: ProblemFile, args) -> Report:
                 checks.append(
                     Check(
                         f"dp_matches_enumeration[{name}]",
-                        abs(oracle - sol.value) <= 1e-9,
+                        abs(oracle - sol.value) <= tol,
                         abs(oracle - sol.value),
                     )
                 )
             except ValidationError:
                 residual = sol.value_functions.bellman_residual(prob)
                 checks.append(
-                    Check(f"dp_bellman[{name}]", residual <= 1e-9, residual,
+                    Check(f"dp_bellman[{name}]", residual <= tol, residual,
                           "enumeration cap exceeded; Bellman residual only")
                 )
     return Report(

@@ -27,7 +27,7 @@ from .ambiguity import (
     robust_expectation,
     worst_case,
 )
-from .conditional import conditional_robust
+from .conditional import _conditional_values
 from .rng import Rng
 from .spaces import (
     NEG_INF,
@@ -51,22 +51,22 @@ def composite_functional(
 ) -> float:
     """Backward fold of the conditional functional through the filtration.
 
-    Every stage after the first replaces ``Z`` by its conditional value,
-    atom by atom; an atom no member charges aborts the fold. The first stage
-    is trivial, and on the trivial partition the conditional functional is
-    the worst case itself, so the fold ends in one oracle call. ``P`` is only
-    validated as a probability on the set's space.
+    Every stage after the first replaces ``Z`` by its conditional values,
+    lifted through ``atom_index``; an atom no member charges (``-inf``) aborts
+    the fold. The first stage is trivial, and on the trivial partition the
+    conditional functional is the worst case itself, so the fold ends in one
+    oracle call. ``P`` is only validated as a probability on the set's space.
     """
     P.require_probability("P")
-    if F.n != M.n or P.n != M.n:
-        raise ValidationError("filtration, P and the ambiguity set sizes differ")
+    if F.n != M.n or P.n != M.n or Z.n != M.n:
+        raise ValidationError("Z, the filtration, P and the ambiguity set sizes differ")
     vals = Z.values
     for G in reversed(F.stages[1:]):
-        cond = conditional_robust(M, RandomVariable(vals), G, P)
-        if not cond.finite:
-            bad = cond.atom_values.index(NEG_INF)
+        cond = _conditional_values(M, vals, G)
+        if cond.min() == NEG_INF:
+            bad = int(cond.argmin())
             raise UnreachableAtomError(f"atom {G.atoms[bad]} unreachable by every member")
-        vals = cond.per_outcome()
+        vals = cond[G.atom_index]
     return float(worst_case(M, vals)[0])
 
 
@@ -301,7 +301,8 @@ def permute_spec(spec: RectangularSpec, perm: Sequence[int]) -> RectangularSpec:
     )
 
 
-#: Values of permuted specs within this of the first count as unchanged.
+#: Values of permuted specs within this times ``max |Z|`` of the first count
+#: as unchanged.
 _PERMUTATION_TOL = 1e-9
 
 
@@ -316,15 +317,16 @@ def permutation_invariance_check(
         z_perm = np.transpose(table, axes=perm)
         statics.append(static_rectangular(permuted, z_perm).value)
         nesteds.append(rectangular_nested(permuted, z_perm).value)
+    tol = _PERMUTATION_TOL * float(np.abs(table).max())
     base_s = statics[0]
-    static_invariant = all(abs(v - base_s) <= _PERMUTATION_TOL for v in statics)
+    static_invariant = all(abs(v - base_s) <= tol for v in statics)
     base_n = nesteds[0]
     max_change = max(abs(v - base_n) for v in nesteds)
     return PermutationCheck(
         static_values=tuple(statics),
         static_invariant=static_invariant,
         nested_values=tuple(nesteds),
-        nested_changed=max_change > _PERMUTATION_TOL,
+        nested_changed=max_change > tol,
         max_nested_change=max_change,
     )
 

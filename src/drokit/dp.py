@@ -128,6 +128,11 @@ class MultistageProblem:
     def horizon(self) -> int:
         return len(self.n_actions)
 
+    @property
+    def cost_scale(self) -> float:
+        """Sum over stages of ``max |costs[t]|``, the unit values compare in."""
+        return float(sum(np.abs(c).max() for c in self.costs))
+
     def allowed(self, t: int, x_prev: int, outcome: int) -> tuple[int, ...]:
         if t == 0:
             return self.feasible[0]
@@ -409,7 +414,7 @@ class MinComparison:
     min_nested: float
     argmin_static: Policy
     argmin_nested: Policy
-    holds: bool  # min_static <= min_nested + 1e-9
+    holds: bool  # min_static <= min_nested + 1e-9 cost_scale
     argmins_differ: bool
 
 
@@ -432,7 +437,7 @@ def compare_min_static_vs_min_nested(prob: MultistageProblem) -> MinComparison:
         min_nested=best_n,
         argmin_static=arg_s,
         argmin_nested=arg_n,
-        holds=best_s <= best_n + 1e-9,
+        holds=best_s <= best_n + 1e-9 * prob.cost_scale,
         argmins_differ=arg_s != arg_n,
     )
 
@@ -453,13 +458,15 @@ class NecessityReport:
     note: str = ""
 
 
-#: Value gap up to which a policy counts as optimal and an action as an argmin.
+#: Value gap, in units of ``cost_scale``, up to which a policy counts as
+#: optimal and an action as an argmin.
 _OPTIMALITY_TOL = 1e-9
 
 
 def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
     sol = solve_dp(prob)
-    sufficiency = abs(nested_policy_value(prob, sol.policy) - sol.value) <= _OPTIMALITY_TOL
+    tol = _OPTIMALITY_TOL * prob.cost_scale
+    sufficiency = abs(nested_policy_value(prob, sol.policy) - sol.value) <= tol
     strict = all(
         is_strictly_monotone(M, default_reference(M)).strict
         for M in prob.stage_sets[1:]
@@ -476,7 +483,7 @@ def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
     violations: list[str] = []
     optimal = 0
     for pi in enumerate_policies(prob):
-        if nested_policy_value(prob, pi) > sol.value + _OPTIMALITY_TOL:
+        if nested_policy_value(prob, pi) > sol.value + tol:
             continue
         optimal += 1
         stages = _checked_actions(prob, pi)
@@ -487,7 +494,7 @@ def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
                 xp = stages[t - 1][k // s] if t > 0 else 0  # single prior state at stage 0
                 cell = prob.costs[t][a, outcome] + vf.calV[t + 1][a]
                 best = vf.V[t][xp, outcome]
-                if cell > best + _OPTIMALITY_TOL:
+                if cell > best + tol:
                     violations.append(
                         f"node {node}: action {a} off the argmin by {cell - best:.3g}"
                     )

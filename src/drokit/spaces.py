@@ -200,32 +200,31 @@ class RandomVariable:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint cover of ``0..n-1`` by nonempty atoms."""
+    """Disjoint cover of ``0..n-1`` by nonempty atoms; the read-only
+    ``atom_index[w]`` is the index of the atom holding outcome ``w``."""
 
     n: int
     atoms: tuple[tuple[int, ...], ...]
+    atom_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple(tuple(sorted(int(i) for i in atom)) for atom in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        seen: set[int] = set()
-        for atom in atoms:
+        index = [-1] * self.n
+        for a, atom in enumerate(atoms):
             if not atom:
                 raise ValidationError("partition atoms must be nonempty")
             for i in atom:
                 if i < 0 or i >= self.n:
                     raise ValidationError(f"outcome {i} outside space of size {self.n}")
-                if i in seen:
+                if index[i] >= 0:
                     raise ValidationError(f"outcome {i} appears in two atoms")
-                seen.add(i)
-        if len(seen) != self.n:
+                index[i] = a
+        if self.n < 0 or -1 in index:
             raise ValidationError("atoms must cover every outcome")
-        lookup = np.empty(self.n, dtype=int)
-        for a, atom in enumerate(atoms):
-            for i in atom:
-                lookup[i] = a
-        lookup.setflags(write=False)
-        object.__setattr__(self, "_atom_of", lookup)
+        index = np.array(index, dtype=int)
+        index.setflags(write=False)
+        object.__setattr__(self, "atom_index", index)
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
@@ -241,7 +240,7 @@ class Partition:
 
     def atom_of(self, outcome: int) -> int:
         """Index of the atom containing ``outcome``."""
-        return int(self._atom_of[outcome])
+        return int(self.atom_index[outcome])
 
     @property
     def is_trivial(self) -> bool:
@@ -253,21 +252,17 @@ class Partition:
 
     def expand(self, atom_values: Sequence[float]) -> np.ndarray:
         """Per-outcome array from per-atom values (atom-measurable lift)."""
-        out = np.empty(self.n)
-        for a, atom in enumerate(self.atoms):
-            out[list(atom)] = atom_values[a]
-        return out
+        return np.asarray(atom_values, dtype=float)[self.atom_index]
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every atom of ``fine`` lies inside a single atom of ``coarse``."""
+    """True iff every atom of ``fine`` lies inside a single atom of ``coarse``:
+    each fine atom takes the coarse atom of one of its outcomes; the rest must agree."""
     if fine.n != coarse.n:
         raise ValidationError("partitions live on spaces of different sizes")
-    for atom in fine.atoms:
-        owner = coarse.atom_of(atom[0])
-        if any(coarse.atom_of(i) != owner for i in atom[1:]):
-            return False
-    return True
+    owner = np.empty(fine.n_atoms, dtype=int)
+    owner[fine.atom_index] = coarse.atom_index
+    return bool(np.array_equal(owner[fine.atom_index], coarse.atom_index))
 
 
 @dataclass(frozen=True)
@@ -428,12 +423,7 @@ def conditional_expectation(
     Q.require_probability("Q")
     if Z.n != Q.n or G.n != Q.n:
         raise ValidationError("Z, Q, and G must share one space")
-    out = np.empty(Q.n)
-    for atom in G.atoms:
-        idx = list(atom)
-        mass = float(Q.weights[idx].sum())
-        if mass > 0.0:
-            out[idx] = float(np.dot(Q.weights[idx], Z.values[idx])) / mass
-        else:
-            out[idx] = NEG_INF
-    return out
+    mass = np.bincount(G.atom_index, Q.weights, G.n_atoms)
+    total = np.bincount(G.atom_index, Q.weights * Z.values, G.n_atoms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mass > 0.0, total / mass, NEG_INF)[G.atom_index]

@@ -208,14 +208,14 @@ def ball_robust_gap_check(
     P: DiscreteMeasure, radius: float, space: FiniteSpace, Z: RandomVariable
 ) -> BallGapCheck:
     """Worst case over a transport ball sits within ``L_Z * radius`` of the
-    reference expectation."""
+    reference expectation, to ``1e-9 max|Z|``."""
     L = lipschitz_constant(Z, space)
     value, _ = robust_expectation(WassersteinBall(P, radius, space), Z)
     gap = value - float(P.weights @ Z.values)
     if not np.isfinite(L):
         return BallGapCheck(gap, float("inf"), True, L, degenerate=True)
-    bound = L * radius
-    return BallGapCheck(gap, bound, gap <= bound + 1e-9, L, degenerate=False)
+    bound, slack = L * radius, 1e-9 * float(np.abs(Z.values).max())
+    return BallGapCheck(gap, bound, gap <= bound + slack, L, degenerate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +351,8 @@ def scenario_lipschitz_certificate(
 def _kernel_moduli(process: TreeProcess, t: int, weights: Sequence[float]):
     """History pairs ``i < j`` of stage ``t`` in row-major order, with the W1
     between their kernel rows, their weighted history distance and the ratio
-    of the two: 0 where the rows are within 1e-12, ``inf`` where rows apart
-    sit at history distance 0."""
+    of the two: 0 where the rows are within 1e-12 times the largest distance
+    of the stage space, ``inf`` where rows apart sit at history distance 0."""
     rows = process.kernels[t].reshape(-1, process.sizes[t])
     i, j = np.triu_indices(len(rows), 1)
     space = process.stage_spaces[t]
@@ -362,7 +362,8 @@ def _kernel_moduli(process: TreeProcess, t: int, weights: Sequence[float]):
     )
     dist = process.history_metric(t, weights)[i, j]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(w1 <= 1e-12, 0.0, np.where(dist > 0.0, w1 / dist, np.inf))
+        close = w1 <= 1e-12 * space.metric.max()
+        ratio = np.where(close, 0.0, np.where(dist > 0.0, w1 / dist, np.inf))
     return i, j, w1, dist, ratio
 
 
@@ -400,9 +401,10 @@ def multistage_bound_empirical_check(
     triangle inequality the node's own ball ``ball(P_h, eps_t)`` lies inside
     every other ball, so it is the whole set, and each node value is one
     closed-form ball worst case. Inputs that violate the declared modulus or
-    the declared weighted Lipschitz certificate are rejected with the stage
-    and the first offending pair in row-major order: below either, the
-    closed-form bound is not proved.
+    the declared weighted Lipschitz certificate (to ``1e-9 max|Z|``) are
+    rejected with the stage and the first offending pair in row-major order:
+    below either, the closed-form bound is not proved. The gap must stay
+    within the bound to ``1e-7 max|Z|``.
 
     The closed-form bound is stated for the static functional but proved
     through the stagewise recursion; this check compares it against the
@@ -412,10 +414,11 @@ def multistage_bound_empirical_check(
     if spec.horizon != T:
         raise ValidationError("bound spec and process horizons differ")
     arr = process.as_array(Z)
+    zmax = float(np.abs(arr).max())
     # certificate check: the first offending scenario pair in row-major order
     i, j, dz, dist = _pairs(arr.reshape(-1), process.history_metric(T, spec.weights))
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, and nan passes, as for floats
-        bad = np.flatnonzero(dz > spec.lipschitz * dist + 1e-9)
+        bad = np.flatnonzero(dz > spec.lipschitz * dist + 1e-9 * zmax)
     if bad.size:
         k = bad[0]
         scen = list(np.ndindex(*process.sizes))
@@ -447,4 +450,4 @@ def multistage_bound_empirical_check(
     reference = process.reference_expectation(arr)
     gap = abs(nested - reference)
     bound = multistage_bound(spec)
-    return EmpiricalBoundCheck(nested, reference, gap, bound, gap <= bound + 1e-7)
+    return EmpiricalBoundCheck(nested, reference, gap, bound, gap <= bound + 1e-7 * zmax)

@@ -503,6 +503,61 @@ def test_wasserstein_in_large_units_exits_0(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _three_stage_problem(rng, scale, n) -> dict:
+    """Problem ``p``: 2 actions at every stage, all allowed, ``n`` outcomes
+    at stages 1 and 2, two-member finite families, costs uniform in
+    ``[-scale, scale)``."""
+    doc = {"version": "1", "spaces": {"s1": {"n": n}, "s2": {"n": n}},
+           "measures": {}, "ambiguity_sets": {}}
+    for t in (1, 2):
+        names = [f"q{t}{k}" for k in range(2)]
+        for name in names:
+            doc["measures"][name] = {"space": f"s{t}", "weights": rng.simplex(n).tolist()}
+        doc["ambiguity_sets"][f"m{t}"] = {"kind": "finite_family", "measures": names}
+    costs = [(scale * rng.uniforms(2, -1.0, 1.0)).reshape(2, 1).tolist()]
+    costs += [(scale * rng.uniforms(2 * n, -1.0, 1.0)).reshape(2, n).tolist() for _ in (1, 2)]
+    every = [[[0, 1]] * n] * 2
+    doc["problems"] = {"p": {"n_actions": [2, 2, 2], "stage_sizes": [1, n, n],
+                             "stage_sets": [None, "m1", "m2"], "costs": costs,
+                             "feasible": [[0, 1], every, every]}}
+    return doc
+
+
+def test_dp_checks_hold_in_the_units_of_the_costs(tmp_path, capsys):
+    """DP and enumeration agree to about 1e-16 of the cost scale; with costs
+    scaled by 1e8 that exceeds 1e-9 absolute, and both ``solve --enumerate``
+    and ``verify FILE`` exit 0."""
+    rng = Rng(3)
+    path = tmp_path / "large_costs.json"
+    for _ in range(20):
+        path.write_text(json.dumps(_three_stage_problem(rng, 1e8, 2)))
+        assert main(["solve", str(path), "--problem", "p", "--enumerate"]) == 0
+        assert main(["verify", str(path), "--trials", "5"]) == 0
+    capsys.readouterr()
+
+
+def test_ball_sweep_holds_in_the_units_of_z(tmp_path, capsys):
+    """On a 5-point line the ball's gap meets ``L_Z * radius`` up to
+    rounding in the units of Z; with Z scaled by 1e8 the sweep exits 0."""
+    rng = Rng(5)
+    path = tmp_path / "ball.json"
+    for _ in range(20):
+        x = np.sort(rng.uniforms(5, 0.0, 2.0))
+        doc = {
+            "version": "1",
+            "spaces": {"line": {"n": 5, "metric": np.abs(x[:, None] - x).tolist()}},
+            "measures": {"p": {"space": "line", "weights": rng.simplex(5).tolist()}},
+            "random_variables": {
+                "z": {"space": "line", "values": (1e8 * rng.uniforms(5, -1.0, 1.0)).tolist()}
+            },
+            "bound_specs": {"sweep": {"kind": "ball_sweep", "measure": "p", "space": "line",
+                                      "rv": "z", "eps_grid": [0.0, 0.1, 0.5]}},
+        }
+        path.write_text(json.dumps(doc))
+        assert main(["bounds", str(path), "--spec", "sweep"]) == 0
+    capsys.readouterr()
+
+
 def _two_stage_file(path, stage_weights, values) -> str:
     """Problem file with a two-stage rectangular spec ``two`` whose stage
     sets list the given member weights, and the objective ``z``."""

@@ -1,6 +1,7 @@
 """Composite functional, rectangular recursion, and induced-set tests."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from drokit.composite import (
     rectangular_nested,
     static_rectangular,
 )
-from drokit.conditional import conditional_robust
+from drokit.conditional import conditional_robust, tower_upper_bound_check
 from drokit.rng import Rng
 from drokit.spaces import (
     DiscreteMeasure,
@@ -201,6 +202,61 @@ def test_composite_matches_the_reference_fold_on_random_filtrations():
         got = composite_functional(M, F, Z, P)
         assert abs(got - want) <= 1e-12 * np.abs(Z.values).max(), (i, got, want)
     assert 20 <= aborted <= 380
+
+
+def loop_expand(G, atom_values):
+    """Per-outcome values from per-atom ones, one atom at a time."""
+    out = np.empty(G.n)
+    for a, atom in enumerate(G.atoms):
+        out[list(atom)] = atom_values[a]
+    return out
+
+
+def conditional_robust_fold(M, F, Z, P):
+    """The fold through the reporting API: ``conditional_robust`` on every
+    stage after the first, its atom values lifted atom by atom, then one
+    worst case."""
+    vals = Z.values
+    for G in reversed(F.stages[1:]):
+        cond = conditional_robust(M, RandomVariable(vals), G, P)
+        if not cond.finite:
+            bad = cond.atom_values.index(float("-inf"))
+            raise UnreachableAtomError(f"atom {G.atoms[bad]} unreachable by every member")
+        vals = loop_expand(G, cond.atom_values)
+    return float(worst_case(M, vals)[0])
+
+
+def test_composite_and_tower_equal_the_conditional_robust_route_bit_for_bit():
+    """The array fold and tower check give the very floats, and the very
+    unreachable-atom message, of the route through ``conditional_robust``."""
+    rng = Rng(59)
+    aborted = towers = 0
+    for i in range(240):
+        n = 3 + rng.randint(4)
+        M = sparse_set(rng, n, SET_KINDS[i % 4])
+        F = random_filtration(rng, n)
+        Z = RandomVariable(rng.uniforms(n, -3.0, 3.0))
+        P = DiscreteMeasure(rng.simplex(n))
+        try:
+            want = conditional_robust_fold(M, F, Z, P)
+        except UnreachableAtomError as err:
+            aborted += 1
+            with pytest.raises(UnreachableAtomError, match=f"^{re.escape(str(err))}$"):
+                composite_functional(M, F, Z, P)
+        else:
+            assert composite_functional(M, F, Z, P) == want, i
+        G = F.stages[rng.randint(F.horizon)]
+        cond = conditional_robust(M, Z, G, P)
+        if not cond.finite:
+            with pytest.raises(ValidationError):
+                tower_upper_bound_check(M, Z, G, P)
+            continue
+        towers += 1
+        lhs, _ = robust_expectation(M, Z)
+        rhs, _ = robust_expectation(M, RandomVariable(loop_expand(G, cond.atom_values)))
+        chk = tower_upper_bound_check(M, Z, G, P)
+        assert (chk.lhs, chk.rhs) == (lhs, rhs), i
+    assert 40 <= aborted <= 200 and towers >= 150
 
 
 def test_composite_dominates_static_randomized():
@@ -408,6 +464,21 @@ def test_rectangular_equivalence_agrees_in_the_units_of_z():
         )
         Z = 1e10 * rng.uniforms(n1 * n2, -1.0, 1.0)
         assert rectangular_equivalence_check(spec, Z).agree
+
+
+def test_permutation_invariance_holds_in_the_units_of_z():
+    """Static values of permuted 3x3x2 specs agree to about 1e-16 relative;
+    with Z scaled by 1e8 that exceeds 1e-9 absolute, not 1e-9 max|Z|."""
+    rng = Rng(7)
+    perms = list(itertools.permutations(range(3)))
+    for _ in range(40):
+        sizes = (3, 3, 2)
+        spec = RectangularSpec(
+            tuple(FiniteSpace(n) for n in sizes),
+            tuple(random_family(rng, n, 3) for n in sizes),
+        )
+        Z = 1e8 * rng.uniforms(18, -1.0, 1.0)
+        assert permutation_invariance_check(spec, Z, perms).static_invariant
 
 
 def test_products_and_induced_set_match_the_member_loops_byte_for_byte():

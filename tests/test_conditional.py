@@ -1,5 +1,6 @@
 """Conditional worst-case functional tests."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -442,6 +443,82 @@ def test_conditional_strict_monotonicity_singleton_reference():
         warnings.simplefilter("error")
         rep = conditional_strict_monotonicity_check(FiniteFamily((P,)), G, P, 20, Rng(5))
     assert rep.checked and rep.violations == 0
+
+
+def loop_violations(M, G, P, trials, rng, epsilon):
+    """The battery's violation count, one trial and one atom at a time, on
+    the same draws and the same batched conditional values."""
+    positive = [i for i in range(M.n) if P.weights[i] > 0.0]
+    Z = np.empty((2, trials, M.n))
+    bumps = []
+    for k in range(trials):
+        Z[:, k] = rng.uniforms(M.n, -2.0, 2.0)
+        bump_set = [positive[i] for i in rng.subset(len(positive))]
+        gamma = rng.uniform(0.1, 1.0)
+        Z[1, k, bump_set] += gamma
+        bumps.append((bump_set, gamma))
+    values = _conditional_values(M, Z, G)
+    violations = 0
+    for (bump_set, gamma), old, new in zip(bumps, values[0].tolist(), values[1].tolist()):
+        for a, atom in enumerate(G.atoms):
+            delta = new[a] - old[a]
+            if delta < -1e-9:
+                violations += 1
+                continue
+            meets = P.weights[[i for i in atom if i in bump_set]].sum()
+            if meets > 0.0 and delta < gamma * epsilon - 1e-7:
+                violations += 1
+    return violations
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.3, 1.0])
+def test_strict_monotonicity_violations_match_the_per_atom_loop(monkeypatch, epsilon):
+    """The array count equals the loop count. The set's own epsilon gives
+    none; an inflated epsilon makes bumps that meet an atom fall short, so
+    the count also checks which atoms a bump meets."""
+    import drokit.conditional as conditional
+    from drokit.verify import SET_KINDS, rand_ambiguity_set, rand_partition
+
+    real = conditional.is_strictly_monotone
+
+    def inflated(M, P):
+        base = real(M, P)
+        return base if epsilon is None else dataclasses.replace(base, epsilon=epsilon)
+
+    monkeypatch.setattr(conditional, "is_strictly_monotone", inflated)
+    rng = Rng(61)
+    checked = total = 0
+    for i in range(40):
+        n = 3 + rng.randint(4)
+        M = rand_ambiguity_set(rng, n, SET_KINDS[i % 4])
+        G = rand_partition(rng, n)
+        P = DiscreteMeasure(rng.simplex(n) * (rng.uniforms(n) < 0.8))  # may miss outcomes
+        P = P.normalized() if P.total_mass > 0.0 else DiscreteMeasure.uniform(n)
+        seed = rng.randint(1 << 30)
+        rep = conditional_strict_monotonicity_check(M, G, P, 25, Rng(seed))
+        if not rep.checked:
+            continue
+        checked += 1
+        total += rep.violations
+        assert rep.violations == loop_violations(M, G, P, 25, Rng(seed), rep.epsilon), i
+    assert checked >= 12
+    assert (total == 0) == (epsilon is None)
+
+
+def test_tower_check_holds_in_the_units_of_z():
+    """On trivial and singleton partitions both sides of the tower
+    inequality are one worst case, equal up to rounding; with Z scaled by
+    1e8 the rounding exceeds 1e-9 absolute, not 1e-9 max|Z|."""
+    from drokit.verify import SET_KINDS, rand_ambiguity_set
+
+    rng = Rng(1)
+    for i in range(80):
+        n = 3 + rng.randint(4)
+        M = rand_ambiguity_set(rng, n, SET_KINDS[i % 4])
+        Z = RandomVariable(1e8 * rng.uniforms(n, -3.0, 3.0))
+        G = Partition.singletons(n) if i % 2 else Partition.trivial(n)
+        P = DiscreteMeasure(rng.simplex(n))
+        assert tower_upper_bound_check(M, Z, G, P).holds, i
 
 
 def test_conditional_strict_monotonicity_skipped_when_not_strict():

@@ -223,6 +223,24 @@ def test_min_comparison_randomized():
         assert cmp.holds
 
 
+def test_min_comparison_and_optimality_in_the_units_of_the_costs():
+    """With costs scaled by 1e8 the two optima and the solver's own policy
+    agree with the DP value to rounding in those units, not to 1e-9."""
+    rng = Rng(3)
+    every = ((tuple(range(2)),) * 2,) * 2
+    for _ in range(40):
+        sets = (None,) + tuple(
+            FiniteFamily([rng.simplex(2) for _ in range(2)]) for _ in (1, 2)
+        )
+        costs = (1e8 * rng.uniforms(2, -1.0, 1.0).reshape(2, 1),) + tuple(
+            1e8 * rng.uniforms(4, -1.0, 1.0).reshape(2, 2) for _ in (1, 2)
+        )
+        prob = MultistageProblem((2, 2, 2), (1, 2, 2), sets, costs, ((0, 1), every, every))
+        assert compare_min_static_vs_min_nested(prob).holds
+        report = verify_optimality_necessity(prob)
+        assert report.sufficiency_ok and not report.violations
+
+
 def test_policy_count_cap(monkeypatch):
     monkeypatch.setattr(dp, "_POLICY_CAP", 3)
     prob = witness_problem()

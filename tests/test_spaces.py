@@ -83,6 +83,96 @@ def test_partition_validation():
         Partition(3, ((0, 1), (1, 2)))  # overlap
 
 
+@pytest.mark.parametrize(
+    "n, atoms, message",
+    [
+        (3, ((0, 1), (3,), (2,)), "outcome 3 outside space of size 3"),
+        (3, ((1, 0, -1), (2,)), "outcome -1 outside space of size 3"),
+        (3, ((2, 1), (0, 1)), "outcome 1 appears in two atoms"),
+        (3, ((0, 1),), "atoms must cover every outcome"),
+        (3, ((0, 1), (), (2,)), "partition atoms must be nonempty"),
+        (3, ((0,), (0, 5), ()), "outcome 0 appears in two atoms"),
+        (-1, (), "atoms must cover every outcome"),
+    ],
+)
+def test_partition_error_messages(n, atoms, message):
+    """Each malformed partition is named by the first fault met, atom by
+    atom and outcome by outcome in sorted order, then by the cover."""
+    with pytest.raises(ValidationError) as err:
+        Partition(n, atoms)
+    assert str(err.value) == message
+
+
+def random_partition(rng, n):
+    """Outcomes dealt to random labels; atoms listed in shuffled order, each
+    with its outcomes unsorted."""
+    atoms: dict = {}
+    for w in range(n):
+        atoms.setdefault(rng.randint(1 + rng.randint(n)), []).append(w)
+    return Partition(n, tuple(tuple(reversed(a)) for a in rng.shuffled(list(atoms.values()))))
+
+
+def loop_atom_of(G):
+    return {i: a for a, atom in enumerate(G.atoms) for i in atom}
+
+
+def loop_refines(fine, coarse):
+    owner = loop_atom_of(coarse)
+    return all(len({owner[i] for i in atom}) == 1 for atom in fine.atoms)
+
+
+def test_atom_index_expand_and_refines_match_loop_references():
+    rng = Rng(19)
+    refined = 0
+    for _ in range(300):
+        n = 1 + rng.randint(8)
+        G, H = random_partition(rng, n), random_partition(rng, n)
+        lookup = loop_atom_of(G)
+        assert G.atom_index.tolist() == [lookup[w] for w in range(n)]
+        assert [G.atom_of(w) for w in range(n)] == [lookup[w] for w in range(n)]
+        assert not G.atom_index.flags.writeable
+        vals = rng.uniforms(G.n_atoms, -3.0, 3.0)
+        want = np.empty(n)
+        for a, atom in enumerate(G.atoms):
+            want[list(atom)] = vals[a]
+        assert G.expand(vals).tobytes() == want.tobytes()
+        assert G.expand(tuple(vals.tolist())).tobytes() == want.tobytes()
+        meet: dict = {}
+        for w in range(n):
+            meet.setdefault((G.atom_of(w), H.atom_of(w)), []).append(w)
+        M = Partition(n, tuple(map(tuple, meet.values())))
+        for fine, coarse in ((M, G), (M, H), (Partition.singletons(n), G), (G, Partition.trivial(n))):
+            assert refines(fine, coarse) and loop_refines(fine, coarse)
+        for fine, coarse in ((G, H), (H, G), (G, M), (Partition.trivial(n), G)):
+            assert refines(fine, coarse) == loop_refines(fine, coarse)
+            refined += refines(fine, coarse)
+    assert 50 <= refined <= 1000  # both answers occur among the open pairs
+
+
+def test_conditional_expectation_matches_the_atom_loop():
+    """Atom masses and sums accumulate in another order than the per-atom
+    dot products, so they agree to a few units in the last place."""
+    rng = Rng(23)
+    nulls = 0
+    for _ in range(200):
+        n = 1 + rng.randint(8)
+        G = random_partition(rng, n)
+        Q = DiscreteMeasure(rng.simplex(n) * (rng.uniforms(n) < 0.7) + (np.arange(n) == 0))
+        Q = Q.normalized()
+        Z = RandomVariable(rng.uniforms(n, -5.0, 5.0))
+        want = np.empty(n)
+        for atom in G.atoms:
+            idx = list(atom)
+            mass = float(Q.weights[idx].sum())
+            want[idx] = float(Q.weights[idx] @ Z.values[idx]) / mass if mass > 0.0 else -np.inf
+        got = conditional_expectation(Z, Q, G)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        nulls += bool(np.isneginf(want).any())
+        live = np.isfinite(want)
+        assert np.abs(got[live] - want[live]).max(initial=0.0) <= 1e-14 * 5.0
+    assert nulls >= 20
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=10**6))
 def test_tower_property(n, seed):

@@ -597,6 +597,47 @@ def test_empirical_bound_rejects_bad_certificate():
         multistage_bound_empirical_check(process, bad, Z)
 
 
+def stage_process(rng, sizes, unit=1.0):
+    """Process on line metrics in units of ``unit``, with random kernels."""
+    spaces = tuple(random_metric_space(rng, s) for s in sizes)
+    spaces = tuple(FiniteSpace(sp.n, metric=unit * sp.metric) for sp in spaces)
+    kernels = tuple(
+        np.array([rng.simplex(sizes[t]) for _ in np.ndindex(*sizes[:t])]).reshape(
+            sizes[:t] + (sizes[t],)
+        )
+        for t in range(len(sizes))
+    )
+    return TreeProcess(spaces, kernels)
+
+
+def test_empirical_bound_accepts_its_own_certificate_in_large_units():
+    """``lipschitz`` is the certificate's own value, attained by some pair up
+    to rounding; with Z scaled by 1e8 that rounding exceeds 1e-9 absolute."""
+    rng = Rng(9)
+    for _ in range(40):
+        process = stage_process(rng, (3, 3, 2))
+        w = tuple(rng.uniform(0.5, 1.5) for _ in range(3))
+        Z = 1e8 * rng.uniforms(18, -1.0, 1.0).reshape(3, 3, 2)
+        L = scenario_lipschitz_certificate(process, Z, w)
+        kappa = kernel_history_moduli(process, w)
+        eps = tuple(rng.uniform(0.0, 0.3) for _ in range(3))
+        assert multistage_bound_empirical_check(process, MultistageBoundSpec(eps, kappa, w, L), Z).holds
+
+
+def test_kernel_moduli_do_not_depend_on_the_unit_of_the_metric():
+    """W1 and the history distance scale together, so the moduli are the
+    same with every stage metric in units of 1e-13, where each W1 is below
+    1e-12."""
+    rng = Rng(9)
+    w = (1.0, 1.0, 1.0)
+    for _ in range(20):
+        seed = rng.randint(1 << 30)
+        base = kernel_history_moduli(stage_process(Rng(seed), (3, 3, 2)), w)
+        tiny = kernel_history_moduli(stage_process(Rng(seed), (3, 3, 2), unit=1e-13), w)
+        assert max(base) > 0.0
+        assert tiny == pytest.approx(base, rel=1e-9, abs=0.0)
+
+
 def test_history_metric_and_the_scenario_pairs():
     """The history metric sums the weighted stage distances from stage 0, so
     it equals the pairwise sum exactly; the certificate is the largest ratio
