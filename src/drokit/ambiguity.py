@@ -475,16 +475,23 @@ def sample_measures(M: AmbiguitySet, count: int, rng: Rng) -> list[DiscreteMeasu
 def dominates_all(
     result: ReferenceMeasureResult, M: AmbiguitySet, trials: int, rng: Rng | None = None
 ) -> bool:
-    """Randomized check of ``Q(A) <= mu(A)`` over sampled members and subsets."""
+    """Randomized check of ``Q(A) <= mu(A)`` over sampled members and subsets.
+
+    Every trial's member and subset are drawn first, in the order of one
+    ``randint`` then one ``subset`` per trial; the comparisons are then one
+    array step over the trials' indicator rows.
+    """
     rng = rng or Rng()
     n = M.n
-    pool = sample_measures(M, max(8, min(trials, 4 * n)), rng)
-    for _ in range(trials):
-        q = pool[rng.randint(len(pool))]
-        A = rng.subset(n)
-        if q.of(A) > result.mu.of(A) + 1e-9:
-            return False
-    return True
+    pool = np.array([q.weights for q in sample_measures(M, max(8, min(trials, 4 * n)), rng)])
+    picks = np.empty(trials, dtype=int)
+    sets = np.zeros((trials, n))
+    for k in range(trials):
+        picks[k] = rng.randint(len(pool))
+        sets[k, rng.subset(n)] = 1.0
+    q_mass = (pool[picks] * sets).sum(axis=1)
+    mu_mass = (result.mu.weights * sets).sum(axis=1)
+    return bool(np.all(q_mass <= mu_mass + 1e-9))
 
 
 @dataclass(frozen=True)

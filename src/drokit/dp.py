@@ -59,9 +59,10 @@ class MultistageProblem:
         ``feasible[0]`` lists the allowed first-stage actions;
         ``feasible[t][x_prev][outcome]`` lists allowed actions afterwards.
         Every such list must be nonempty (relatively complete recourse,
-        validated here rather than assumed). The same lists are kept as one
-        read-only mask per stage, ``allow[t][x_prev, outcome, action]``
-        (``x_prev = outcome = 0`` at stage 0).
+        validated here rather than assumed) and free of repeats. The same
+        lists are kept as one read-only mask per stage,
+        ``allow[t][x_prev, outcome, action]`` (``x_prev = outcome = 0`` at
+        stage 0).
     """
 
     n_actions: tuple[int, ...]
@@ -91,9 +92,18 @@ class MultistageProblem:
                 M = self.stage_sets[t]
                 if M is None or M.n != self.stage_sizes[t]:
                     raise ValidationError(f"stage {t} ambiguity set mismatched")
-        first = tuple(int(a) for a in self.feasible[0])
-        if not first or any(a < 0 or a >= self.n_actions[0] for a in first):
-            raise ValidationError("invalid first-stage action list")
+
+        def action_list(t, raw, where):
+            allowed = tuple(int(a) for a in raw)
+            if not allowed:
+                raise ValidationError(f"empty action set at stage {t}{where}")
+            if any(a < 0 or a >= self.n_actions[t] for a in allowed):
+                raise ValidationError(f"action out of range at stage {t}{where}")
+            if len(set(allowed)) < len(allowed):
+                raise ValidationError(f"repeated action at stage {t}{where}")
+            return allowed
+
+        first = action_list(0, self.feasible[0], " (the first-stage list)")
         feas = [first]
         allow = [np.zeros((1, 1, self.n_actions[0]), dtype=bool)]
         allow[0][0, 0, list(first)] = True
@@ -107,13 +117,8 @@ class MultistageProblem:
                 if len(self.feasible[t][xp]) != self.stage_sizes[t]:
                     raise ValidationError(f"feasibility table {t} must cover every outcome")
                 for xi in range(self.stage_sizes[t]):
-                    allowed = tuple(int(a) for a in self.feasible[t][xp][xi])
-                    if not allowed:
-                        raise ValidationError(
-                            f"empty action set at stage {t}, prior action {xp}, outcome {xi}"
-                        )
-                    if any(a < 0 or a >= self.n_actions[t] for a in allowed):
-                        raise ValidationError(f"action out of range at stage {t}")
+                    where = f", prior action {xp}, outcome {xi}"
+                    allowed = action_list(t, self.feasible[t][xp][xi], where)
                     per_out.append(allowed)
                     mask[xp, xi, list(allowed)] = True
                 per_prev.append(tuple(per_out))

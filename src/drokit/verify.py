@@ -12,7 +12,6 @@ and is sized to finish in well under a minute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,6 +55,7 @@ from .dp import (
     verify_optimality_necessity,
 )
 from .lp import GE, LinearProgram, solve
+from .report import Check
 from .rng import Rng
 from .spaces import (
     DiscreteMeasure,
@@ -79,16 +79,8 @@ from .transport import (
 VACUOUS_NOTE = "vacuous pass: 0 trials requested (warning: nothing was checked)"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    detail: str
-
-
-def _vacuous(name: str) -> CheckResult:
-    return CheckResult(name, True, 0.0, VACUOUS_NOTE)
+def _vacuous(name: str) -> Check:
+    return Check(name, True, 0.0, VACUOUS_NOTE)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +189,7 @@ def witness_dp() -> MultistageProblem:
 # ---------------------------------------------------------------------------
 
 
-def check_avar_duality(trials: int = 500, rng: Optional[Rng] = None) -> CheckResult:
+def check_avar_duality(trials: int = 500, rng: Optional[Rng] = None) -> Check:
     """1: primal threshold scan equals the dual density LP."""
     name = "avar_duality"
     if trials == 0:
@@ -209,10 +201,10 @@ def check_avar_duality(trials: int = 500, rng: Optional[Rng] = None) -> CheckRes
         spec = AvarSpec(rng.uniform(0.0, 0.95), DiscreteMeasure(rng.simplex(n)))
         Z = RandomVariable(rng.uniforms(n, -5.0, 5.0))
         worst = max(worst, abs(avar_primal(spec, Z).value - avar_dual(spec, Z)))
-    return CheckResult(name, worst <= 1e-7, worst, f"{trials} instances, n <= 20")
+    return Check(name, worst <= 1e-7, worst, f"{trials} instances, n <= 20")
 
 
-def check_axiom_battery(trials: int = 500, rng: Optional[Rng] = None) -> CheckResult:
+def check_axiom_battery(trials: int = 500, rng: Optional[Rng] = None) -> Check:
     """2: coherence axioms plus the sup-norm Lipschitz bound, all four set
     families."""
     name = "axiom_battery"
@@ -226,10 +218,10 @@ def check_axiom_battery(trials: int = 500, rng: Optional[Rng] = None) -> CheckRe
         report = check_axioms(M, trials, rng)
         worst = max(worst, report.max_violation)
         details.append(f"{kind}={report.max_violation:.2e}")
-    return CheckResult(name, worst <= 1e-7, worst, ", ".join(details))
+    return Check(name, worst <= 1e-7, worst, ", ".join(details))
 
 
-def check_property_p_atom_max(trials: int = 40, rng: Optional[Rng] = None) -> CheckResult:
+def check_property_p_atom_max(trials: int = 40, rng: Optional[Rng] = None) -> Check:
     """3: under property (P) the conditional equals the per-atom maximum over
     reference-positive outcomes and ignores the positive reference."""
     name = "property_p_atom_max"
@@ -253,7 +245,7 @@ def check_property_p_atom_max(trials: int = 40, rng: Optional[Rng] = None) -> Ch
             diameter = float(space.metric.max())
             M = WassersteinBall(P, diameter + 1.0, space)
         if not has_property_p(M, G):
-            return CheckResult(name, False, 1.0, f"property (P) unexpectedly false ({which})")
+            return Check(name, False, 1.0, f"property (P) unexpectedly false ({which})")
         Z = RandomVariable(rng.uniforms(n, -3.0, 3.0))
         expected = tuple(
             max(Z.values[w] for w in atom if P.weights[w] > 0.0) for atom in G.atoms
@@ -263,10 +255,10 @@ def check_property_p_atom_max(trials: int = 40, rng: Optional[Rng] = None) -> Ch
         P2 = rand_positive_measure(rng, n)
         again = conditional_robust(M, Z, G, P2).atom_values
         worst = max(worst, max(abs(a - b) for a, b in zip(again, expected)))
-    return CheckResult(name, worst <= 1e-9, worst, f"{trials} instances incl. AVaR small-atom case")
+    return Check(name, worst <= 1e-9, worst, f"{trials} instances incl. AVaR small-atom case")
 
 
-def check_tower_inequality(trials: int = 500, rng: Optional[Rng] = None) -> CheckResult:
+def check_tower_inequality(trials: int = 500, rng: Optional[Rng] = None) -> Check:
     """4: R(Z) <= R(R_{|G}(Z))."""
     name = "tower_inequality"
     if trials == 0:
@@ -281,10 +273,10 @@ def check_tower_inequality(trials: int = 500, rng: Optional[Rng] = None) -> Chec
         P = rand_positive_measure(rng, n)
         chk = tower_upper_bound_check(M, Z, G, P)
         worst = max(worst, chk.lhs - chk.rhs)
-    return CheckResult(name, worst <= 1e-9, max(worst, 0.0), f"{trials} instances, all set kinds")
+    return Check(name, worst <= 1e-9, max(worst, 0.0), f"{trials} instances, all set kinds")
 
 
-def check_composite_dominance(trials: int = 500, rng: Optional[Rng] = None) -> CheckResult:
+def check_composite_dominance(trials: int = 500, rng: Optional[Rng] = None) -> Check:
     """5: R(Z) <= composite(Z) on random instances; the stored witness has a
     gap of at least 1e-3."""
     name = "composite_dominance"
@@ -307,12 +299,12 @@ def check_composite_dominance(trials: int = 500, rng: Optional[Rng] = None) -> C
     )
     gap = wit.composite_value - wit.static_value
     ok = worst <= 1e-9 and gap >= 1e-3
-    return CheckResult(
+    return Check(
         name, ok, max(worst, 0.0), f"{trials} instances; witness gap {gap:.3f}"
     )
 
 
-def check_rectangular_equivalence(trials: int = 100, rng: Optional[Rng] = None) -> CheckResult:
+def check_rectangular_equivalence(trials: int = 100, rng: Optional[Rng] = None) -> Check:
     """6: nested recursion equals conditional composition under
     rectangularity."""
     name = "rectangular_equivalence"
@@ -330,10 +322,10 @@ def check_rectangular_equivalence(trials: int = 100, rng: Optional[Rng] = None) 
         Z = rng.uniforms(int(np.prod(sizes)), -2.0, 2.0)
         chk = rectangular_equivalence_check(spec, Z)
         worst = max(worst, abs(chk.nested_value - chk.composite_value))
-    return CheckResult(name, worst <= 1e-7, worst, f"{trials} instances, T <= 3, sizes <= 3")
+    return Check(name, worst <= 1e-7, worst, f"{trials} instances, T <= 3, sizes <= 3")
 
 
-def check_induced_set(trials: int = 50, rng: Optional[Rng] = None) -> CheckResult:
+def check_induced_set(trials: int = 50, rng: Optional[Rng] = None) -> Check:
     """7: the selector-product family reproduces the composite value, plain
     products reproduce the static value, and the pre-dedup count is exact."""
     name = "induced_set"
@@ -351,7 +343,7 @@ def check_induced_set(trials: int = 50, rng: Optional[Rng] = None) -> CheckResul
         Z = rng.uniforms(n1 * n2, -2.0, 2.0)
         ind = induced_set(spec)
         if ind.pre_dedup_count != m1 * m2**n1:
-            return CheckResult(name, False, 1.0, "pre-dedup count mismatch")
+            return Check(name, False, 1.0, "pre-dedup count mismatch")
         best = float(worst_case(ind, Z)[0])
         nested = rectangular_nested(spec, Z).value
         worst = max(worst, abs(best - nested))
@@ -359,11 +351,11 @@ def check_induced_set(trials: int = 50, rng: Optional[Rng] = None) -> CheckResul
         static = static_rectangular(spec, Z).value
         worst = max(worst, abs(family1 - static))
         if family1 > best + 1e-9:
-            return CheckResult(name, False, family1 - best, "family-1 exceeded family-2")
-    return CheckResult(name, worst <= 1e-9, worst, f"{trials} two-stage instances")
+            return Check(name, False, family1 - best, "family-1 exceeded family-2")
+    return Check(name, worst <= 1e-9, worst, f"{trials} two-stage instances")
 
 
-def check_permutation_invariance(trials: int = 100, rng: Optional[Rng] = None) -> CheckResult:
+def check_permutation_invariance(trials: int = 100, rng: Optional[Rng] = None) -> Check:
     """8: the static value ignores stage order; the stored witness moves the
     composite value by at least 1e-3 under a swap."""
     name = "permutation_invariance"
@@ -386,7 +378,7 @@ def check_permutation_invariance(trials: int = 100, rng: Optional[Rng] = None) -
     spec, Zw = witness_rectangular()
     wit = permutation_invariance_check(spec, Zw, [(0, 1), (1, 0)])
     ok = worst <= 1e-9 and wit.static_invariant and wit.max_nested_change >= 1e-3
-    return CheckResult(
+    return Check(
         name,
         ok,
         worst,
@@ -394,7 +386,7 @@ def check_permutation_invariance(trials: int = 100, rng: Optional[Rng] = None) -
     )
 
 
-def check_reference_measure(trials: int = 1000, rng: Optional[Rng] = None) -> CheckResult:
+def check_reference_measure(trials: int = 1000, rng: Optional[Rng] = None) -> Check:
     """9: dominance of the smallest dominating measure over sampled members
     and subsets, and per-outcome attainment (minimality)."""
     name = "reference_measure"
@@ -409,17 +401,17 @@ def check_reference_measure(trials: int = 1000, rng: Optional[Rng] = None) -> Ch
             M = rand_ambiguity_set(rng, n, kind)
             res = reference_measure(M)
             if not dominates_all(res, M, trials, rng):
-                return CheckResult(name, False, 1.0, f"dominance failed for {kind}")
+                return Check(name, False, 1.0, f"dominance failed for {kind}")
             for w in range(n):
                 attained = reference_argmax(M, w)
                 worst = max(worst, abs(attained.weights[w] - res.mu.weights[w]))
             count += 1
-    return CheckResult(
+    return Check(
         name, worst <= 1e-9, worst, f"{count} instances x {trials} (Q, A) pairs"
     )
 
 
-def check_strict_monotonicity(trials: int = 200, rng: Optional[Rng] = None) -> CheckResult:
+def check_strict_monotonicity(trials: int = 200, rng: Optional[Rng] = None) -> Check:
     """10: strictly monotone sets propagate strictness to the conditional
     functional; the epsilon certificate is positive and attained."""
     name = "strict_monotonicity"
@@ -440,17 +432,17 @@ def check_strict_monotonicity(trials: int = 200, rng: Optional[Rng] = None) -> C
             M = AVaRSet(alpha, P)
         cert = is_strictly_monotone(M, P)
         if not cert.strict or cert.epsilon <= 0.0:
-            return CheckResult(name, False, 1.0, "expected a strict certificate")
+            return Check(name, False, 1.0, "expected a strict certificate")
         if abs(cert.witness.weights[cert.outcome] - cert.epsilon) > 1e-9:
-            return CheckResult(name, False, 1.0, "epsilon not attained by the witness")
+            return Check(name, False, 1.0, "epsilon not attained by the witness")
         if not contains(M, cert.witness):
-            return CheckResult(name, False, 1.0, "witness is not a member")
+            return Check(name, False, 1.0, "witness is not a member")
         eps_floor = min(eps_floor, cert.epsilon)
         G = rand_partition(rng, n)
         rep = conditional_strict_monotonicity_check(M, G, P, trials // 6 + 1, rng)
         checked += rep.trials
         violations += rep.violations
-    return CheckResult(
+    return Check(
         name,
         violations == 0,
         float(violations),
@@ -458,7 +450,7 @@ def check_strict_monotonicity(trials: int = 200, rng: Optional[Rng] = None) -> C
     )
 
 
-def check_transport(trials: int = 200, rng: Optional[Rng] = None) -> CheckResult:
+def check_transport(trials: int = 200, rng: Optional[Rng] = None) -> Check:
     """11: metric axioms, the expectation-gap bound, the ball-gap bound over
     radius sweeps, and the multistage bound on random trees."""
     name = "transport_bounds"
@@ -531,12 +523,12 @@ def check_transport(trials: int = 200, rng: Optional[Rng] = None) -> CheckResult
             )
     worst = max(worst, sweep_violation, tree_violation, corollary_gap)
     ok = worst <= 1e-7 and corollary_gap <= 1e-12
-    return CheckResult(
+    return Check(
         name, ok, max(worst, 0.0), f"{trials} triples, 8 radius sweeps, 20 trees"
     )
 
 
-def check_dp(trials: int = 50, rng: Optional[Rng] = None) -> CheckResult:
+def check_dp(trials: int = 50, rng: Optional[Rng] = None) -> Check:
     """12: backward induction equals policy enumeration, the static optimum
     never exceeds the nested optimum, the argmin rule is necessary under
     strict monotonicity, and the moment dual matches its primal with small
@@ -600,10 +592,10 @@ def check_dp(trials: int = 50, rng: Optional[Rng] = None) -> CheckResult:
             rep = verify_optimality_necessity(prob)
             necessity_runs += 1
             if not rep.checked or rep.violations or not rep.sufficiency_ok:
-                return CheckResult(name, False, 1.0, "necessity check failed")
+                return Check(name, False, 1.0, "necessity check failed")
     wit = compare_min_static_vs_min_nested(witness_dp())
     if not (wit.min_nested - wit.min_static >= 1e-3 and wit.argmins_differ):
-        return CheckResult(name, False, 1.0, "stored DP witness lost its gap")
+        return Check(name, False, 1.0, "stored DP witness lost its gap")
 
     moment_worst = 0.0
     for _ in range(20):
@@ -623,9 +615,9 @@ def check_dp(trials: int = 50, rng: Optional[Rng] = None) -> CheckResult:
         )
         moment_worst = max(moment_worst, abs(dual.value - primal))
         if int(np.sum(argmax.weights > 1e-9)) > M.n_moments + 1:
-            return CheckResult(name, False, 1.0, "moment maximizer support too large")
+            return Check(name, False, 1.0, "moment maximizer support too large")
     ok = worst <= 1e-9 and moment_worst <= 1e-7
-    return CheckResult(
+    return Check(
         name,
         ok,
         max(worst, moment_worst),
@@ -637,7 +629,7 @@ def check_dp(trials: int = 50, rng: Optional[Rng] = None) -> CheckResult:
 # battery driver
 # ---------------------------------------------------------------------------
 
-CRITERIA: tuple[tuple[Callable[..., CheckResult], int], ...] = (
+CRITERIA: tuple[tuple[Callable[..., Check], int], ...] = (
     (check_avar_duality, 500),
     (check_axiom_battery, 500),
     (check_property_p_atom_max, 40),
@@ -653,7 +645,7 @@ CRITERIA: tuple[tuple[Callable[..., CheckResult], int], ...] = (
 )
 
 
-def run_builtin(seed: int = 42, trials: Optional[int] = None) -> list[CheckResult]:
+def run_builtin(seed: int = 42, trials: Optional[int] = None) -> list[Check]:
     """Run every criterion; ``trials`` overrides each stated count (0 gives a
     vacuous pass with a warning in every detail line)."""
     results = []

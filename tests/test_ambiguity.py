@@ -8,6 +8,7 @@ from drokit.ambiguity import (
     AVaRSet,
     FiniteFamily,
     MomentSet,
+    ReferenceMeasureResult,
     WassersteinBall,
     contains,
     default_reference,
@@ -22,6 +23,7 @@ from drokit.ambiguity import (
 from drokit.lp import GE, LinearProgram, solve
 from drokit.rng import Rng
 from drokit.spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
+from drokit.verify import rand_ambiguity_set
 
 
 def two_point_metric_space():
@@ -150,6 +152,38 @@ def test_reference_measure_dominates_and_is_attained():
             attained = reference_argmax(M, w)
             assert attained.weights[w] == pytest.approx(res.mu.weights[w], abs=1e-9)
             assert contains(M, attained)
+
+
+def dominates_by_loop(result, M, trials, rng):
+    """Per-trial reference for ``dominates_all``: one member and one subset
+    per trial, compared one at a time."""
+    pool = sample_measures(M, max(8, min(trials, 4 * M.n)), rng)
+    for _ in range(trials):
+        q = pool[rng.randint(len(pool))]
+        A = rng.subset(M.n)
+        if q.of(A) > result.mu.of(A) + 1e-9:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["finite_family", "avar", "moment", "wasserstein"])
+def test_dominates_all_matches_the_per_trial_loop(kind):
+    gen = Rng(71)
+    outcomes = []
+    for i in range(12):
+        M = rand_ambiguity_set(gen, 3 + gen.randint(4), kind)
+        res = reference_measure(M)
+        if i % 2:  # shrink mu so that dominance can fail
+            mu = DiscreteMeasure(res.mu.weights * gen.uniform(0.5, 1.0))
+            res = ReferenceMeasureResult(mu=mu, normalized=res.normalized)
+        seed, trials = 100 + i, [0, 1, 50, 400][i % 4]
+        a, b = Rng(seed), Rng(seed)
+        got = dominates_all(res, M, trials, a)
+        assert got == dominates_by_loop(res, M, trials, b)
+        if got:  # a passing call draws exactly what the loop draws
+            assert a.next_u64() == b.next_u64()
+        outcomes.append(got)
+    assert True in outcomes and False in outcomes
 
 
 def test_strict_monotonicity_positive_case():

@@ -67,6 +67,16 @@ def test_report_matches_the_pinned_bytes(argv):
 
 if __name__ == "__main__":
     entries = [dict(zip(("argv", "code", "stdout"), (argv, *run(argv)))) for argv in CALLS]
+    old = load_fixture() if os.path.exists(FIXTURE) else {}
+    for entry in entries:  # name every changed stdout line, so a regeneration shows its scope
+        key = " ".join(entry["argv"])
+        was = old.get(key, {"code": None, "stdout": ""})
+        if was["code"] != entry["code"]:
+            print(f"{key}: exit code {was['code']} -> {entry['code']}")
+        before, after = was["stdout"].splitlines(), entry["stdout"].splitlines()
+        for line in range(max(len(before), len(after))):
+            if before[line:line + 1] != after[line:line + 1]:
+                print(f"{key}: line {line + 1}")
     with open(FIXTURE, "w") as fh:
         json.dump(entries, fh, indent=1)
         fh.write("\n")

@@ -141,6 +141,35 @@ def test_relatively_complete_recourse_validated():
         )
 
 
+def two_action_problem(first):
+    """Two stages, 2 actions, 2 outcomes; both first actions are optimal with
+    one best continuation each."""
+    return MultistageProblem(
+        n_actions=(2, 2),
+        stage_sizes=(1, 2),
+        stage_sets=(None, FiniteFamily([[0.5, 0.5]])),
+        costs=(np.zeros((2, 1)), np.array([[0.0, 0.0], [1.0, 1.0]])),
+        feasible=(first, (((0, 1), (0, 1)), ((0, 1), (0, 1)))),
+    )
+
+
+def test_repeated_action_rejected():
+    prob = two_action_problem((0, 1))
+    assert count_policies(prob) == len(list(enumerate_policies(prob))) == 8
+    assert verify_optimality_necessity(prob).optimal_policies == 2
+    # a repeat would count, enumerate and report policy 0 twice
+    with pytest.raises(ValidationError, match=r"repeated action at stage 0"):
+        two_action_problem((0, 0, 1))
+    with pytest.raises(ValidationError, match=r"repeated action at stage 1, prior action 1, outcome 0"):
+        MultistageProblem(
+            n_actions=(2, 2),
+            stage_sizes=(1, 2),
+            stage_sets=(None, FiniteFamily([[0.5, 0.5]])),
+            costs=(np.zeros((2, 1)), np.zeros((2, 2))),
+            feasible=((0, 1), (((0, 1), (0, 1)), ((1, 1), (0, 1)))),
+        )
+
+
 def test_non_finite_cost_rejected():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="must be finite"):
