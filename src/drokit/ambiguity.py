@@ -18,8 +18,9 @@ density (Rockafellar & Uryasev 2000), transport balls fill the radius budget
 along the upper concave hulls of ``(d_ij, Z_j)`` in order of slope (the LP
 relaxation of a multiple-choice knapsack, Sinha & Zemel 1979), one-moment
 sets take the best two-point measure on the target, the upper concave
-envelope of ``(psi_j, Z_j)`` (Kemperman 1968), and sets with two or more
-moments solve the membership LP. The reference
+envelope of ``(psi_j, Z_j)`` (Kemperman 1968), over a pair table each set
+builds once, and sets with two or more moments solve the membership LP on
+``Z`` over its largest magnitude. The reference
 measure, strict monotonicity, sampled members, reachability and the
 conditional functional are all the oracle on chosen objectives (unit vectors,
 their negatives, random directions, atom indicators). A linear objective on a
@@ -31,6 +32,7 @@ the independent route the tests compare the oracle against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -133,6 +135,24 @@ class MomentSet:
     @property
     def n_moments(self) -> int:
         return len(self.psi)
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The one-moment oracle's read-only pair table ``(ia, ib, wa, wb)``,
+        built on first use: every pair ``psi_a <= t <= psi_b`` in row-major
+        order of ``(a, b)``, and the weights of the two-point measure on it
+        with mean ``t``, ``(1, 0)`` when ``psi_a = psi_b = t``."""
+        psi, t = self.psi[0].values, self.targets[0]
+        below, above = np.flatnonzero(psi <= t), np.flatnonzero(psi >= t)
+        span = psi[above] - psi[below, None]
+        single = span == 0.0
+        span[single] = 1.0
+        wa = np.where(single, 1.0, (psi[above] - t) / span).ravel()
+        wb = np.where(single, 0.0, (t - psi[below, None]) / span).ravel()
+        table = np.repeat(below, above.size), np.tile(above, below.size), wa, wb
+        for a in table:
+            a.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -254,7 +274,8 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     * MomentSet with one moment: in closed form, no LP. The best of the
       two-point measures on the target, the first largest pair in row-major
       order winning ties (``_moment_worst_case``);
-    * MomentSet with two or more moments: the membership LP, row by row.
+    * MomentSet with two or more moments: the membership LP, row by row, on
+      each row divided by its largest magnitude, the value scaled back.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim < 1 or Z.shape[-1] != M.n:
@@ -264,14 +285,20 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(M, FiniteFamily):
         vals = Z @ M.weights.T
         return vals.max(axis=-1), M.weights[vals.argmax(axis=-1)]
-    if isinstance(M, AVaRSet):
-        order = np.argsort(-Z, axis=-1, kind="stable")
-        caps = M.cap * M.reference.weights[order]
-        take = np.diff(np.minimum(np.cumsum(caps, axis=-1), 1.0), axis=-1, prepend=0.0)
-        argmax = np.empty_like(take)
-        np.put_along_axis(argmax, order, take, axis=-1)
-        return (take * np.take_along_axis(Z, order, axis=-1)).sum(axis=-1), argmax
     flat = Z.reshape(-1, M.n)
+    if isinstance(M, AVaRSet):
+        rows = np.arange(flat.shape[0])[:, None]
+        order = (-flat).argsort(axis=-1, kind="stable")
+        filled = np.minimum(np.add.accumulate(M.cap * M.reference.weights[order], axis=-1), 1.0)
+        take = filled.copy()
+        take[:, 1:] -= filled[:, :-1]
+        argmax = np.empty_like(take)
+        argmax[rows, order] = take
+        values = (take * flat[rows, order]).sum(axis=-1)
+        return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
+    if isinstance(M, MomentSet) and M.n_moments == 1:
+        values, argmax = _moment_worst_case(M, flat)
+        return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
     values = np.empty(flat.shape[0])
     argmax = np.empty_like(flat)
     if isinstance(M, WassersteinBall):
@@ -280,11 +307,13 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
             values[lo : lo + step], argmax[lo : lo + step] = _ball_worst_case(
                 M, flat[lo : lo + step]
             )
-    elif M.n_moments == 1:
-        values, argmax = _moment_worst_case(M, flat)
     else:
+        # the LP has absolute tolerances, so it runs on each row over its
+        # largest magnitude; the worst case is positively homogeneous
         for i, z in enumerate(flat):
-            values[i], argmax[i] = _membership_lp(M, z, maximize=True)
+            scale = float(np.abs(z).max()) or 1.0
+            value, argmax[i] = _membership_lp(M, z / scale, maximize=True)
+            values[i] = scale * value
     return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
 
 
@@ -302,44 +331,32 @@ def _moment_worst_case(M: MomentSet, Z: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     ``sup E_Q[Z]`` subject to ``E_Q[psi] = t`` is the upper concave envelope
     of the points ``(psi_j, Z_j)`` at ``t``, attained by a measure on at most
-    two points (Kemperman 1968): the largest interpolated value over pairs
-    ``psi_a <= t <= psi_b``, with weights ``(psi_b - t, t - psi_a)`` over
-    ``psi_b - psi_a``, or the single atom ``a`` when ``psi_a = psi_b = t``.
-    Pairs are scanned in row-major order of ``(a, b)`` and the first largest
-    wins. Work runs in blocks of ``a`` and chunks of rows of at most
-    ``_CHUNK`` entries.
+    two points (Kemperman 1968): the largest interpolated value over the
+    set's pair table ``M._pairs``, the pairs ``psi_a <= t <= psi_b`` in
+    row-major order of ``(a, b)`` with weights ``(psi_b - t, t - psi_a)``
+    over ``psi_b - psi_a``, or ``(1, 0)`` for the single atom ``a`` when
+    ``psi_a = psi_b = t``. The first largest pair wins. Work runs over slices
+    of the table and chunks of rows of at most ``_CHUNK`` entries.
     """
-    psi, t = M.psi[0].values, M.targets[0]
-    below, above = np.flatnonzero(psi <= t), np.flatnonzero(psi >= t)
+    table = ia, ib, wa, wb = M._pairs
     r = Z.shape[0]
     values = np.full(r, -np.inf)
-    pair = np.zeros((2, r), dtype=int)
-    weight = np.zeros((2, r))
-    block = max(1, _CHUNK // above.size)
-    for a0 in range(0, below.size, block):
-        a = below[a0 : a0 + block]
-        span = psi[above] - psi[a, None]
-        single = span == 0.0
-        span[single] = 1.0
-        wa = np.where(single, 1.0, (psi[above] - t) / span).ravel()
-        wb = np.where(single, 0.0, (t - psi[a, None]) / span).ravel()
-        ia, ib = np.repeat(a, above.size), np.tile(above, a.size)
-        step = max(1, _CHUNK // wa.size)
+    best = np.zeros(r, dtype=int)  # each row's winning pair, an index into the table
+    for p0 in range(0, ia.size, _CHUNK):
+        pa, pb, qa, qb = (x[p0 : p0 + _CHUNK] for x in table)
+        step = max(1, _CHUNK // pa.size)
         for lo in range(0, r, step):
             z = Z[lo : lo + step]
-            vals = z[:, ia] * wa + z[:, ib] * wb
+            vals = z[:, pa] * qa + z[:, pb] * qb
             k = vals.argmax(axis=1)
-            best = vals[np.arange(k.size), k]
-            new = best > values[lo : lo + step]
-            rows = np.flatnonzero(new) + lo
-            values[rows] = best[new]
-            k = k[new]
-            pair[:, rows] = ia[k], ib[k]
-            weight[:, rows] = wa[k], wb[k]
+            top, held = vals[np.arange(k.size), k], values[lo : lo + step]
+            new = top > held
+            values[lo : lo + step] = np.where(new, top, held)
+            best[lo : lo + step] = np.where(new, k + p0, best[lo : lo + step])
     q = np.zeros_like(Z)
     rows = np.arange(r)
-    q[rows, pair[1]] = weight[1]
-    q[rows, pair[0]] += weight[0]  # a = b only for the single atom, weights (1, 0)
+    q[rows, ib[best]] = wb[best]
+    q[rows, ia[best]] += wa[best]  # a = b only for the single atom, weights (1, 0)
     return values, q
 
 

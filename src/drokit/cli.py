@@ -51,7 +51,7 @@ from .conditional import (
     has_property_p,
     tower_upper_bound_check,
 )
-from .dp import enumerate_policies, nested_policy_value, solve_dp
+from .dp import enumeration_value, solve_dp
 from .report import Check, Report, to_csv, to_json, to_text
 from .rng import Rng
 from .schema import InputError, ProblemFile, load_problem_file
@@ -224,7 +224,7 @@ def cmd_solve(args) -> int:
     tol = 1e-9 * prob.cost_scale
     checks = [Check("bellman_residual", residual <= tol, residual)]
     if args.enumerate:
-        oracle = min(nested_policy_value(prob, pi) for pi in enumerate_policies(prob))
+        oracle = enumeration_value(prob)
         results["enumeration_value"] = oracle
         checks.append(
             Check("matches_enumeration", abs(oracle - sol.value) <= tol,
@@ -383,9 +383,7 @@ def _verify_file(pf: ProblemFile, args) -> Report:
             sol = solve_dp(prob)
             tol = 1e-9 * prob.cost_scale
             try:
-                oracle = min(
-                    nested_policy_value(prob, pi) for pi in enumerate_policies(prob)
-                )
+                oracle = enumeration_value(prob)
                 checks.append(
                     Check(
                         f"dp_matches_enumeration[{name}]",
@@ -504,7 +502,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         code = args.fn(args)
-    except (InputError, ValidationError, FileNotFoundError) as e:
+    except (InputError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     finally:

@@ -19,6 +19,13 @@ Two ways of pricing a fixed policy coexist: the nested (stagewise) value,
 which the recursion optimizes, and the static worst case over product
 measures, which is never larger. Minimizing the static value over policies
 cannot be decomposed stagewise; the module only compares the two optima.
+Policies are priced in stacks: their cost arrays are gathered into one
+``(P, *scenario_shape)`` array, stage by stage, the nested values come from
+one ``worst_case`` fold over it, and with finitely generated stage sets the
+static values from one scan of the vertex products. A single policy is a
+stack of one and gets the per-policy folds' bits; in a larger stack the
+products over the first stage run on matrices rather than vectors, so a value
+can differ from its single-policy price by an ulp.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .ambiguity import (
     is_strictly_monotone,
     worst_case,
 )
-from .composite import RectangularSpec, rectangular_nested, static_rectangular
+from .composite import RectangularSpec, static_rectangular
 from .spaces import FiniteSpace, ValidationError
 
 
@@ -306,47 +313,121 @@ def solve_dp(prob: MultistageProblem) -> DpSolution:
             calV[t], _ = worst_case(prob.stage_sets[t], V[t])
 
     # stage by stage, each node follows the argmin of its parent's action:
-    # node k of stage t has parent k // s_t and last outcome k % s_t
+    # node k of stage t has parent k // s_t and last outcome k % s_t, so the
+    # rows of argmin[t] picked by the parents' actions, raveled, are stage t
     stages = [argmin[0][0]]
     for t in range(1, T):
-        prev, s = stages[-1], prob.stage_sizes[t]
-        stages.append(argmin[t][np.repeat(prev, s), np.tile(np.arange(s), prev.size)])
+        stages.append(argmin[t][stages[-1]].ravel())
     policy = Policy(_StageActions(tuple(stages), prob.stage_sizes))
     vf = ValueFunctions(V=tuple(V), calV=tuple(calV))
     return DpSolution(value=float(V[0][0, 0]), policy=policy, value_functions=vf)
 
 
-def policy_cost_array(prob: MultistageProblem, pi: Policy) -> np.ndarray:
-    """Total cost of the policy per scenario, on the random-stage grid.
+def _cost_stack(prob: MultistageProblem, policies) -> np.ndarray:
+    """Total cost per scenario of each policy, shape ``(P, *scenario_shape)``
+    (``(P, 1)`` for one stage), gathered stage by stage from the stacked
+    action arrays.
 
     Each scenario's total adds its first-stage cost, then its stage costs in
-    stage order, so it is rounded exactly like the sum along its path.
+    stage order, so it is rounded exactly like the sum along its path. Stage
+    arrays over the problem's stage sizes are taken whole and checked against
+    ``_allow`` in the same gather; any other mapping is read node by node. A
+    stack with an infeasible policy raises at the shallowest bad node of the
+    first such policy.
     """
-    stages = _checked_actions(prob, pi)
-    totals = [float(prob.costs[0][stages[0][0], 0])]
+    sizes, P = prob.stage_sizes, len(policies)
+    per_policy = [
+        pi.actions._stages
+        if isinstance(pi.actions, _StageActions) and tuple(pi.actions._sizes) == tuple(sizes)
+        else [np.array(a) for a in _checked_actions(prob, pi)]
+        for pi in policies
+    ]
+    stages = [np.stack(arrays) for arrays in zip(*per_policy)]  # stages[t]: (P, nodes)
+    ok = prob._allow[0][0, 0, stages[0][:, 0]]
+    totals = prob.costs[0][stages[0], 0]
     for t in range(1, prob.horizon):
-        s, cost = prob.stage_sizes[t], prob.costs[t].tolist()
-        totals = [totals[k // s] + cost[a][k % s] for k, a in enumerate(stages[t])]
-    shape = prob.scenario_shape()
-    return np.array(totals).reshape(shape) if shape else np.array(totals)
+        s = sizes[t]
+        acts = stages[t].reshape(P, -1, s)  # (policy, parent node, outcome)
+        ok &= prob._allow[t][stages[t - 1][..., None], np.arange(s), acts].all(axis=(1, 2))
+        totals = (totals[..., None] + prob.costs[t][acts, np.arange(s)]).reshape(P, -1)
+    if not ok.all():
+        _checked_actions(prob, policies[int(np.argmin(ok))])
+    return totals.reshape((P,) + (prob.scenario_shape() or (1,)))
 
 
-def _priced(fold, prob: MultistageProblem, cost: np.ndarray, spec=None) -> float:
-    """The fold's value of a policy cost array; a one-stage cost is its own."""
+def _nested_values(prob: MultistageProblem, costs: np.ndarray, spec=None) -> np.ndarray:
+    """Stagewise worst-case value of each cost array in the stack: one
+    ``worst_case`` fold per stage, last stage first, over the whole stack."""
     if prob.horizon == 1:
-        return float(cost[0])
-    return fold(spec or prob.random_spec(), cost).value
+        return costs[:, 0]
+    for M in reversed((spec or prob.random_spec()).stage_sets):
+        costs, _ = worst_case(M, costs)
+    return costs
+
+
+def _static_values(prob: MultistageProblem, costs: np.ndarray, spec=None) -> np.ndarray:
+    """Worst case of each cost array in the stack over product measures.
+
+    With finitely generated stage sets, one scan of the vertex products,
+    each contracted with the whole stack stage by stage, last stage first;
+    otherwise ``static_rectangular``'s alternating maximization, one policy
+    at a time, each with a fresh ``Rng()``.
+    """
+    if prob.horizon == 1:
+        return costs[:, 0]
+    spec = spec or prob.random_spec()
+    if not spec.finitely_generated:
+        return np.array([static_rectangular(spec, cost).value for cost in costs])
+    best = np.full(len(costs), -np.inf)
+    for rows in itertools.product(*(f.weights for f in spec.stage_sets)):
+        val = costs
+        for w in reversed(rows):
+            val = val @ w
+        np.maximum(best, val, out=best)
+    return best
+
+
+#: Most cost cells one stack of policies holds; enumerations are priced in
+#: stacks of at most this many cells (and at least one policy), which bounds
+#: the working arrays of the folds over a stack.
+_STACK_CELLS = 1 << 16
+
+
+def _stacks(prob: MultistageProblem, policies):
+    """The policies in order, in lists small enough for ``_STACK_CELLS``,
+    each with its cost stack."""
+    per = max(1, _STACK_CELLS // math.prod(prob.scenario_shape()))
+    policies = iter(policies)
+    while chunk := list(itertools.islice(policies, per)):
+        yield chunk, _cost_stack(prob, chunk)
+
+
+def policy_cost_array(prob: MultistageProblem, pi: Policy) -> np.ndarray:
+    """Total cost of the policy per scenario, on the random-stage grid."""
+    return _cost_stack(prob, [pi])[0]
 
 
 def nested_policy_value(prob: MultistageProblem, pi: Policy) -> float:
     """Stagewise worst-case value of the policy's cost profile."""
-    return _priced(rectangular_nested, prob, policy_cost_array(prob, pi))
+    return float(_nested_values(prob, _cost_stack(prob, [pi]))[0])
 
 
 def static_policy_value(prob: MultistageProblem, pi: Policy) -> float:
     """Worst case of the policy's cost over product measures; never exceeds
     the nested value."""
-    return _priced(static_rectangular, prob, policy_cost_array(prob, pi))
+    return float(_static_values(prob, _cost_stack(prob, [pi]))[0])
+
+
+def _enumerated_nested(prob: MultistageProblem):
+    """Every enumerated policy with its nested value, priced in stacks."""
+    for chunk, costs in _stacks(prob, enumerate_policies(prob)):
+        yield from zip(chunk, _nested_values(prob, costs).tolist())
+
+
+def enumeration_value(prob: MultistageProblem) -> float:
+    """Least nested value over every enumerated policy, the exhaustive oracle
+    for the DP value; raises when there are over ``_POLICY_CAP`` policies."""
+    return min(value for _, value in _enumerated_nested(prob))
 
 
 def count_policies(prob: MultistageProblem) -> int:
@@ -424,19 +505,20 @@ class MinComparison:
 
 
 def compare_min_static_vs_min_nested(prob: MultistageProblem) -> MinComparison:
-    """Both optima over every policy; each policy's cost array is built once
-    and priced by both folds on one spec."""
+    """Both optima over every policy. The policies are priced as one stack
+    of cost arrays on one spec; the argmins are then scanned in enumeration
+    order, a policy replacing the best only when below it by over 1e-12."""
     spec = prob.random_spec() if prob.horizon > 1 else None
     best_s, best_n = np.inf, np.inf
     arg_s = arg_n = None
-    for pi in enumerate_policies(prob):
-        cost = policy_cost_array(prob, pi)
-        s = _priced(static_rectangular, prob, cost, spec)
-        v = _priced(rectangular_nested, prob, cost, spec)
-        if s < best_s - 1e-12:
-            best_s, arg_s = s, pi
-        if v < best_n - 1e-12:
-            best_n, arg_n = v, pi
+    for chunk, costs in _stacks(prob, enumerate_policies(prob)):
+        statics = _static_values(prob, costs, spec).tolist()
+        nesteds = _nested_values(prob, costs, spec).tolist()
+        for pi, s, v in zip(chunk, statics, nesteds):
+            if s < best_s - 1e-12:
+                best_s, arg_s = s, pi
+            if v < best_n - 1e-12:
+                best_n, arg_n = v, pi
     return MinComparison(
         min_static=best_s,
         min_nested=best_n,
@@ -487,8 +569,8 @@ def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
     vf = sol.value_functions
     violations: list[str] = []
     optimal = 0
-    for pi in enumerate_policies(prob):
-        if nested_policy_value(prob, pi) > sol.value + tol:
+    for pi, value in _enumerated_nested(prob):
+        if value > sol.value + tol:
             continue
         optimal += 1
         stages = _checked_actions(prob, pi)

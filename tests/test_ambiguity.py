@@ -1,5 +1,7 @@
 """Ambiguity-set operations: worst case, reference measure, strict monotonicity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -449,7 +451,9 @@ def test_two_moment_set_stays_on_the_lp_and_matches_its_dual():
         )
         Z = rng.uniforms(n, -2.0, 2.0)
         value, argmax = worst_case(M, Z)
-        assert value == _membership_lp(M, Z, maximize=True)[0]
+        # the oracle runs the LP on Z over its largest magnitude
+        scale = float(np.abs(Z).max())
+        assert value == scale * _membership_lp(M, Z / scale, maximize=True)[0]
         dual = solve(
             LinearProgram(
                 c=np.array([1.0, *M.targets]),
@@ -510,3 +514,147 @@ def test_ball_and_conditional_paths_solve_no_lp(monkeypatch):
     for M in (FiniteFamily(members), avar, ball, *moments):
         has_property_p(M, G)
     assert calls == []
+
+
+def avar_sort_and_fill(M, Z):
+    """The AVaR oracle as ``put_along_axis``, ``take_along_axis`` and
+    ``diff(prepend=0)`` over the last axis of ``Z``."""
+    order = np.argsort(-Z, axis=-1, kind="stable")
+    caps = M.cap * M.reference.weights[order]
+    take = np.diff(np.minimum(np.cumsum(caps, axis=-1), 1.0), axis=-1, prepend=0.0)
+    argmax = np.empty_like(take)
+    np.put_along_axis(argmax, order, take, axis=-1)
+    return (take * np.take_along_axis(Z, order, axis=-1)).sum(axis=-1), argmax
+
+
+def moment_pair_scan(M, Z, chunk):
+    """The one-moment oracle with its pair weights rebuilt on every call, in
+    blocks of ``a`` and chunks of rows of at most ``chunk`` entries."""
+    psi, t = M.psi[0].values, M.targets[0]
+    below, above = np.flatnonzero(psi <= t), np.flatnonzero(psi >= t)
+    r = Z.shape[0]
+    values = np.full(r, -np.inf)
+    pair = np.zeros((2, r), dtype=int)
+    weight = np.zeros((2, r))
+    block = max(1, chunk // above.size)
+    for a0 in range(0, below.size, block):
+        a = below[a0 : a0 + block]
+        span = psi[above] - psi[a, None]
+        single = span == 0.0
+        span[single] = 1.0
+        wa = np.where(single, 1.0, (psi[above] - t) / span).ravel()
+        wb = np.where(single, 0.0, (t - psi[a, None]) / span).ravel()
+        ia, ib = np.repeat(a, above.size), np.tile(above, a.size)
+        step = max(1, chunk // wa.size)
+        for lo in range(0, r, step):
+            z = Z[lo : lo + step]
+            vals = z[:, ia] * wa + z[:, ib] * wb
+            k = vals.argmax(axis=1)
+            best = vals[np.arange(k.size), k]
+            new = best > values[lo : lo + step]
+            rows = np.flatnonzero(new) + lo
+            values[rows] = best[new]
+            k = k[new]
+            pair[:, rows] = ia[k], ib[k]
+            weight[:, rows] = wa[k], wb[k]
+    q = np.zeros_like(Z)
+    rows = np.arange(r)
+    q[rows, pair[1]] = weight[1]
+    q[rows, pair[0]] += weight[0]
+    return values, q
+
+
+def same_bits(got, want):
+    return all(
+        np.asarray(g).shape == np.asarray(w).shape
+        and np.asarray(g, dtype=float).tobytes() == np.asarray(w, dtype=float).tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+def test_avar_oracle_gives_the_bits_of_the_sort_and_fill():
+    rng = Rng(271)
+    for _ in range(60):
+        n = 1 + rng.randint(12)
+        p = rng.simplex(n)
+        p[rng.subset(n)[: n // 3]] = 0.0  # outcomes the reference does not charge
+        p = p / p.sum() if p.sum() > 0 else np.full(n, 1.0 / n)
+        alpha = (0.0, 0.5, 0.9, rng.uniform(0.0, 0.99))[rng.randint(4)]
+        M = AVaRSet(alpha, DiscreteMeasure(p))
+        levels = np.array([-1.0, 0.0, 0.5, 1.0])  # ties in every row
+        for shape in ((n,), (7, n), (2, 3, n)):
+            Z = rng.uniforms(int(np.prod(shape)), -1.0, 1.0).reshape(shape)
+            for z in (Z, levels[(np.abs(Z) * 4).astype(int) % 4]):
+                assert same_bits(worst_case(M, z), avar_sort_and_fill(M, z))
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 7, 1])
+def test_one_moment_oracle_gives_the_bits_of_the_per_call_pair_scan(chunk, monkeypatch):
+    import drokit.ambiguity as amb
+
+    monkeypatch.setattr(amb, "_CHUNK", chunk)
+    rng = Rng(277)
+    for _ in range(40):
+        n = 2 + rng.randint(9)
+        psi = np.round(rng.uniforms(n, -1.0, 1.0), 1)  # repeated grid values
+        t = float(psi[rng.randint(n)]) if rng.randint(2) else rng.uniform(psi.min(), psi.max())
+        M = MomentSet(FiniteSpace(n), (RandomVariable(psi),), (t,))
+        Z = rng.uniforms(23 * n, -1.0, 1.0).reshape(23, n)
+        for z in (Z, np.round(Z, 0)):  # ties between pairs
+            assert same_bits(worst_case(M, z), moment_pair_scan(M, z, chunk))
+    # single-atom pairs psi_a = psi_b = t, several of them
+    M = MomentSet(FiniteSpace(5), (RandomVariable([0.5, 0.2, 0.5, 0.9, 0.5]),), (0.5,))
+    Z = np.array([[1.0, 2.0, 1.0, 0.0, 3.0], [0.0, 0.0, 0.0, 0.0, 0.0], [4.0, 1.0, 4.0, 1.0, 4.0]])
+    values, q = worst_case(M, Z)
+    assert same_bits((values, q), moment_pair_scan(M, Z, chunk))
+    assert values.tolist() == [3.0, 0.0, 4.0] and q[2].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    # a grid point at -0.0 on a target of 0.0 gives a pair weight of -0.0
+    M = MomentSet(FiniteSpace(3), (RandomVariable([-1.0, 0.5, -0.0]),), (0.0,))
+    Z = np.array([[0.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
+    assert same_bits(worst_case(M, Z), moment_pair_scan(M, Z, chunk))
+
+
+def test_one_moment_pair_table_is_built_once_on_first_use():
+    M = mean_constrained_set()
+    assert "_pairs" not in vars(M)  # nothing is added at construction
+    table = M._pairs
+    worst_case(M, np.eye(3))
+    assert M._pairs is table
+    assert [a.tolist() for a in table] == [[0, 0], [1, 2], [0.4, 0.7], [0.6, 0.3]]
+
+
+def vertex_enumeration_worst_case(M, z):
+    """Worst case over a moment set as the best nonnegative solution of the
+    square systems on (k + 1)-subsets of the grid; a basic optimal solution
+    charges at most k + 1 atoms. Rows are scaled by their largest entry."""
+    A = np.vstack([np.ones(M.n)] + [f.values for f in M.psi])
+    b = np.array([1.0, *M.targets])
+    subsets = np.array(list(itertools.combinations(range(M.n), len(b))))
+    B = A[:, subsets].transpose(1, 0, 2)
+    scale = np.abs(B).max(axis=2, keepdims=True)
+    regular = np.abs(np.linalg.det(B / scale)) > 1e-12
+    w = np.linalg.solve(B[regular] / scale[regular], (b / scale[regular][..., 0])[..., None])[..., 0]
+    feasible = w.min(axis=1) >= -1e-12
+    return float((z[subsets[regular][feasible]] * w[feasible]).sum(axis=1).max())
+
+
+def test_two_moment_worst_case_in_the_units_of_z():
+    """The membership LP has absolute tolerances; the oracle runs it on each
+    row over its largest magnitude, so tiny and huge units give the same
+    relative accuracy."""
+    for scale in (1e-8, 1.0, 1e8):
+        rng = Rng(3)
+        for _ in range(60):
+            psi = [rng.uniforms(8, -1.0, 1.0) for _ in range(2)]
+            anchor = rng.simplex(8)
+            M = MomentSet(
+                FiniteSpace(8),
+                tuple(RandomVariable(p) for p in psi),
+                tuple(float(anchor @ p) for p in psi),
+            )
+            z = scale * rng.uniforms(8, -1.0, 1.0)
+            value = float(worst_case(M, z)[0])
+            assert abs(value - vertex_enumeration_worst_case(M, z)) <= 1e-9 * np.abs(z).max()
+    # a zero row stays zero, with a member of the set as its measure
+    value, q = worst_case(M, np.zeros(8))
+    assert value == 0.0 and contains(M, DiscreteMeasure(q))

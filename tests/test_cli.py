@@ -191,6 +191,25 @@ def test_bounds_ball_sweep_csv(tmp_path, capsys):
         assert token in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wasserstein", DP_TRANSPORT, "--p", "spread", "--q", "shifted", "--out"],
+        ["bounds", DP_TRANSPORT, "--spec", "ball_sweep", "--csv"],
+    ],
+    ids=["out", "csv"],
+)
+def test_output_path_at_a_directory_exit_2(argv, tmp_path, capsys):
+    """A report or CSV path that cannot be written is unusable input: exit 2
+    and one error line, not a traceback."""
+    assert main(argv + [str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if not line.startswith("elapsed:")]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert str(tmp_path) in errors[0]
+
+
 def test_bounds_multistage(capsys):
     code, doc = run_json(["bounds", DP_TRANSPORT, "--spec", "stagewise"], capsys)
     assert code == 0

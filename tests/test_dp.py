@@ -6,14 +6,17 @@ import pickle
 import numpy as np
 import pytest
 
+import drokit.composite as composite
 import drokit.dp as dp
 from drokit.ambiguity import FiniteFamily
+from drokit.composite import rectangular_nested, static_rectangular
 from drokit.dp import (
     MultistageProblem,
     Policy,
     compare_min_static_vs_min_nested,
     count_policies,
     enumerate_policies,
+    enumeration_value,
     nested_policy_value,
     policy_cost_array,
     solve_dp,
@@ -22,6 +25,7 @@ from drokit.dp import (
 )
 from drokit.rng import Rng
 from drokit.spaces import DiscreteMeasure, ValidationError
+from drokit.verify import rand_ambiguity_set
 
 
 def full_simplex(n):
@@ -522,9 +526,11 @@ def test_pricing_a_solved_policy_reads_its_stage_arrays(monkeypatch):
 
 
 def test_min_comparison_builds_spec_and_costs_once(monkeypatch):
+    """The spec and the cost stack of all policies are built once, and with
+    finitely generated stages no policy is priced on its own."""
     prob = random_problem(Rng(263))
-    n_policies = count_policies(prob)
-    calls = {"random_spec": 0, "policy_cost_array": 0}
+    assert prob.random_spec().finitely_generated and count_policies(prob) > 1
+    calls = {"random_spec": 0, "_cost_stack": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -533,7 +539,138 @@ def test_min_comparison_builds_spec_and_costs_once(monkeypatch):
 
         return wrapper
 
-    for owner, name in ((MultistageProblem, "random_spec"), (dp, "policy_cost_array")):
+    def per_policy(*args):
+        raise AssertionError("a policy priced on its own")
+
+    for owner, name in ((MultistageProblem, "random_spec"), (dp, "_cost_stack")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for owner, name in ((dp, "policy_cost_array"), (dp, "static_rectangular"),
+                        (composite, "rectangular_nested"), (composite, "static_rectangular")):
+        monkeypatch.setattr(owner, name, per_policy)
     compare_min_static_vs_min_nested(prob)
-    assert calls == {"random_spec": 1, "policy_cost_array": n_policies}
+    assert calls == {"random_spec": 1, "_cost_stack": 1}
+
+
+def per_node_costs(prob, pi):
+    """A policy's cost per scenario, summed along each path node by node."""
+    shape = prob.scenario_shape()
+    out = np.empty(shape or (1,))
+    for scen in itertools.product(*[range(s) for s in shape]):
+        total = float(prob.costs[0][pi.action(()), 0])
+        for t in range(1, prob.horizon):
+            total += prob.costs[t][pi.action(scen[:t]), scen[t - 1]]
+        out[scen or 0] = total
+    return out
+
+
+def mixed_family_problem(rng, T):
+    """Random problem of horizon T, each random stage's set drawn from the
+    finite, AVaR, one-moment and ball families."""
+    kinds = ("finite_family", "avar", "moment", "wasserstein")
+    n_actions = tuple(1 + rng.randint(3) for _ in range(T))
+    stage_sizes = (1,) + tuple(2 + rng.randint(2) for _ in range(T - 1))
+    stage_sets = (None,) + tuple(
+        rand_ambiguity_set(rng, s, kinds[rng.randint(4)]) for s in stage_sizes[1:]
+    )
+    costs = tuple(
+        rng.uniforms(n_actions[t] * stage_sizes[t], -1.0, 1.0).reshape(n_actions[t], stage_sizes[t])
+        for t in range(T)
+    )
+    feasible = [tuple(range(n_actions[0]))] + [
+        tuple(
+            tuple(
+                tuple(sorted(rng.shuffled(list(range(n_actions[t])))[: 1 + rng.randint(2)]))
+                for _ in range(stage_sizes[t])
+            )
+            for _ in range(n_actions[t - 1])
+        )
+        for t in range(1, T)
+    ]
+    return MultistageProblem(n_actions, stage_sizes, stage_sets, costs, tuple(feasible))
+
+
+def argmin_scan(policies, values):
+    """The first policy below every earlier best by over 1e-12."""
+    best, arg = np.inf, None
+    for pi, v in zip(policies, values):
+        if v < best - 1e-12:
+            best, arg = v, pi
+    return best, arg
+
+
+def test_batched_pricing_matches_per_policy_folds(monkeypatch):
+    rng = Rng(281)
+    problems = [mixed_family_problem(rng, 1 + rng.randint(3)) for _ in range(40)]
+    problems += [random_problem(rng) for _ in range(10)]
+    problems = [p for p in problems if count_policies(p) <= 100]
+    assert {p.horizon for p in problems} >= {1, 2, 3}
+    assert {type(M).__name__ for p in problems for M in p.stage_sets[1:]} == {
+        "FiniteFamily", "AVaRSet", "MomentSet", "WassersteinBall"
+    }
+    for prob in problems:
+        policies = list(enumerate_policies(prob))
+        nested, static = [], []
+        for pi in policies:
+            cost = per_node_costs(prob, pi)
+            assert policy_cost_array(prob, pi).tobytes() == cost.tobytes()
+            if prob.horizon == 1:
+                n_ref = s_ref = float(cost[0])
+            else:
+                spec = prob.random_spec()
+                n_ref = rectangular_nested(spec, cost).value
+                s_ref = static_rectangular(spec, cost).value
+            # a stack of one gives the per-policy folds' bits
+            assert nested_policy_value(prob, pi) == n_ref
+            assert static_policy_value(prob, pi) == s_ref
+            nested.append(n_ref)
+            static.append(s_ref)
+        tol = 1e-12 * prob.cost_scale
+        costs = dp._cost_stack(prob, policies)
+        assert np.abs(dp._nested_values(prob, costs) - nested).max() <= tol
+        assert np.abs(dp._static_values(prob, costs) - static).max() <= tol
+        cmp = compare_min_static_vs_min_nested(prob)
+        (min_s, arg_s), (min_n, arg_n) = argmin_scan(policies, static), argmin_scan(policies, nested)
+        assert abs(cmp.min_static - min_s) <= tol and abs(cmp.min_nested - min_n) <= tol
+        assert cmp.argmin_static == arg_s and cmp.argmin_nested == arg_n
+        assert enumeration_value(prob) == pytest.approx(min(nested), abs=tol)
+        # stacks capped at one cell hold one policy each: the per-policy bits
+        with monkeypatch.context() as m:
+            m.setattr(dp, "_STACK_CELLS", 1)
+            one = compare_min_static_vs_min_nested(prob)
+            assert enumeration_value(prob) == min(nested)
+        assert (one.min_static, one.min_nested) == (min_s, min_n)
+        assert one.argmin_static == arg_s and one.argmin_nested == arg_n
+
+
+def test_batched_pricing_reads_plain_mappings_node_by_node():
+    prob = witness_problem()
+    good = [dict(pi.actions) for pi in enumerate_policies(prob)]
+    for d in good:
+        assert nested_policy_value(prob, Policy(d)) == nested_policy_value(prob, Policy(dict(d)))
+    bad = dict(good[0])
+    bad[(1, 1)] = 1 - bad[(1, 1)]  # stage 2 must repeat the stage-1 action
+    with pytest.raises(ValidationError, match=r"policy infeasible at node \(1, 1\)"):
+        dp._cost_stack(prob, [Policy(good[1]), Policy(bad)])
+    del bad[(1, 1)]
+    with pytest.raises(ValidationError, match=r"node \(1, 1\)"):
+        static_policy_value(prob, Policy(bad))
+
+
+def test_solve_dp_policy_arrays_match_the_repeat_tile_extraction():
+    rng = Rng(283)
+    for kinds in (("avar",), ("moment", "finite_family"), ("finite_family", "avar")):
+        T, sizes = 8, (1,) + (3,) * 7
+        stage_sets = (None,) + tuple(rand_ambiguity_set(rng, 3, kinds[t % len(kinds)]) for t in range(7))
+        costs = tuple(rng.uniforms(3 * s, -1.0, 1.0).reshape(3, s) for s in sizes)
+        every = tuple(tuple((0, 1, 2) for _ in range(3)) for _ in range(3))
+        prob = MultistageProblem((3,) * T, sizes, stage_sets, costs, ((0, 1, 2),) + (every,) * 7)
+        sol = solve_dp(prob)
+        argmin = [dp._bellman_step(prob, t, sol.value_functions.calV[t + 1])[1] for t in range(T)]
+        want = [argmin[0][0]]
+        for t in range(1, T):
+            prev, s = want[-1], sizes[t]
+            want.append(argmin[t][np.repeat(prev, s), np.tile(np.arange(s), prev.size)])
+        got = sol.policy.actions._stages
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert all((g == w).all() for g, w in zip(got, want))
+        assert got[-1].size == 3**7
