@@ -8,7 +8,8 @@ eval-composite    composite value along a filtration or stagewise recursion
 solve             dynamic-programming solution of a multistage problem
 wasserstein       order-1 transport distance with the optimal plan
 bounds            transport-ball radius sweep (CSV) or multistage bound check
-verify            invariant battery, either --builtin or against a file
+verify            the acceptance battery (``verify.py``) on generated
+                  instances (--builtin) or on a file's objects (FILE)
 
 Exit codes: 0 success, 1 at least one check failed, 2 unusable input. Output
 is deterministic for identical file, flags, and seed; elapsed time goes to
@@ -26,35 +27,19 @@ from typing import Optional
 
 import numpy as np
 
-from .ambiguity import (
-    AVaRSet,
-    contains,
-    default_reference,
-    dominates_all,
-    is_strictly_monotone,
-    reference_measure,
-    robust_expectation,
-    worst_case,
-)
-from .avar import AvarSpec, check_axioms
+from .ambiguity import AVaRSet, default_reference, robust_expectation, worst_case
+from .avar import AvarSpec
 from .composite import (
     composite_dominates_static,
     composite_functional,
     induced_set,
     rectangular_equivalence_check,
     rectangular_nested,
-    static_rectangular,
 )
-from .conditional import (
-    conditional_avar_nested,
-    conditional_robust,
-    has_property_p,
-    tower_upper_bound_check,
-)
+from .conditional import conditional_avar_nested, conditional_robust, has_property_p
 from .dp import enumeration_value, solve_dp
 from .report import Check, Report, to_csv, to_json, to_text
-from .rng import Rng
-from .schema import InputError, ProblemFile, load_problem_file
+from .schema import InputError, load_problem_file
 from .spaces import ValidationError
 from .transport import (
     ball_robust_gap_check,
@@ -62,7 +47,7 @@ from .transport import (
     multistage_bound_empirical_check,
     wasserstein_1,
 )
-from .verify import run_builtin
+from .verify import run_builtin, run_file
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT = 0, 1, 2
 
@@ -305,122 +290,22 @@ def cmd_bounds(args) -> int:
     return _emit(report, args)
 
 
-def _default_rv(pf: ProblemFile, M):
-    """Any file-defined variable on the set's space, else a ramp."""
-    from .spaces import RandomVariable
-
-    for rv in pf.random_variables.values():
-        if rv.n == M.n:
-            return rv
-    return RandomVariable(np.linspace(-1.0, 1.0, M.n))
-
-
-def _verify_file(pf: ProblemFile, args) -> Report:
-    """Invariant battery over every object a problem file defines."""
-    trials = args.trials if args.trials is not None else 200
-    checks: list[Check] = []
-    if trials == 0:
-        checks.append(Check("vacuous", True, None, "0 trials requested (warning)"))
-    else:
-        for name, M in pf.ambiguity_sets.items():
-            P = default_reference(M)
-            rep = check_axioms(M, trials, Rng(args.seed))
-            checks.append(Check(f"axioms[{name}]", rep.max_violation <= 1e-7,
-                                rep.max_violation))
-            res = reference_measure(M)
-            checks.append(
-                Check(
-                    f"reference_dominates[{name}]",
-                    dominates_all(res, M, trials, Rng(args.seed)),
-                    None,
-                )
-            )
-            cert = is_strictly_monotone(M, P)
-            checks.append(
-                Check(
-                    f"strict_monotonicity_certificate[{name}]",
-                    abs(cert.witness.weights[cert.outcome] - cert.epsilon) <= 1e-9
-                    and contains(M, cert.witness),
-                    None,
-                    "strict" if cert.strict else "not strict",
-                )
-            )
-            for pname, G in pf.partitions.items():
-                if G.n != M.n:
-                    continue
-                try:
-                    chk = tower_upper_bound_check(M, _default_rv(pf, M), G, P)
-                except ValidationError:
-                    continue  # unreachable atoms: the inequality is vacuous
-                checks.append(
-                    Check(
-                        f"tower[{name}|{pname}]",
-                        chk.holds,
-                        max(chk.lhs - chk.rhs, 0.0),
-                    )
-                )
-        for name, spec in pf.rectangular_specs.items():
-            if spec.finitely_generated:
-                Z = Rng(args.seed).uniforms(spec.product_size, -1.0, 1.0)
-                eq = rectangular_equivalence_check(spec, Z)
-                checks.append(
-                    Check(
-                        f"rectangular_equivalence[{name}]",
-                        eq.agree,
-                        abs(eq.nested_value - eq.composite_value),
-                    )
-                )
-                nested = rectangular_nested(spec, Z).value
-                static = static_rectangular(spec, Z).value
-                checks.append(
-                    Check(
-                        f"nested_dominates_static[{name}]",
-                        static <= nested + 1e-9,
-                        max(static - nested, 0.0),
-                    )
-                )
-        for name, prob in pf.problems.items():
-            sol = solve_dp(prob)
-            tol = 1e-9 * prob.cost_scale
-            try:
-                oracle = enumeration_value(prob)
-                checks.append(
-                    Check(
-                        f"dp_matches_enumeration[{name}]",
-                        abs(oracle - sol.value) <= tol,
-                        abs(oracle - sol.value),
-                    )
-                )
-            except ValidationError:
-                residual = sol.value_functions.bellman_residual(prob)
-                checks.append(
-                    Check(f"dp_bellman[{name}]", residual <= tol, residual,
-                          "enumeration cap exceeded; Bellman residual only")
-                )
-    return Report(
-        command="verify (file)",
-        inputs_digest=_verify_digest(pf.digest, args),
-        results={"objects_checked": len(checks)},
-        checks=checks,
-    )
-
-
 def cmd_verify(args) -> int:
     if args.trials is not None and args.trials < 0:
         raise InputError(f"--trials must be nonnegative, not {args.trials}")
+    if args.builtin and args.file:
+        raise InputError("verify takes a problem file or --builtin, not both")
     if args.builtin:
         checks = run_builtin(seed=args.seed, trials=args.trials)
-        report = Report(
-            command="verify --builtin",
-            inputs_digest=_verify_digest("builtin", args),
-            results={"criteria": len(checks)},
-            checks=checks,
-        )
-        return _emit(report, args)
-    if not args.file:
+        command, digest, results = "verify --builtin", "builtin", {"criteria": len(checks)}
+    elif args.file:
+        pf = load_problem_file(args.file)
+        checks = run_file(pf, args.seed, args.trials)
+        command, digest, results = "verify (file)", pf.digest, {"objects_checked": len(checks)}
+    else:
         raise InputError("verify needs a problem file or --builtin")
-    pf = load_problem_file(args.file)
-    return _emit(_verify_file(pf, args), args)
+    report = Report(command, _verify_digest(digest, args), results, checks)
+    return _emit(report, args)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

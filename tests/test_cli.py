@@ -19,6 +19,7 @@ from drokit.report import Check, Report, to_csv
 from drokit.rng import Rng
 from drokit.schema import InputError, load_problem_file
 from drokit.spaces import DiscreteMeasure
+from drokit.verify import VACUOUS_NOTE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 STATIC = os.path.join(GOLDEN, "static_examples.json")
@@ -409,7 +410,7 @@ def test_verify_problem_file(capsys):
     code, doc = run_json(["verify", CONDITIONAL, "--trials", "40"], capsys)
     assert code == 0
     names = [c["name"] for c in doc["checks"]]
-    assert any(name.startswith("axioms[") for name in names)
+    assert any(name.startswith("axiom_battery[") for name in names)
     assert any(name.startswith("rectangular_equivalence[") for name in names)
 
 
@@ -417,8 +418,147 @@ def test_verify_problem_file_with_dp(capsys):
     code, doc = run_json(["verify", DP_TRANSPORT, "--trials", "30"], capsys)
     assert code == 0
     names = [c["name"] for c in doc["checks"]]
-    assert "dp_matches_enumeration[carried]" in names
+    assert "dp_and_moment_duality[carried]" in names
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_verify_file_and_builtin_together_exit_2(capsys):
+    """``verify FILE --builtin`` is ambiguous, not a run of the builtin
+    battery that ignores FILE."""
+    assert main(["verify", "/nonexistent.json", "--builtin", "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--builtin" in _one_error_line(captured.err)
+
+
+def test_verify_file_surfaces_a_failing_conditional_routine(monkeypatch, capsys):
+    """An error inside the conditional routine is not read as "not
+    applicable": the run exits 2 instead of dropping the checks."""
+    import drokit.conditional as conditional
+    from drokit.spaces import ValidationError
+
+    def broken(*args):
+        raise ValidationError("conditional routine failed")
+
+    monkeypatch.setattr(conditional, "_conditional_values", broken)
+    assert main(["verify", CONDITIONAL]) == 2
+    assert "conditional routine failed" in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("golden", [STATIC, CONDITIONAL, DP_TRANSPORT], ids=os.path.basename)
+def test_verify_file_zero_trials_gives_one_vacuous_line_per_criterion(golden, capsys):
+    code, full = run_json(["verify", golden], capsys)
+    assert code == 0
+    criteria = list(dict.fromkeys(c["name"].split("[")[0] for c in full["checks"]))
+    code, doc = run_json(["verify", golden, "--trials", "0"], capsys)
+    assert code == 0
+    assert [c["name"] for c in doc["checks"]] == criteria
+    assert all(c["detail"] == VACUOUS_NOTE for c in doc["checks"])
+    assert doc["results"]["objects_checked"] == len(criteria)
+
+
+def _scale_data(doc, scale):
+    """Every random variable except moment functions, every cost table, and
+    the Lipschitz certificates (in the units of their variable) times
+    ``scale``; moment functions and metrics keep their units."""
+    psi = {f for s in doc.get("ambiguity_sets", {}).values() for f in s.get("functions", [])}
+    for name, rv in doc.get("random_variables", {}).items():
+        if name not in psi:
+            rv["values"] = [scale * v for v in rv["values"]]
+    for prob in doc.get("problems", {}).values():
+        prob["costs"] = [(scale * np.asarray(c)).tolist() for c in prob["costs"]]
+    for spec in doc.get("bound_specs", {}).values():
+        if "lipschitz" in spec:
+            spec["lipschitz"] *= scale
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+@pytest.mark.parametrize("golden", [STATIC, CONDITIONAL, DP_TRANSPORT], ids=os.path.basename)
+def test_verify_file_holds_in_the_units_of_the_data(golden, scale, tmp_path, capsys):
+    """Each file instance runs on its data over its scale, so the criteria
+    hold at their stated bounds with the data scaled by 1e-8 or 1e8."""
+    code, plain = run_json(["verify", golden], capsys)
+    with open(golden) as fh:
+        doc = json.load(fh)
+    _scale_data(doc, scale)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    code, scaled = run_json(["verify", str(path)], capsys)
+    assert code == 0, [c for c in scaled["checks"] if not c["passed"]]
+    assert [c["name"] for c in scaled["checks"]] == [c["name"] for c in plain["checks"]]
+
+
+def test_verify_file_holds_on_random_data_in_large_units(tmp_path, capsys):
+    """The golden files' values stay exact when scaled by a power of ten;
+    random variables at 1e8 round by about 1e-8 in absolute terms, which
+    exceeds the criteria's stated bounds unless each instance runs in the
+    units of its data."""
+    rng = Rng(11)
+    path = tmp_path / "large.json"
+    for _ in range(10):
+        doc = {
+            "version": "1",
+            "spaces": {"omega": {"n": 6}},
+            "measures": {name: {"space": "omega", "weights": rng.simplex(6).tolist()}
+                         for name in ("p", "q", "r")},
+            "random_variables": {name: {"space": "omega",
+                                        "values": (1e8 * rng.uniforms(6, -1.0, 1.0)).tolist()}
+                                 for name in ("z", "w")},
+            "partitions": {"trivial": {"space": "omega", "atoms": [list(range(6))]},
+                           "thirds": {"space": "omega", "atoms": [[0, 1], [2, 3], [4, 5]]},
+                           "points": {"space": "omega", "atoms": [[k] for k in range(6)]}},
+            "filtrations": {"steps": {"stages": ["trivial", "thirds", "points"]}},
+            "ambiguity_sets": {
+                "avar": {"kind": "avar", "alpha": rng.uniform(0.1, 0.9), "reference": "p"},
+                "family": {"kind": "finite_family", "measures": ["p", "q", "r"]},
+            },
+        }
+        path.write_text(json.dumps(doc))
+        code, report = run_json(["verify", str(path), "--trials", "20"], capsys)
+        assert code == 0, [c for c in report["checks"] if not c["passed"]]
+
+
+#: The checks each golden file's ``verify FILE`` report made before the file
+#: route ran the battery's criteria, under their old names.
+OLD_FILE_CHECKS = {
+    STATIC: [
+        f"{check}[{name}]"
+        for name in ("two_corners", "pinned_ball", "mean_03")
+        for check in ("axioms", "reference_dominates", "strict_monotonicity_certificate")
+    ],
+    CONDITIONAL: [
+        f"{check}[{name}]"
+        for name in ("avar_half", "avar_03", "only_null_tail", "stage1_coin", "stage2_corners")
+        for check in ("axioms", "reference_dominates", "strict_monotonicity_certificate")
+    ]
+    + [f"tower[{s}|{p}]" for s in ("avar_half", "avar_03") for p in ("trivial", "halves", "points")]
+    + ["tower[only_null_tail|trivial]", "rectangular_equivalence[gap_witness]",
+       "nested_dominates_static[gap_witness]"],
+    DP_TRANSPORT: [
+        f"{check}[{name}]"
+        for name in ("coin_only", "corners")
+        for check in ("axioms", "reference_dominates", "strict_monotonicity_certificate")
+    ]
+    + ["dp_matches_enumeration[carried]"],
+}
+RENAMED = {
+    "axioms": "axiom_battery",
+    "reference_dominates": "reference_measure",
+    "strict_monotonicity_certificate": "strict_monotonicity",
+    "tower": "tower_inequality",
+    "nested_dominates_static": "composite_dominance",
+    "dp_matches_enumeration": "dp_and_moment_duality",
+}
+
+
+@pytest.mark.parametrize("golden", [STATIC, CONDITIONAL, DP_TRANSPORT], ids=os.path.basename)
+def test_verify_file_covers_every_old_check(golden, capsys):
+    code, doc = run_json(["verify", golden], capsys)
+    assert code == 0
+    passed = {c["name"] for c in doc["checks"] if c["passed"]}
+    for old in OLD_FILE_CHECKS[golden]:
+        check, labels = old.split("[", 1)
+        assert f"{RENAMED.get(check, check)}[{labels}" in passed, old
 
 
 def test_json_report_deterministic(capsys):
@@ -546,9 +686,9 @@ def test_verify_builtin_byte_deterministic(capsys):
 def test_verify_file_fails_an_unattained_strictness_certificate(monkeypatch, capsys, edit):
     """The certificate check holds only if the witness is a member that
     charges its outcome with epsilon."""
-    import drokit.cli as cli
+    import drokit.verify as verify
 
-    real = cli.is_strictly_monotone
+    real = verify.is_strictly_monotone
 
     def patched(M, P):
         cert = real(M, P)
@@ -557,11 +697,11 @@ def test_verify_file_fails_an_unattained_strictness_certificate(monkeypatch, cap
         elsewhere = DiscreteMeasure.point_mass(M.n, (cert.outcome + 1) % M.n)
         return dataclasses.replace(cert, strict=False, epsilon=0.0, witness=elsewhere)
 
-    monkeypatch.setattr(cli, "is_strictly_monotone", patched)
+    monkeypatch.setattr(verify, "is_strictly_monotone", patched)
     code, doc = run_json(["verify", STATIC, "--trials", "5"], capsys)
     assert code == 1
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
-    assert "strict_monotonicity_certificate[pinned_ball]" in failed
+    assert "strict_monotonicity[pinned_ball]" in failed
 
 
 def test_wasserstein_plan_cost_is_summed_from_the_plan(monkeypatch, capsys):
