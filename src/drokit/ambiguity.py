@@ -6,7 +6,8 @@ finite space described by generators or constraints (never by enumerating the
 continuum):
 
 * ``FiniteFamily`` -- the convex hull of listed measures;
-* ``AVaRSet`` -- densities ``0 <= zeta <= 1/(1-alpha)`` w.r.t. a reference;
+* ``AVaRSet`` -- densities ``0 <= zeta <= 1/(1-alpha)`` w.r.t. a reference,
+  ``alpha`` in [0, 1];
 * ``MomentSet`` -- measures on a support grid matching moment targets;
 * ``WassersteinBall`` -- order-1 transport ball around a center.
 
@@ -69,14 +70,15 @@ class FiniteFamily:
 
 @dataclass(frozen=True)
 class AVaRSet:
-    """Dual set of AVaR at level ``alpha``: capped densities w.r.t. a reference."""
+    """Dual set of AVaR at level ``alpha`` in [0, 1]: capped densities w.r.t.
+    a reference. At ``alpha = 1`` the cap is ``+inf``: the essential supremum."""
 
     alpha: float
     reference: DiscreteMeasure
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValidationError("AVaRSet needs alpha in [0, 1)")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValidationError("AVaRSet needs alpha in [0, 1]")
         self.reference.require_probability("AVaR reference")
 
     @property
@@ -85,7 +87,7 @@ class AVaRSet:
 
     @property
     def cap(self) -> float:
-        return 1.0 / (1.0 - self.alpha)
+        return np.inf if self.alpha == 1.0 else 1.0 / (1.0 - self.alpha)
 
 
 @dataclass(frozen=True)
@@ -210,9 +212,10 @@ def membership_system(M: AmbiguitySet) -> MembershipSystem:
         return MembershipSystem(m, np.ones((1, m)), (EQ,), np.array([1.0]), q_map=M.weights.T)
     if isinstance(M, AVaRSet):
         p = M.reference.weights
-        A = np.vstack([p.reshape(1, -1), np.eye(n)])
-        senses = (EQ,) + (LE,) * n
-        b = np.concatenate([[1.0], np.full(n, M.cap)])
+        caps = n if M.alpha < 1.0 else 0  # LinearProgram takes a finite b only
+        A = np.vstack([p.reshape(1, -1), np.eye(n)[:caps]])
+        senses = (EQ,) + (LE,) * caps
+        b = np.concatenate([[1.0], np.full(caps, M.cap)])
         return MembershipSystem(n, A, senses, b, q_map=np.diag(p))
     if isinstance(M, MomentSet):
         rows = [np.ones(n)] + [f.values for f in M.psi]
@@ -266,7 +269,8 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     * FiniteFamily: members times ``Z``, then the first largest member;
     * AVaRSet: a stable descending sort of ``Z``, then the density cap
       ``p / (1 - alpha)`` filled along it until the unit mass is spent, so
-      the lowest index wins ties;
+      the lowest index wins ties; at ``alpha = 1`` the first outcome the
+      reference charges takes all of it;
     * WassersteinBall: in closed form, no LP. Each source with ``p_i > 0``
       starts at its best point of least cost, and the segments of the upper
       concave hulls of ``(d_ij, Z_j)``, weighted by ``p_i``, are bought
@@ -289,7 +293,11 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(M, AVaRSet):
         rows = np.arange(flat.shape[0])[:, None]
         order = (-flat).argsort(axis=-1, kind="stable")
-        filled = np.minimum(np.add.accumulate(M.cap * M.reference.weights[order], axis=-1), 1.0)
+        p = M.reference.weights[order]
+        if M.alpha < 1.0:
+            filled = np.minimum(np.add.accumulate(M.cap * p, axis=-1), 1.0)
+        else:  # all mass on the first outcome the reference charges
+            filled = np.logical_or.accumulate(p > 0.0, axis=-1).astype(float)
         take = filled.copy()
         take[:, 1:] -= filled[:, :-1]
         argmax = np.empty_like(take)

@@ -15,22 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ambiguity import AVaRSet, worst_case
 from .lp import EQ, LinearProgram, solve
 from .rng import Rng
-from .spaces import DiscreteMeasure, RandomVariable, ValidationError
-
-
-@dataclass(frozen=True)
-class AvarSpec:
-    """Risk level ``alpha`` in [0, 1] plus the reference probability."""
-
-    alpha: float
-    reference: DiscreteMeasure
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValidationError("alpha must lie in [0, 1]")
-        self.reference.require_probability("reference")
+from .spaces import RandomVariable, ValidationError
 
 
 @dataclass(frozen=True)
@@ -39,21 +27,21 @@ class AvarValue:
     tau: float
 
 
-def avar_primal(spec: AvarSpec, Z: RandomVariable) -> AvarValue:
+def avar_primal(M: AVaRSet, Z: RandomVariable) -> AvarValue:
     """Breakpoint scan of the threshold objective.
 
     For ``alpha == 1`` the functional is the essential supremum: the largest
     value of ``Z`` on outcomes of positive reference mass. Ties in the
     minimizing threshold resolve toward the smallest ``tau``.
     """
-    p = spec.reference.weights
+    p = M.reference.weights
     z = Z.values
     if z.size != p.size:
         raise ValidationError("Z and the reference live on different spaces")
-    if spec.alpha >= 1.0:
+    if M.alpha >= 1.0:
         top = float(np.max(z[p > 0.0]))
         return AvarValue(value=top, tau=top)
-    scale = 1.0 / (1.0 - spec.alpha)
+    scale = M.cap
     best_val, best_tau = np.inf, np.inf
     for tau in np.unique(z):  # ascending, so strict '<' keeps the smallest tau
         val = tau + scale * float(p @ np.maximum(z - tau, 0.0))
@@ -62,20 +50,18 @@ def avar_primal(spec: AvarSpec, Z: RandomVariable) -> AvarValue:
     return AvarValue(value=best_val, tau=best_tau)
 
 
-def avar_dual(spec: AvarSpec, Z: RandomVariable) -> float:
+def avar_dual(M: AVaRSet, Z: RandomVariable) -> float:
     """LP over capped densities; equals the primal within 1e-7."""
-    p = spec.reference.weights
+    p = M.reference.weights
     z = Z.values
     if z.size != p.size:
         raise ValidationError("Z and the reference live on different spaces")
-    cap = np.inf if spec.alpha >= 1.0 else 1.0 / (1.0 - spec.alpha)
-    n = p.size
     lp = LinearProgram(
         c=z * p,
         A=p.reshape(1, -1),
         senses=(EQ,),
         b=np.array([1.0]),
-        ub=np.full(n, cap),
+        ub=np.full(p.size, M.cap),
         maximize=True,
     )
     sol = solve(lp)
@@ -116,8 +102,6 @@ def check_axioms(ambiguity_set, trials: int, rng: Rng | None = None) -> AxiomRep
     the worst-case expectation functional. Every trial's draws come first,
     in trial order, and the six rows of all trials go to one ``worst_case``
     call."""
-    from .ambiguity import worst_case  # deferred: layering
-
     rng = rng or Rng()
     n = ambiguity_set.n
     rows = np.empty((trials, 6, n))

@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .ambiguity import AVaRSet, default_reference, robust_expectation, worst_case
-from .avar import AvarSpec
 from .composite import (
+    UnreachableAtomError,
     composite_dominates_static,
     composite_functional,
     induced_set,
@@ -103,7 +103,7 @@ def cmd_eval_conditional(args) -> int:
     if args.nested_avar:
         if not isinstance(M, AVaRSet):
             raise InputError("--nested-avar requires an avar ambiguity set")
-        cv = conditional_avar_nested(AvarSpec(M.alpha, M.reference), Z, G)
+        cv = conditional_avar_nested(M, Z, G)
         mode = "nested-avar"
     else:
         cv = conditional_robust(M, Z, G, P)
@@ -135,8 +135,11 @@ def cmd_eval_composite(args) -> int:
             "stage_tables": [t.reshape(-1).tolist() for t in nested.tables],
         }
         checks = []
-        if spec.finitely_generated:
-            eq = rectangular_equivalence_check(spec, Z)
+        try:  # the composite exists where the product family reaches every history
+            eq = rectangular_equivalence_check(spec, Z) if spec.finitely_generated else None
+        except UnreachableAtomError:
+            eq = None
+        if eq is not None:
             results["composite_value"] = eq.composite_value
             checks.append(
                 Check(

@@ -29,11 +29,12 @@ import numpy as np
 
 from .ambiguity import (
     AmbiguitySet,
+    AVaRSet,
     _mass_floor,
     is_strictly_monotone,
     worst_case,
 )
-from .avar import AvarSpec, avar_primal
+from .avar import avar_primal
 from .rng import Rng
 from .spaces import (
     NEG_INF,
@@ -168,12 +169,10 @@ def has_property_p(M: AmbiguitySet, G: Partition) -> bool:
     return bool(np.all(own >= 1.0 - _RATIO_TOL))
 
 
-def conditional_avar_nested(
-    spec: AvarSpec, Z: RandomVariable, G: Partition
-) -> ConditionalValue:
-    """Nested conditional AVaR: per atom, AVaR of ``Z`` under the conditional
-    law of the reference. Null atoms get ``-inf``."""
-    p = spec.reference.weights
+def conditional_avar_nested(M: AVaRSet, Z: RandomVariable, G: Partition) -> ConditionalValue:
+    """Nested conditional AVaR: per atom, AVaR of ``Z`` at the set's level
+    under the conditional law of its reference. Null atoms get ``-inf``."""
+    p = M.reference.weights
     if Z.n != p.size or G.n != p.size:
         raise ValidationError("Z, G, and the reference must share a space")
     values = []
@@ -183,7 +182,7 @@ def conditional_avar_nested(
         if mass <= 0.0:
             values.append(NEG_INF)
             continue
-        local = AvarSpec(spec.alpha, DiscreteMeasure(p[idx] / mass))
+        local = AVaRSet(M.alpha, DiscreteMeasure(p[idx] / mass))
         values.append(avar_primal(local, RandomVariable(Z.values[idx])).value)
     te = all(np.isfinite(v) for v in values)
     return ConditionalValue(G, tuple(values), te)

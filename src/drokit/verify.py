@@ -42,7 +42,7 @@ from .ambiguity import (
     robust_expectation,
     worst_case,
 )
-from .avar import AvarSpec, avar_dual, avar_primal, check_axioms
+from .avar import avar_dual, avar_primal, check_axioms
 from .composite import (
     _INDUCED_SET_CAP,
     RectangularSpec,
@@ -119,18 +119,20 @@ def _checked(name: str, trials: int, rng: Optional[Rng], run) -> Check:
         return Check(name, False, stop.residual, stop.detail)
 
 
-def _criterion(name: str):
+def _criterion(name: str, stated: int):
     """Makes ``body(trials, rng)``, which returns the verdict, the worst
     residual and the detail, the criterion ``name``: a function of
-    ``(trials, rng)``, with the body's default trials, that returns its
-    ``Check`` through ``_checked``."""
+    ``(trials, rng)``, with ``stated`` trials by default, that returns its
+    ``Check`` through ``_checked``. The stated count is written here only."""
 
     def wrap(body):
         @wraps(body)
-        def criterion(trials: int = body.__defaults__[0], rng: Optional[Rng] = None) -> Check:
+        def criterion(trials: int = stated, rng: Optional[Rng] = None) -> Check:
             return _checked(name, trials, rng, partial(body, trials))
 
+        del criterion.__wrapped__  # the signature shown is the criterion's
         criterion.name = name
+        criterion.stated = stated
         return criterion
 
     return wrap
@@ -222,7 +224,7 @@ def witness_conditional_discrepancy():
     P = DiscreteMeasure.uniform(4)
     G = Partition(4, ((0, 1), (2, 3)))
     Z = RandomVariable([1.0, 5.0, 2.0, 7.0])
-    return AVaRSet(0.5, P), AvarSpec(0.0, P), Z, G, P
+    return AVaRSet(0.5, P), AVaRSet(0.0, P), Z, G, P
 
 
 def witness_dp() -> MultistageProblem:
@@ -252,8 +254,8 @@ def witness_dp() -> MultistageProblem:
 # ---------------------------------------------------------------------------
 
 
-def _avar_gap(spec: AvarSpec, Z: RandomVariable) -> float:
-    return abs(avar_primal(spec, Z).value - avar_dual(spec, Z))
+def _avar_gap(M: AVaRSet, Z: RandomVariable) -> float:
+    return abs(avar_primal(M, Z).value - avar_dual(M, Z))
 
 
 def _atom_max_gap(M, G: Partition, Ps, Z: RandomVariable) -> float:
@@ -392,19 +394,19 @@ def _moment_gap(M: MomentSet, Z: RandomVariable) -> float:
 # ---------------------------------------------------------------------------
 
 
-@_criterion("avar_duality")
-def check_avar_duality(trials: int = 500, rng: Optional[Rng] = None):
+@_criterion("avar_duality", 500)
+def check_avar_duality(trials: int, rng: Rng):
     """1: primal threshold scan equals the dual density LP."""
     worst = 0.0
     for _ in range(trials):
         n = 2 + rng.randint(19)
-        spec = AvarSpec(rng.uniform(0.0, 0.95), DiscreteMeasure(rng.simplex(n)))
-        worst = max(worst, _avar_gap(spec, RandomVariable(rng.uniforms(n, -5.0, 5.0))))
+        M = AVaRSet(rng.uniform(0.0, 0.95), DiscreteMeasure(rng.simplex(n)))
+        worst = max(worst, _avar_gap(M, RandomVariable(rng.uniforms(n, -5.0, 5.0))))
     return worst <= 1e-7, worst, f"{trials} instances, n <= 20"
 
 
-@_criterion("axiom_battery")
-def check_axiom_battery(trials: int = 500, rng: Optional[Rng] = None):
+@_criterion("axiom_battery", 500)
+def check_axiom_battery(trials: int, rng: Rng):
     """2: coherence axioms plus the sup-norm Lipschitz bound, all four set
     families."""
     worst = 0.0
@@ -417,8 +419,8 @@ def check_axiom_battery(trials: int = 500, rng: Optional[Rng] = None):
     return worst <= 1e-7, worst, ", ".join(details)
 
 
-@_criterion("property_p_atom_max")
-def check_property_p_atom_max(trials: int = 40, rng: Optional[Rng] = None):
+@_criterion("property_p_atom_max", 40)
+def check_property_p_atom_max(trials: int, rng: Rng):
     """3: under property (P) the conditional equals the per-atom maximum over
     reference-positive outcomes and ignores the positive reference."""
     worst = 0.0
@@ -444,8 +446,8 @@ def check_property_p_atom_max(trials: int = 40, rng: Optional[Rng] = None):
     return worst <= 1e-9, worst, f"{trials} instances incl. AVaR small-atom case"
 
 
-@_criterion("tower_inequality")
-def check_tower_inequality(trials: int = 500, rng: Optional[Rng] = None):
+@_criterion("tower_inequality", 500)
+def check_tower_inequality(trials: int, rng: Rng):
     """4: R(Z) <= R(R_{|G}(Z))."""
     worst = 0.0
     for i in range(trials):
@@ -457,8 +459,8 @@ def check_tower_inequality(trials: int = 500, rng: Optional[Rng] = None):
     return worst <= 1e-9, worst, f"{trials} instances, all set kinds"
 
 
-@_criterion("composite_dominance")
-def check_composite_dominance(trials: int = 500, rng: Optional[Rng] = None):
+@_criterion("composite_dominance", 500)
+def check_composite_dominance(trials: int, rng: Rng):
     """5: R(Z) <= composite(Z) on random instances; the stored witness has a
     gap of at least 1e-3."""
     worst = 0.0
@@ -476,8 +478,8 @@ def check_composite_dominance(trials: int = 500, rng: Optional[Rng] = None):
     return worst <= 1e-9 and gap >= 1e-3, worst, f"{trials} instances; witness gap {gap:.3f}"
 
 
-@_criterion("rectangular_equivalence")
-def check_rectangular_equivalence(trials: int = 100, rng: Optional[Rng] = None):
+@_criterion("rectangular_equivalence", 100)
+def check_rectangular_equivalence(trials: int, rng: Rng):
     """6: nested recursion equals conditional composition under
     rectangularity."""
     worst = 0.0
@@ -487,8 +489,8 @@ def check_rectangular_equivalence(trials: int = 100, rng: Optional[Rng] = None):
     return worst <= 1e-7, worst, f"{trials} instances, T <= 3, sizes <= 3"
 
 
-@_criterion("induced_set")
-def check_induced_set(trials: int = 50, rng: Optional[Rng] = None):
+@_criterion("induced_set", 50)
+def check_induced_set(trials: int, rng: Rng):
     """7: the selector-product family reproduces the composite value, plain
     products reproduce the static value, and the pre-dedup count is exact."""
     worst = 0.0
@@ -503,8 +505,8 @@ def check_induced_set(trials: int = 50, rng: Optional[Rng] = None):
     return worst <= 1e-9, worst, f"{trials} two-stage instances"
 
 
-@_criterion("permutation_invariance")
-def check_permutation_invariance(trials: int = 100, rng: Optional[Rng] = None):
+@_criterion("permutation_invariance", 100)
+def check_permutation_invariance(trials: int, rng: Rng):
     """8: the static value ignores stage order; the stored witness moves the
     composite value by at least 1e-3 under a swap."""
     worst = 0.0
@@ -520,8 +522,8 @@ def check_permutation_invariance(trials: int = 100, rng: Optional[Rng] = None):
     return ok, worst, f"{trials} instances; witness nested change {wit.max_nested_change:.3f}"
 
 
-@_criterion("reference_measure")
-def check_reference_measure(trials: int = 1000, rng: Optional[Rng] = None):
+@_criterion("reference_measure", 1000)
+def check_reference_measure(trials: int, rng: Rng):
     """9: dominance of the smallest dominating measure over sampled members
     and subsets, and per-outcome attainment (minimality)."""
     worst = 0.0
@@ -532,8 +534,8 @@ def check_reference_measure(trials: int = 1000, rng: Optional[Rng] = None):
     return worst <= 1e-9, worst, f"{3 * len(SET_KINDS)} instances x {trials} (Q, A) pairs"
 
 
-@_criterion("strict_monotonicity")
-def check_strict_monotonicity(trials: int = 200, rng: Optional[Rng] = None):
+@_criterion("strict_monotonicity", 200)
+def check_strict_monotonicity(trials: int, rng: Rng):
     """10: strictly monotone sets propagate strictness to the conditional
     functional; the epsilon certificate is positive and attained."""
     violations = checked = 0
@@ -555,8 +557,8 @@ def check_strict_monotonicity(trials: int = 200, rng: Optional[Rng] = None):
     return violations == 0, float(violations), detail
 
 
-@_criterion("transport_bounds")
-def check_transport(trials: int = 200, rng: Optional[Rng] = None):
+@_criterion("transport_bounds", 200)
+def check_transport(trials: int, rng: Rng):
     """11: metric axioms, the expectation-gap bound, the ball-gap bound over
     radius sweeps, and the multistage bound on random trees."""
     worst = 0.0
@@ -605,8 +607,8 @@ def _tree_excess(process: TreeProcess, spec: MultistageBoundSpec, Z) -> float:
     return res.gap - res.bound
 
 
-@_criterion("dp_and_moment_duality")
-def check_dp(trials: int = 50, rng: Optional[Rng] = None):
+@_criterion("dp_and_moment_duality", 50)
+def check_dp(trials: int, rng: Rng):
     """12: backward induction equals policy enumeration, the static optimum
     never exceeds the nested optimum, the argmin rule is necessary under
     strict monotonicity, and the moment dual matches its primal with small
@@ -709,8 +711,7 @@ def _file_cases(pf: ProblemFile, seed: int):
     for name, M in pf.ambiguity_sets.items():
         zs, P = _variables(pf, M.n, seed), default_reference(M)
         if isinstance(M, AVaRSet):
-            gap = partial(_avar_gap, AvarSpec(M.alpha, M.reference))
-            yield "avar_duality", name, _over(zs, 1e-7, gap)
+            yield "avar_duality", name, _over(zs, 1e-7, partial(_avar_gap, M))
         yield "axiom_battery", name, partial(_axiom_case, M)
         yield "reference_measure", name, partial(_reference_case, name, M)
         partitions = [G for G in pf.partitions.values() if G.n == M.n]
@@ -810,19 +811,22 @@ def _dp_case(prob: MultistageProblem, trials: int, rng: Rng):
 # battery drivers
 # ---------------------------------------------------------------------------
 
-CRITERIA: tuple[tuple[Callable[..., Check], int], ...] = (
-    (check_avar_duality, 500),
-    (check_axiom_battery, 500),
-    (check_property_p_atom_max, 40),
-    (check_tower_inequality, 500),
-    (check_composite_dominance, 500),
-    (check_rectangular_equivalence, 100),
-    (check_induced_set, 50),
-    (check_permutation_invariance, 100),
-    (check_reference_measure, 1000),
-    (check_strict_monotonicity, 200),
-    (check_transport, 200),
-    (check_dp, 50),
+CRITERIA: tuple[tuple[Callable[..., Check], int], ...] = tuple(
+    (fn, fn.stated)
+    for fn in (
+        check_avar_duality,
+        check_axiom_battery,
+        check_property_p_atom_max,
+        check_tower_inequality,
+        check_composite_dominance,
+        check_rectangular_equivalence,
+        check_induced_set,
+        check_permutation_invariance,
+        check_reference_measure,
+        check_strict_monotonicity,
+        check_transport,
+        check_dp,
+    )
 )
 
 #: The order of a file report.

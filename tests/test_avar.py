@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from drokit.ambiguity import AVaRSet, FiniteFamily, WassersteinBall
-from drokit.avar import AvarSpec, avar_dual, avar_primal, check_axioms
+from drokit.ambiguity import (
+    AVaRSet,
+    FiniteFamily,
+    WassersteinBall,
+    _membership_lp,
+    contains,
+    worst_case,
+)
+from drokit.avar import avar_dual, avar_primal, check_axioms
 from drokit.rng import Rng
-from drokit.spaces import DiscreteMeasure, FiniteSpace, RandomVariable
+from drokit.spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
 
 
-def tau_grid_oracle(spec: AvarSpec, Z: RandomVariable, points: int = 20001):
+def tau_grid_oracle(M: AVaRSet, Z: RandomVariable, points: int = 20001):
     """Dense threshold grid scan, independent of the breakpoint argument.
 
     Returns the grid minimum (an upper bound on the true infimum) together
@@ -17,8 +24,8 @@ def tau_grid_oracle(spec: AvarSpec, Z: RandomVariable, points: int = 20001):
     spacing times the largest objective slope.
     """
     z = Z.values
-    p = spec.reference.weights
-    scale = 1.0 / (1.0 - spec.alpha)
+    p = M.reference.weights
+    scale = 1.0 / (1.0 - M.alpha)
     lo, hi = z.min() - 1.0, z.max() + 1.0
     taus = np.linspace(lo, hi, points)
     vals = taus + scale * (np.maximum(z[None, :] - taus[:, None], 0.0) @ p)
@@ -32,34 +39,72 @@ U4 = DiscreteMeasure.uniform(4)
 
 
 def test_avar_half_level():
-    got = avar_primal(AvarSpec(0.5, U4), Z1234)
+    got = avar_primal(AVaRSet(0.5, U4), Z1234)
     assert got.value == pytest.approx(3.5, abs=1e-12)
-    oracle, gap = tau_grid_oracle(AvarSpec(0.5, U4), Z1234)
+    oracle, gap = tau_grid_oracle(AVaRSet(0.5, U4), Z1234)
     assert got.value <= oracle + 1e-9
     assert oracle <= got.value + gap
 
 
 def test_avar_zero_is_mean():
-    assert avar_primal(AvarSpec(0.0, U4), Z1234).value == pytest.approx(2.5, abs=1e-12)
+    assert avar_primal(AVaRSet(0.0, U4), Z1234).value == pytest.approx(2.5, abs=1e-12)
 
 
 def test_avar_point_eight():
-    got = avar_primal(AvarSpec(0.8, U4), Z1234)
+    got = avar_primal(AVaRSet(0.8, U4), Z1234)
     assert got.value == pytest.approx(4.0, abs=1e-12)
     assert got.tau == pytest.approx(4.0)
 
 
 def test_avar_one_is_positive_support_max():
-    spec = AvarSpec(1.0, DiscreteMeasure([0.5, 0.5, 0.0]))
-    got = avar_primal(spec, RandomVariable([1.0, 2.0, 9.0]))
+    M = AVaRSet(1.0, DiscreteMeasure([0.5, 0.5, 0.0]))
+    got = avar_primal(M, RandomVariable([1.0, 2.0, 9.0]))
     assert got.value == pytest.approx(2.0)
+
+
+def reference_with_null_outcomes(rng: Rng, n: int, null: bool) -> np.ndarray:
+    """A random reference; with ``null``, up to half its outcomes get no mass."""
+    p = rng.simplex(n)
+    if null:
+        p[rng.subset(n)[: n // 2]] = 0.0
+    return p / p.sum()
+
+
+def test_level_one_is_the_essential_supremum_on_every_route():
+    """At alpha = 1 the oracle gives all mass to the first outcome the
+    reference charges in the stable descending order of Z; that measure is a
+    member, and the primal scan, the dual LP and the membership LP give the
+    same value: the largest Z on the outcomes the reference charges."""
+    rng = Rng(13)
+    for k in range(120):
+        n = 1 + rng.randint(8)
+        p = reference_with_null_outcomes(rng, n, null=k % 2 == 1)
+        M = AVaRSet(1.0, DiscreteMeasure(p))
+        z = np.round(rng.uniforms(n, -1.0, 1.0), 1)  # ties
+        ess = float(z[p > 0.0].max())
+        order = np.argsort(-z, kind="stable")
+        first = order[p[order] > 0.0][0]
+        value, q = worst_case(M, z)
+        assert value == ess and q.tolist() == np.eye(n)[first].tolist()
+        assert contains(M, DiscreteMeasure(q))
+        assert avar_primal(M, RandomVariable(z)).value == ess
+        assert avar_dual(M, RandomVariable(z)) == pytest.approx(ess, abs=1e-12)
+        assert _membership_lp(M, z, maximize=True)[0] == pytest.approx(ess, abs=1e-12)
+        for w in np.flatnonzero(p == 0.0):  # the reference dominates every member
+            assert not contains(M, DiscreteMeasure.point_mass(n, int(w)))
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.1, 1.0 + 1e-12])
+def test_level_outside_the_unit_interval_is_rejected(alpha):
+    with pytest.raises(ValidationError, match="alpha"):
+        AVaRSet(alpha, U4)
 
 
 def test_dual_matches_primal_on_stated_examples():
     for alpha in (0.5, 0.0, 0.8):
-        spec = AvarSpec(alpha, U4)
-        assert avar_dual(spec, Z1234) == pytest.approx(
-            avar_primal(spec, Z1234).value, abs=1e-7
+        M = AVaRSet(alpha, U4)
+        assert avar_dual(M, Z1234) == pytest.approx(
+            avar_primal(M, Z1234).value, abs=1e-7
         )
 
 
@@ -69,10 +114,10 @@ def test_dual_matches_primal_randomized():
         n = 2 + rng.randint(19)
         p = DiscreteMeasure(rng.simplex(n))
         z = RandomVariable(rng.uniforms(n, -5.0, 5.0))
-        spec = AvarSpec(rng.uniform(0.0, 0.95), p)
-        primal = avar_primal(spec, z).value
-        assert avar_dual(spec, z) == pytest.approx(primal, abs=1e-7)
-        oracle, gap = tau_grid_oracle(spec, z)
+        M = AVaRSet(rng.uniform(0.0, 0.95), p)
+        primal = avar_primal(M, z).value
+        assert avar_dual(M, z) == pytest.approx(primal, abs=1e-7)
+        oracle, gap = tau_grid_oracle(M, z)
         assert primal <= oracle + 1e-9
         assert oracle <= primal + gap
 
@@ -86,8 +131,8 @@ def test_avar_monotone_in_alpha():
         a1 = rng.uniform(0.0, 0.9)
         a2 = rng.uniform(a1, 0.999)
         assert (
-            avar_primal(AvarSpec(a1, p), z).value
-            <= avar_primal(AvarSpec(a2, p), z).value + 1e-9
+            avar_primal(AVaRSet(a1, p), z).value
+            <= avar_primal(AVaRSet(a2, p), z).value + 1e-9
         )
 
 
@@ -95,10 +140,10 @@ def test_avar_extremes():
     rng = Rng(8)
     p = DiscreteMeasure(rng.simplex(5))
     z = RandomVariable(rng.uniforms(5, -2.0, 2.0))
-    assert avar_primal(AvarSpec(0.0, p), z).value == pytest.approx(
+    assert avar_primal(AVaRSet(0.0, p), z).value == pytest.approx(
         float(p.weights @ z.values), abs=1e-12
     )
-    assert avar_primal(AvarSpec(1.0, p), z).value == pytest.approx(float(z.values.max()))
+    assert avar_primal(AVaRSet(1.0, p), z).value == pytest.approx(float(z.values.max()))
 
 
 def test_axiom_battery_avar_set():

@@ -831,6 +831,46 @@ def test_induced_set_checks_agree_in_the_units_of_z(tmp_path, capsys):
         assert code == 0 and all(c["passed"] for c in doc["checks"])
 
 
+def test_eval_composite_spec_whose_product_family_misses_a_history(tmp_path, capsys):
+    """The first stage never charges outcome 1, so the composite fold over
+    the product family hits an atom no member charges; the nested value is
+    still defined and reported, without the composite and its check."""
+    path = _two_stage_file(tmp_path / "two_stage.json", [[[1.0, 0.0]], [[0.5, 0.5]]],
+                           [1.0, 2.0, 3.0, 4.0])
+    code, doc = run_json(["eval-composite", path, "--rv", "z", "--spec", "two"], capsys)
+    assert code == 0
+    assert doc["results"]["value"] == 1.5 and "composite_value" not in doc["results"]
+    assert [c["name"] for c in doc["checks"]] == ["evaluated"]
+
+
+def _avar_file(path, alpha) -> str:
+    """An AVaR set at level ``alpha`` whose reference leaves outcome 2 out."""
+    doc = {
+        "version": "1",
+        "spaces": {"s": {"n": 4}},
+        "measures": {"p": {"space": "s", "weights": [0.25, 0.25, 0.0, 0.5]}},
+        "random_variables": {"z": {"space": "s", "values": [1.0, 3.0, 9.0, 2.0]}},
+        "ambiguity_sets": {"M": {"kind": "avar", "alpha": alpha, "reference": "p"}},
+    }
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_avar_level_one_file_gives_the_essential_supremum(tmp_path, capsys):
+    code, doc = run_json(["eval-static", _avar_file(tmp_path / "a.json", 1), "--rv", "z",
+                          "--set", "M"], capsys)
+    assert code == 0
+    assert doc["results"]["value"] == 3.0
+    assert doc["results"]["argmax_measure"] == [0.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("alpha", [1.5, -0.1])
+def test_avar_level_outside_the_unit_interval_exits_2(alpha, tmp_path, capsys):
+    argv = ["eval-static", _avar_file(tmp_path / "a.json", alpha), "--rv", "z", "--set", "M"]
+    assert main(argv) == 2
+    assert "alpha" in _one_error_line(capsys.readouterr().err)
+
+
 def test_induced_set_above_the_cell_cap_exits_2(monkeypatch, capsys):
     """The cap counts cells: the witness's 4 products of 4 cells pass a cap
     of 10 products but not of 10 cells."""

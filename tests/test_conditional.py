@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from drokit.ambiguity import AVaRSet, FiniteFamily, MomentSet, WassersteinBall, membership_system
-from drokit.avar import AvarSpec
 from drokit.conditional import (
     _conditional_values,
     conditional_avar_nested,
@@ -348,34 +347,53 @@ def test_property_p_implies_reference_free_atom_max():
 
 
 def test_nested_avar_alpha_zero_is_conditional_mean():
-    cv = conditional_avar_nested(AvarSpec(0.0, U4), Z1527, G22)
+    cv = conditional_avar_nested(AVaRSet(0.0, U4), Z1527, G22)
     assert cv.atom_values == pytest.approx((3.0, 4.5))
 
 
 def test_nested_avar_near_one_is_atom_max():
-    cv = conditional_avar_nested(AvarSpec(0.99, U4), Z1527, G22)
+    cv = conditional_avar_nested(AVaRSet(0.99, U4), Z1527, G22)
     assert cv.atom_values == pytest.approx((5.0, 7.0))
 
 
 def test_nested_avar_half_uniform():
-    cv = conditional_avar_nested(AvarSpec(0.5, U4), Z1527, G22)
+    cv = conditional_avar_nested(AVaRSet(0.5, U4), Z1527, G22)
     assert cv.atom_values == pytest.approx((5.0, 7.0))
 
 
 def test_nested_avar_null_atom():
     P = DiscreteMeasure([0.5, 0.5, 0.0, 0.0])
-    cv = conditional_avar_nested(AvarSpec(0.5, P), Z1527, G22)
+    cv = conditional_avar_nested(AVaRSet(0.5, P), Z1527, G22)
     assert cv.atom_values[1] == float("-inf")
     assert not cv.te_holds
+
+
+def test_level_one_conditional_is_the_atom_maximum_on_the_support():
+    """At alpha = 1 each atom's value is the largest Z on the atom's outcomes
+    that the reference charges; an atom it does not charge gets -inf."""
+    from drokit.verify import rand_partition
+
+    rng = Rng(37)
+    for k in range(40):
+        n = 2 + rng.randint(6)
+        p = rng.simplex(n)
+        if k % 2:
+            p[rng.subset(n)[: n // 2]] = 0.0
+        P = DiscreteMeasure(p / p.sum())
+        G = rand_partition(rng, n)
+        Z = RandomVariable(rng.uniforms(n, -1.0, 1.0))
+        got = conditional_robust(AVaRSet(1.0, P), Z, G, P).atom_values
+        want = [max((Z.values[w] for w in atom if p[w] > 0.0), default=-np.inf) for atom in G.atoms]
+        assert list(got) == want
 
 
 def test_stored_discrepancy_witness():
     """Worst-case conditional and nested AVaR genuinely differ."""
     from drokit.verify import witness_conditional_discrepancy
 
-    M, nested_spec, Z, G, P = witness_conditional_discrepancy()
+    M, nested_set, Z, G, P = witness_conditional_discrepancy()
     ess = conditional_robust(M, Z, G, P)
-    nested = conditional_avar_nested(nested_spec, Z, G)
+    nested = conditional_avar_nested(nested_set, Z, G)
     assert ess.atom_values == pytest.approx((5.0, 7.0), abs=1e-7)
     assert nested.atom_values == pytest.approx((3.0, 4.5))
     assert max(
