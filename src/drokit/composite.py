@@ -2,10 +2,12 @@
 
 The composite functional folds the conditional functional backward through a
 filtration; it dominates the static worst case, and the gap is generically
-strict. In the rectangular setting -- one marginal ambiguity set per stage,
-the product set on the scenario space -- the fold collapses to a stagewise
-backward recursion, and the nested and conditional evaluations coincide; both
-routes are implemented and compared.
+strict. On the two-stage filtration ``(trivial, G)`` the composite value is
+``R(R_{|G}(Z))``, so its dominance is the tower inequality
+``R(Z) <= R(R_{|G}(Z))``. In the rectangular setting -- one marginal
+ambiguity set per stage, the product set on the scenario space -- the fold
+collapses to a stagewise backward recursion, and the nested and conditional
+evaluations coincide; both routes are implemented and compared.
 
 For two-stage rectangular instances the module also enumerates the induced
 ambiguity set: all first-stage generators paired with every selector mapping

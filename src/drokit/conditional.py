@@ -61,10 +61,6 @@ class ConditionalValue:
         if len(self.atom_values) != self.partition.n_atoms:
             raise ValidationError("one value per atom required")
 
-    @property
-    def finite(self) -> bool:
-        return all(np.isfinite(v) for v in self.atom_values)
-
     def per_outcome(self) -> np.ndarray:
         return self.partition.expand(self.atom_values)
 
@@ -77,15 +73,11 @@ def conditional_robust(
     ``P`` is only validated as a probability on the set's space: the
     values, and which atoms get ``-inf``, depend on ``M`` alone.
     """
-    _require_space(M, Z, G, P)
-    values = _conditional_values(M, Z.values, G)
-    return ConditionalValue(G, tuple(values.tolist()), bool(np.isfinite(values).all()))
-
-
-def _require_space(M: AmbiguitySet, Z: RandomVariable, G: Partition, P: DiscreteMeasure):
     P.require_probability("P")
     if Z.n != M.n or G.n != M.n or P.n != M.n:
         raise ValidationError("Z, G, P, and the ambiguity set must share a space")
+    values = _conditional_values(M, Z.values, G)
+    return ConditionalValue(G, tuple(values.tolist()), bool(np.isfinite(values).all()))
 
 
 def _conditional_values(M: AmbiguitySet, Z, G: Partition) -> np.ndarray:
@@ -186,27 +178,6 @@ def conditional_avar_nested(M: AVaRSet, Z: RandomVariable, G: Partition) -> Cond
         values.append(avar_primal(local, RandomVariable(Z.values[idx])).value)
     te = all(np.isfinite(v) for v in values)
     return ConditionalValue(G, tuple(values), te)
-
-
-@dataclass(frozen=True)
-class TowerCheck:
-    lhs: float  # R(Z)
-    rhs: float  # R(R_{|G}(Z))
-    holds: bool
-
-
-def tower_upper_bound_check(
-    M: AmbiguitySet, Z: RandomVariable, G: Partition, P: DiscreteMeasure
-) -> TowerCheck:
-    """Check ``R(Z) <= R(R_{|G}(Z))`` to ``1e-9 max|Z|``. Requires every
-    atom reachable; ``P`` is only validated, as in ``conditional_robust``."""
-    _require_space(M, Z, G, P)
-    cond = _conditional_values(M, Z.values, G)
-    if not np.isfinite(cond).all():
-        raise ValidationError("conditional value must be finite everywhere")
-    lhs = float(worst_case(M, Z.values)[0])
-    rhs = float(worst_case(M, cond[G.atom_index])[0])
-    return TowerCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9 * float(np.abs(Z.values).max()))
 
 
 @dataclass(frozen=True)

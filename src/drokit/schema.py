@@ -86,12 +86,24 @@ def _field(obj: dict, key: str, where: str, parse, optional: bool = False):
         raise InputError(f"{where}.{key}: {e}") from e
 
 
+def _float(value) -> float:
+    """A JSON number; bools, strings and nulls are rejected, never converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value):
+    """``value`` with every entry of its nested arrays read by ``_float``."""
+    return [_numbers(v) for v in value] if isinstance(value, list) else _float(value)
+
+
 def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    return np.asarray(_numbers(value), dtype=float)
 
 
 def _float_tuple(value) -> tuple[float, ...]:
-    return tuple(float(x) for x in value)
+    return tuple(_float(x) for x in value)
 
 
 def _int(value) -> int:
@@ -217,7 +229,7 @@ def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:
         return FiniteFamily([pf.lookup("measures", m) for m in _require(spec, "measures", where)])
     if kind == "avar":
         return AVaRSet(
-            alpha=_field(spec, "alpha", where, float),
+            alpha=_field(spec, "alpha", where, _float),
             reference=pf.lookup("measures", _require(spec, "reference", where)),
         )
     if kind == "moment":
@@ -231,7 +243,7 @@ def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:
     if kind == "wasserstein":
         return WassersteinBall(
             center=pf.lookup("measures", _require(spec, "center", where)),
-            radius=_field(spec, "radius", where, float),
+            radius=_field(spec, "radius", where, _float),
             space=pf.lookup("spaces", _require(spec, "space", where)),
         )
     raise InputError(f"{where}: unknown ambiguity kind {kind!r}")
@@ -272,7 +284,7 @@ def _check_bound_spec(pf: ProblemFile, name: str, spec: dict) -> dict:
             eps=_field(spec, "eps", where, _float_tuple),
             kappa=_field(spec, "kappa", where, _float_tuple),
             weights=_field(spec, "weights", where, _float_tuple),
-            lipschitz=_field(spec, "lipschitz", where, float),
+            lipschitz=_field(spec, "lipschitz", where, _float),
         )
         objective = _require(spec, "rv", where)
         if objective not in pf.random_variables:

@@ -25,7 +25,7 @@ from drokit.ambiguity import (
 from drokit.lp import GE, LinearProgram, solve
 from drokit.rng import Rng
 from drokit.spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
-from drokit.verify import rand_ambiguity_set
+from drokit.verify import _moment_gap, rand_ambiguity_set
 
 
 def two_point_metric_space():
@@ -658,3 +658,18 @@ def test_two_moment_worst_case_in_the_units_of_z():
     # a zero row stays zero, with a member of the set as its measure
     value, q = worst_case(M, np.zeros(8))
     assert value == 0.0 and contains(M, DiscreteMeasure(q))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e12, 1e100])
+def test_one_moment_dual_matches_the_closed_form_in_the_units_of_psi(scale):
+    """The dual LP of ``dp_and_moment_duality`` has absolute tolerances; it
+    runs on each moment row and target over a power of two near the row's
+    largest entry, so scaling ``psi`` and its target together moves neither
+    side."""
+    rng = Rng(3)
+    for i in range(200):
+        n = 3 + rng.randint(4)
+        M = rand_ambiguity_set(rng, n, "moment")
+        Z = RandomVariable(rng.uniforms(n, -1.0, 1.0))
+        psi = (RandomVariable(scale * M.psi[0].values),)
+        assert _moment_gap(MomentSet(M.support, psi, (scale * M.targets[0],)), Z) <= 1e-7, i

@@ -518,6 +518,31 @@ def test_verify_file_holds_on_random_data_in_large_units(tmp_path, capsys):
         assert code == 0, [c for c in report["checks"] if not c["passed"]]
 
 
+def test_verify_file_one_moment_set_with_psi_in_small_units(tmp_path, capsys):
+    """A valid one-moment set whose ``psi`` and target are of order 1e-8 (a
+    set of ``rand_ambiguity_set(Rng(3), 5, "moment")`` scaled): the dual LP's
+    absolute tolerances used to miss the closed form by 3.9e-3."""
+    psi = [0.2984398187214855, 0.5334077311651368, 0.6353762538044379, 0.9123581167524344,
+           0.9519185976765645]
+    doc = {
+        "version": "1",
+        "spaces": {"grid": {"n": 5}},
+        "random_variables": {
+            "psi": {"space": "grid", "values": [1e-8 * v for v in psi]},
+            "z": {"space": "grid", "values": [0.8539221777697474, 0.9539259838613021,
+                                              -0.18560198458381771, 0.7103932624284637,
+                                              -0.10347645362016067]},
+        },
+        "ambiguity_sets": {"m": {"kind": "moment", "support": "grid", "functions": ["psi"],
+                                 "targets": [1e-8 * 0.5246421221669554]}},
+    }
+    path = tmp_path / "small_psi.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(["verify", str(path), "--trials", "20"], capsys)
+    dual = [c for c in report["checks"] if c["name"] == "dp_and_moment_duality[m]"]
+    assert code == 0 and dual and dual[0]["passed"], report["checks"]
+
+
 #: The checks each golden file's ``verify FILE`` report made before the file
 #: route ran the battery's criteria, under their old names.
 OLD_FILE_CHECKS = {
@@ -994,6 +1019,45 @@ def test_non_finite_input_exits_2_naming_its_field(tmp_path, capsys, golden, nod
     message = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(message) == 1 and field in message[0].replace(str(bad), "")
     assert "Traceback" not in err
+
+
+# one entry of every float field: (golden file, node, key); the field's JSON
+# path is the first three steps
+FLOAT_FIELDS = {
+    "alpha": (CONDITIONAL, ("ambiguity_sets", "avar_half"), "alpha"),
+    "radius": (STATIC, ("ambiguity_sets", "pinned_ball"), "radius"),
+    "lipschitz": (DP_TRANSPORT, ("bound_specs", "stagewise"), "lipschitz"),
+    "targets": (STATIC, ("ambiguity_sets", "mean_03", "targets"), 0),
+    "eps": (DP_TRANSPORT, ("bound_specs", "stagewise", "eps"), 1),
+    "kappa": (DP_TRANSPORT, ("bound_specs", "stagewise", "kappa"), 0),
+    "weights": (DP_TRANSPORT, ("bound_specs", "stagewise", "weights"), 1),
+    "eps_grid": (DP_TRANSPORT, ("bound_specs", "ball_sweep", "eps_grid"), 2),
+    "measure-weights": (STATIC, ("measures", "left", "weights"), 0),
+    "values": (STATIC, ("random_variables", "payout", "values"), 0),
+    "metric": (STATIC, ("spaces", "bit", "metric", 0), 1),
+    "costs": (DP_TRANSPORT, ("problems", "carried", "costs", 2, 0), 0),
+    "kernels": (DP_TRANSPORT, ("processes", "two_leg", "kernels", 1, 0), 0),
+}
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("field", sorted(FLOAT_FIELDS))
+def test_bool_or_string_in_a_float_field_exits_2_naming_its_path(field, value, tmp_path, capsys):
+    """A JSON boolean or numeric string is not a number: it is rejected where
+    it enters, never converted (``true`` would read as 1, ``"0.5"`` as 0.5)."""
+    golden, node, key = FLOAT_FIELDS[field]
+    with open(golden) as fh:
+        doc = json.load(fh)
+    parent = doc
+    for step in node:
+        parent = parent[step]
+    parent[key] = value
+    bad = tmp_path / "not_a_number.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad), "--trials", "0"]) == 2
+    message = _one_error_line(capsys.readouterr().err)
+    path = ".".join((*node, key)[:3])
+    assert path in message and "expected a number" in message
 
 
 # mutated golden files: any document exits 0, 1 or 2 and never raises

@@ -42,6 +42,8 @@ FILE_CALLS = [
 ]
 CALLS = [argv + ["--format", fmt] for argv in FILE_CALLS for fmt in ("text", "json")]
 CALLS += [["verify", "--builtin", "--format", fmt] for fmt in ("text", "json")]
+CALLS += [["verify", "--builtin", "--seed", seed, "--trials", "5", "--format", "json"]
+          for seed in ("1", "7", "123")]
 
 
 def run(argv):

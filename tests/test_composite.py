@@ -30,7 +30,7 @@ from drokit.composite import (
     rectangular_nested,
     static_rectangular,
 )
-from drokit.conditional import conditional_robust, tower_upper_bound_check
+from drokit.conditional import conditional_robust
 from drokit.rng import Rng
 from drokit.spaces import (
     DiscreteMeasure,
@@ -140,7 +140,7 @@ def reference_composite(M, F, Z, P):
                 raise UnreachableAtomError(f"outcome {int(np.argmin(reachable))} unreachable")
             continue
         cond = conditional_robust(M, RandomVariable(vals), G, P)
-        if not cond.finite:
+        if not cond.te_holds:
             raise UnreachableAtomError("atom unreachable")
         vals = cond.per_outcome()
     return float(vals[0])
@@ -219,7 +219,7 @@ def conditional_robust_fold(M, F, Z, P):
     vals = Z.values
     for G in reversed(F.stages[1:]):
         cond = conditional_robust(M, RandomVariable(vals), G, P)
-        if not cond.finite:
+        if not cond.te_holds:
             bad = cond.atom_values.index(float("-inf"))
             raise UnreachableAtomError(f"atom {G.atoms[bad]} unreachable by every member")
         vals = loop_expand(G, cond.atom_values)
@@ -227,8 +227,9 @@ def conditional_robust_fold(M, F, Z, P):
 
 
 def test_composite_and_tower_equal_the_conditional_robust_route_bit_for_bit():
-    """The array fold and tower check give the very floats, and the very
-    unreachable-atom message, of the route through ``conditional_robust``."""
+    """The array fold gives the very floats, and the very unreachable-atom
+    message, of the route through ``conditional_robust``; on the filtration
+    (trivial, G) its two sides are the two sides of the tower inequality."""
     rng = Rng(59)
     aborted = towers = 0
     for i in range(240):
@@ -246,16 +247,17 @@ def test_composite_and_tower_equal_the_conditional_robust_route_bit_for_bit():
         else:
             assert composite_functional(M, F, Z, P) == want, i
         G = F.stages[rng.randint(F.horizon)]
+        tower = Filtration((Partition.trivial(n), G))
         cond = conditional_robust(M, Z, G, P)
-        if not cond.finite:
-            with pytest.raises(ValidationError):
-                tower_upper_bound_check(M, Z, G, P)
+        if not cond.te_holds:
+            with pytest.raises(UnreachableAtomError):
+                composite_dominates_static(M, tower, Z, P)
             continue
         towers += 1
         lhs, _ = robust_expectation(M, Z)
         rhs, _ = robust_expectation(M, RandomVariable(loop_expand(G, cond.atom_values)))
-        chk = tower_upper_bound_check(M, Z, G, P)
-        assert (chk.lhs, chk.rhs) == (lhs, rhs), i
+        chk = composite_dominates_static(M, tower, Z, P)
+        assert (chk.static_value, chk.composite_value) == (lhs, rhs), i
     assert 40 <= aborted <= 200 and towers >= 150
 
 

@@ -7,27 +7,28 @@ import numpy as np
 import pytest
 
 from drokit.ambiguity import AVaRSet, FiniteFamily, MomentSet, WassersteinBall, membership_system
+from drokit.composite import UnreachableAtomError, composite_dominates_static
 from drokit.conditional import (
     _conditional_values,
     conditional_avar_nested,
     conditional_robust,
     conditional_strict_monotonicity_check,
     has_property_p,
-    tower_upper_bound_check,
 )
 from drokit.lp import EQ, LinearProgram, linear_fractional_max, solve
 from drokit.rng import Rng
 from drokit.spaces import (
     DiscreteMeasure,
+    Filtration,
     FiniteSpace,
     Partition,
     RandomVariable,
-    ValidationError,
 )
 
 U4 = DiscreteMeasure.uniform(4)
 G22 = Partition(4, ((0, 1), (2, 3)))
 Z1527 = RandomVariable([1.0, 5.0, 2.0, 7.0])
+TRIVIAL_G22 = Filtration((Partition.trivial(4), G22))  # the tower inequality's filtration
 
 
 def full_simplex(n):
@@ -69,7 +70,6 @@ def test_unreachable_atom_minus_inf_and_te():
     assert cv.atom_values[0] == pytest.approx(3.0)
     assert cv.atom_values[1] == float("-inf")
     assert not cv.te_holds
-    assert not cv.finite
 
 
 def charnes_cooper_atom_values(M, Z, G):
@@ -431,14 +431,13 @@ def test_tower_upper_bound_randomized():
         ]
         Z = RandomVariable(rng.uniforms(4, -3, 3))
         for M in sets:
-            chk = tower_upper_bound_check(M, Z, G22, P)
-            assert chk.holds
+            assert composite_dominates_static(M, TRIVIAL_G22, Z, P).holds
 
 
 def test_tower_check_rejects_unreachable():
     M = FiniteFamily((DiscreteMeasure([0.5, 0.5, 0.0, 0.0]),))
-    with pytest.raises(ValidationError):
-        tower_upper_bound_check(M, Z1527, G22, U4)
+    with pytest.raises(UnreachableAtomError):
+        composite_dominates_static(M, TRIVIAL_G22, Z1527, U4)
 
 
 def test_conditional_strict_monotonicity_battery():
@@ -536,7 +535,8 @@ def test_tower_check_holds_in_the_units_of_z():
         Z = RandomVariable(1e8 * rng.uniforms(n, -3.0, 3.0))
         G = Partition.singletons(n) if i % 2 else Partition.trivial(n)
         P = DiscreteMeasure(rng.simplex(n))
-        assert tower_upper_bound_check(M, Z, G, P).holds, i
+        F = Filtration((Partition.trivial(n), G))
+        assert composite_dominates_static(M, F, Z, P).holds, i
 
 
 def test_conditional_strict_monotonicity_skipped_when_not_strict():
