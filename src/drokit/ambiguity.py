@@ -97,9 +97,9 @@ class MomentSet:
     The grid discretizes whatever continuum the moment functions came from;
     choosing it is up to the caller and the docs flag the approximation.
     Feasibility is decided at construction: with one moment the target must
-    lie in the range of ``psi`` up to ``FEAS_TOL``, the margin the LP
-    accepts, and is clamped into it; with two or more an LP solve certifies
-    it.
+    lie in the range of ``psi`` up to ``FEAS_TOL * max|psi|``, the LP's
+    margin in the units of ``psi``, and is clamped into it; with two or more
+    an LP solve certifies it.
     """
 
     support: FiniteSpace
@@ -118,7 +118,8 @@ class MomentSet:
                 raise ValidationError("moment function off the support grid")
         if len(psi) == 1:
             lo, hi = float(psi[0].values.min()), float(psi[0].values.max())
-            feasible = lo - FEAS_TOL <= targets[0] <= hi + FEAS_TOL
+            margin = FEAS_TOL * max(abs(lo), abs(hi))
+            feasible = lo - margin <= targets[0] <= hi + margin
             object.__setattr__(self, "targets", (min(max(targets[0], lo), hi),))
         else:
             sys = membership_system(self)

@@ -31,7 +31,6 @@ from .ambiguity import AVaRSet, default_reference, robust_expectation, worst_cas
 from .composite import (
     UnreachableAtomError,
     composite_dominates_static,
-    composite_functional,
     induced_set,
     rectangular_equivalence_check,
     rectangular_nested,
@@ -73,6 +72,14 @@ def _emit(report: Report, args: argparse.Namespace, csv_block: Optional[str] = N
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
+def _reject_flags(args: argparse.Namespace, dests, context: str) -> None:
+    """Raises naming the flags among ``dests`` that are given: the mode that
+    ``context`` names does not read them."""
+    given = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d)]
+    if given:
+        raise InputError(f"{', '.join(given)} cannot be used {context}")
+
+
 def cmd_eval_static(args) -> int:
     pf = load_problem_file(args.file)
     Z = pf.lookup("random_variables", args.rv)
@@ -95,6 +102,8 @@ def cmd_eval_static(args) -> int:
 
 
 def cmd_eval_conditional(args) -> int:
+    if args.nested_avar:
+        _reject_flags(args, ("reference",), "with --nested-avar")
     pf = load_problem_file(args.file)
     Z = pf.lookup("random_variables", args.rv)
     M = pf.lookup("ambiguity_sets", args.set)
@@ -125,6 +134,10 @@ def cmd_eval_conditional(args) -> int:
 
 
 def cmd_eval_composite(args) -> int:
+    if args.spec:
+        _reject_flags(args, ("set", "filtration", "reference"), "with --spec")
+    else:
+        _reject_flags(args, ("induced_set",), "without --spec")
     pf = load_problem_file(args.file)
     Z = pf.lookup("random_variables", args.rv)
     if args.spec:
@@ -174,14 +187,13 @@ def cmd_eval_composite(args) -> int:
     M = pf.lookup("ambiguity_sets", args.set)
     F = pf.lookup("filtrations", args.filtration)
     P = pf.lookup("measures", args.reference) if args.reference else default_reference(M)
-    value = composite_functional(M, F, Z, P)
     dom = composite_dominates_static(M, F, Z, P)
     report = Report(
         command=f"eval-composite --rv {args.rv} --set {args.set} "
         f"--filtration {args.filtration}",
         inputs_digest=pf.digest,
         results={
-            "value": value,
+            "value": dom.composite_value,
             "static_value": dom.static_value,
         },
         checks=[

@@ -12,8 +12,8 @@ flat integer array per stage: stage t's array holds the action at every
 stage-t node ``(xi_1, ..., xi_t)`` at that node's C-order index. The arrays
 are flat rather than shaped by the stage sizes because numpy caps arrays at
 64 dimensions, and a chain of 1500 one-outcome stages is a valid problem.
-``Policy.actions`` reads them through a read-only mapping; a hand-written
-dict works too.
+``Policy.actions`` builds a node -> action dict from them on each read, and
+``Policy.from_actions`` builds the arrays from a node-keyed mapping.
 
 Two ways of pricing a fixed policy coexist: the nested (stagewise) value,
 which the recursion optimizes, and the static worst case over product
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -170,88 +170,59 @@ def _stage_nodes(stage_sizes, t: int):
     return itertools.product(*[range(s) for s in stage_sizes[1 : t + 1]])
 
 
-class _StageActions(Mapping):
-    """Read-only node -> action view over flat per-stage action arrays.
-
-    ``stages[t][k]`` is the action at the k-th stage-t node in C order, and
-    the arrays are made read-only. Keys come stage by stage, each stage in C
-    order; a key past the horizon or with a component out of range is missing.
-    """
-
-    __slots__ = ("_stages", "_sizes")
-
-    def __init__(self, stages: tuple[np.ndarray, ...], stage_sizes: tuple[int, ...]):
-        for a in stages:
-            a.flags.writeable = False
-        self._stages = stages
-        self._sizes = stage_sizes
-
-    def __getitem__(self, node) -> int:
-        if not isinstance(node, tuple) or len(node) >= len(self._stages):
-            raise KeyError(node)
-        k = 0
-        for xi, s in zip(node, self._sizes[1:]):
-            if not 0 <= xi < s:
-                raise KeyError(node)
-            k = k * s + xi
-        return int(self._stages[len(node)][k])
-
-    def __iter__(self):
-        for t in range(len(self._stages)):
-            yield from _stage_nodes(self._sizes, t)
-
-    def __len__(self) -> int:
-        return sum(a.size for a in self._stages)
-
-    def items(self):
-        return _StageItems(self)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-    def __reduce__(self):
-        return _StageActions, (self._stages, self._sizes)
-
-
-class _StageItems(ItemsView):
-    """Items of a ``_StageActions``, read off the arrays in key order rather
-    than looked up key by key."""
-
-    def __iter__(self):
-        stages = self._mapping._stages
-        return zip(self._mapping, itertools.chain.from_iterable(a.tolist() for a in stages))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
-    """Action per history node: key ``()`` for stage 0, ``(xi_1, ..., xi_t)``
-    for the stage-t node reached by those outcomes.
-
-    ``actions`` is any mapping. ``solve_dp`` and ``enumerate_policies`` both
-    give a read-only view over one flat action array per stage, in C order.
+    """One flat integer array of actions per stage, made read-only:
+    ``stages[t][k]`` acts at the k-th stage-t node ``(xi_1, ..., xi_t)`` in C
+    order over the outcome counts ``stage_sizes``. Pricing checks feasibility.
     """
 
-    actions: Mapping[tuple[int, ...], int]
+    stages: tuple[np.ndarray, ...]
+    stage_sizes: tuple[int, ...]
 
-    def action(self, history: tuple[int, ...]) -> int:
-        return self.actions[history]
+    def __post_init__(self):
+        stages, sizes = tuple(self.stages), tuple(self.stage_sizes)
+        if len(stages) != len(sizes):
+            raise ValidationError(f"{len(stages)} action arrays for {len(sizes)} stages")
+        nodes = 1
+        for t, a in enumerate(stages):
+            nodes *= sizes[t] if t else 1
+            if not isinstance(a, np.ndarray) or a.shape != (nodes,) or a.dtype.kind not in "iu":
+                raise ValidationError(f"stage {t} needs a flat integer array of {nodes} actions")
+            a.setflags(write=False)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "stage_sizes", sizes)
 
-    def validate(self, prob: MultistageProblem) -> None:
-        """Raises at the shallowest node whose action is missing or not
-        allowed after its parent's action."""
-        _checked_actions(prob, self)
+    def __eq__(self, other):
+        if not isinstance(other, Policy):
+            return NotImplemented
+        return self.stage_sizes == other.stage_sizes and all(
+            np.array_equal(a, b) for a, b in zip(self.stages, other.stages)
+        )
+
+    @property
+    def actions(self) -> dict[tuple[int, ...], int]:
+        """A new node -> action dict on each read, key ``()`` for stage 0,
+        stage by stage, each stage in C order."""
+        nodes = (_stage_nodes(self.stage_sizes, t) for t in range(len(self.stages)))
+        acts = (a.tolist() for a in self.stages)
+        return dict(zip(itertools.chain.from_iterable(nodes), itertools.chain.from_iterable(acts)))
+
+    @classmethod
+    def from_actions(cls, prob: MultistageProblem, actions: Mapping) -> Policy:
+        """The policy taking ``actions[node]`` at every node of ``prob``;
+        raises at the shallowest node whose action is missing or infeasible."""
+        sizes = prob.stage_sizes
+        stages = [[actions.get(n) for n in _stage_nodes(sizes, t)] for t in range(prob.horizon)]
+        _checked_actions(prob, stages)
+        return cls(tuple(np.array(a, dtype=np.int64) for a in stages), sizes)
 
 
-def _checked_actions(prob: MultistageProblem, pi: Policy) -> list[list[int]]:
-    """The policy's actions stage by stage, each stage in C order, each checked
-    against its parent's action; raises at the shallowest bad node. Stage
-    arrays over the problem's stage sizes are read off whole, any other
-    mapping once per node."""
-    sizes, acts = prob.stage_sizes, pi.actions
-    if isinstance(acts, _StageActions) and tuple(acts._sizes) == tuple(sizes):
-        stages = [a.tolist() for a in acts._stages]
-    else:
-        stages = [[acts.get(node) for node in _stage_nodes(sizes, t)] for t in range(prob.horizon)]
+def _checked_actions(prob: MultistageProblem, stages) -> None:
+    """Raises at the shallowest node whose action, ``stages[t][k]`` for the
+    k-th stage-t node in C order, is missing (``None``) or not allowed after
+    its parent's action."""
+    sizes = prob.stage_sizes
     if stages[0][0] is None or stages[0][0] not in prob.allowed(0, 0, 0):
         raise ValidationError("infeasible or missing first-stage action")
     for t in range(1, prob.horizon):
@@ -260,7 +231,6 @@ def _checked_actions(prob: MultistageProblem, pi: Policy) -> list[list[int]]:
             if a is None or a not in feas[prev[k // s]][k % s]:
                 node = next(itertools.islice(_stage_nodes(sizes, t), k, None))
                 raise ValidationError(f"policy infeasible at node {node}")
-    return stages
 
 
 def _bellman_step(prob: MultistageProblem, t: int, cont: np.ndarray):
@@ -318,7 +288,7 @@ def solve_dp(prob: MultistageProblem) -> DpSolution:
     stages = [argmin[0][0]]
     for t in range(1, T):
         stages.append(argmin[t][stages[-1]].ravel())
-    policy = Policy(_StageActions(tuple(stages), prob.stage_sizes))
+    policy = Policy(tuple(stages), prob.stage_sizes)
     vf = ValueFunctions(V=tuple(V), calV=tuple(calV))
     return DpSolution(value=float(V[0][0, 0]), policy=policy, value_functions=vf)
 
@@ -329,29 +299,29 @@ def _cost_stack(prob: MultistageProblem, policies) -> np.ndarray:
     action arrays.
 
     Each scenario's total adds its first-stage cost, then its stage costs in
-    stage order, so it is rounded exactly like the sum along its path. Stage
-    arrays over the problem's stage sizes are taken whole and checked against
-    ``_allow`` in the same gather; any other mapping is read node by node. A
-    stack with an infeasible policy raises at the shallowest bad node of the
-    first such policy.
+    stage order, so it is rounded exactly like the sum along its path. The
+    actions are checked against ``_allow`` in the same gather; a stack with an
+    infeasible policy raises at the shallowest bad node of the first such
+    policy.
     """
-    sizes, P = prob.stage_sizes, len(policies)
-    per_policy = [
-        pi.actions._stages
-        if isinstance(pi.actions, _StageActions) and tuple(pi.actions._sizes) == tuple(sizes)
-        else [np.array(a) for a in _checked_actions(prob, pi)]
-        for pi in policies
-    ]
-    stages = [np.stack(arrays) for arrays in zip(*per_policy)]  # stages[t]: (P, nodes)
-    ok = prob._allow[0][0, 0, stages[0][:, 0]]
-    totals = prob.costs[0][stages[0], 0]
-    for t in range(1, prob.horizon):
-        s = sizes[t]
-        acts = stages[t].reshape(P, -1, s)  # (policy, parent node, outcome)
-        ok &= prob._allow[t][stages[t - 1][..., None], np.arange(s), acts].all(axis=(1, 2))
-        totals = (totals[..., None] + prob.costs[t][acts, np.arange(s)]).reshape(P, -1)
-    if not ok.all():
-        _checked_actions(prob, policies[int(np.argmin(ok))])
+    sizes, P = tuple(prob.stage_sizes), len(policies)
+    if any(pi.stage_sizes != sizes for pi in policies):
+        raise ValidationError(f"policy stage sizes differ from the problem's {sizes}")
+    stages = [np.stack(arrays) for arrays in zip(*(pi.stages for pi in policies))]  # (P, nodes)
+    # an action out of range would wrap around or overflow in the gathers
+    feasible = all(st.min() >= 0 and st.max() < n for st, n in zip(stages, prob.n_actions))
+    if feasible:
+        ok = prob._allow[0][0, 0, stages[0][:, 0]]
+        totals = prob.costs[0][stages[0], 0]
+        for t in range(1, prob.horizon):
+            s = sizes[t]
+            acts = stages[t].reshape(P, -1, s)  # (policy, parent node, outcome)
+            ok &= prob._allow[t][stages[t - 1][..., None], np.arange(s), acts].all(axis=(1, 2))
+            totals = (totals[..., None] + prob.costs[t][acts, np.arange(s)]).reshape(P, -1)
+        feasible = ok.all()
+    if not feasible:
+        for pi in policies:
+            _checked_actions(prob, pi.stages)
     return totals.reshape((P,) + (prob.scenario_shape() or (1,)))
 
 
@@ -489,7 +459,7 @@ def enumerate_policies(prob: MultistageProblem):
             (xp, xi): list(tables(t, xp, xi, below)) for xp in priors[t] for xi in range(sizes[t])
         }
     for table in tables(0, 0, 0, below):
-        yield Policy(_StageActions(tuple(np.array(d) for d in table), sizes))
+        yield Policy(tuple(np.array(d) for d in table), sizes)
 
 
 @dataclass(frozen=True)
@@ -573,7 +543,7 @@ def verify_optimality_necessity(prob: MultistageProblem) -> NecessityReport:
         if value > sol.value + tol:
             continue
         optimal += 1
-        stages = _checked_actions(prob, pi)
+        stages = [a.tolist() for a in pi.stages]
         for t in range(prob.horizon):
             s = prob.stage_sizes[t]
             for k, node in enumerate(_stage_nodes(prob.stage_sizes, t)):

@@ -118,6 +118,16 @@ def _int_tuple(value) -> tuple[int, ...]:
     return tuple(_int(x) for x in value)
 
 
+def _names(value, null_first: bool = False) -> tuple:
+    """A JSON array of strings (``null`` allowed first when ``null_first``);
+    a lone string or any other entry is rejected, never split or converted."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, str) or (v is None and null_first and i == 0) for i, v in enumerate(value)
+    ):
+        raise ValueError(f"expected an array of names, got {value!r}")
+    return tuple(value)
+
+
 def _as_mapping(doc: dict, key: str) -> dict:
     section = doc.get(key, {})
     if not isinstance(section, dict):
@@ -155,7 +165,7 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
         where = f"spaces.{name}"
         pf.spaces[name] = FiniteSpace(
             n=_field(spec, "n", where, _int),
-            labels=tuple(spec["labels"]) if "labels" in spec else None,
+            labels=_field(spec, "labels", where, _names, optional=True),
             metric=_field(spec, "metric", where, _floats, optional=True),
         )
     for name, spec in _as_mapping(doc, "measures").items():
@@ -186,24 +196,22 @@ def _load_sections(doc: dict, pf: ProblemFile) -> None:
         if "tree" in spec:
             pf.filtrations[name] = tree_filtration(pf.lookup("trees", spec["tree"]))
             continue
-        stages = tuple(
-            pf.lookup("partitions", pname) for pname in _require(spec, "stages", where)
-        )
+        stages = tuple(pf.lookup("partitions", p) for p in _field(spec, "stages", where, _names))
         pf.filtrations[name] = Filtration(stages)
     for name, spec in _as_mapping(doc, "ambiguity_sets").items():
         pf.ambiguity_sets[name] = _load_ambiguity(pf, name, spec)
     for name, spec in _as_mapping(doc, "rectangular_specs").items():
         where = f"rectangular_specs.{name}"
-        spaces = tuple(pf.lookup("spaces", s) for s in _require(spec, "stage_spaces", where))
+        spaces = tuple(pf.lookup("spaces", s) for s in _field(spec, "stage_spaces", where, _names))
         sets = tuple(
-            pf.lookup("ambiguity_sets", s) for s in _require(spec, "stage_sets", where)
+            pf.lookup("ambiguity_sets", s) for s in _field(spec, "stage_sets", where, _names)
         )
         pf.rectangular_specs[name] = RectangularSpec(spaces, sets)
     for name, spec in _as_mapping(doc, "problems").items():
         pf.problems[name] = _load_problem(pf, name, spec)
     for name, spec in _as_mapping(doc, "processes").items():
         where = f"processes.{name}"
-        spaces = tuple(pf.lookup("spaces", s) for s in _require(spec, "stage_spaces", where))
+        spaces = tuple(pf.lookup("spaces", s) for s in _field(spec, "stage_spaces", where, _names))
         kernels = _field(spec, "kernels", where, lambda v: tuple(_floats(k) for k in v))
         pf.processes[name] = TreeProcess(spaces, kernels)
     for name, spec in _as_mapping(doc, "bound_specs").items():
@@ -226,7 +234,8 @@ def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:
     where = f"ambiguity_sets.{name}"
     kind = _require(spec, "kind", where)
     if kind == "finite_family":
-        return FiniteFamily([pf.lookup("measures", m) for m in _require(spec, "measures", where)])
+        names = _field(spec, "measures", where, _names)
+        return FiniteFamily([pf.lookup("measures", m) for m in names])
     if kind == "avar":
         return AVaRSet(
             alpha=_field(spec, "alpha", where, _float),
@@ -236,7 +245,7 @@ def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:
         return MomentSet(
             support=pf.lookup("spaces", _require(spec, "support", where)),
             psi=tuple(
-                pf.lookup("random_variables", f) for f in _require(spec, "functions", where)
+                pf.lookup("random_variables", f) for f in _field(spec, "functions", where, _names)
             ),
             targets=_field(spec, "targets", where, _float_tuple),
         )
@@ -251,7 +260,7 @@ def _load_ambiguity(pf: ProblemFile, name: str, spec: dict) -> AmbiguitySet:
 
 def _load_problem(pf: ProblemFile, name: str, spec: dict) -> MultistageProblem:
     where = f"problems.{name}"
-    set_names = _require(spec, "stage_sets", where)
+    set_names = _field(spec, "stage_sets", where, lambda v: _names(v, null_first=True))
     sets = tuple(
         None if s is None else pf.lookup("ambiguity_sets", s) for s in set_names
     )

@@ -430,12 +430,30 @@ def test_moment_closed_form_tie_rule_and_feasibility_margin():
     values, argmax = worst_case(M, np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0]]))
     assert values.tolist() == [0.5, 1.0]
     assert argmax.tolist() == [[0.5, 0.5, 0.0, 0.0], [0.75, 0.0, 0.0, 0.25]]
-    # targets within the LP's feasibility margin are clamped into the range
+    # targets within the feasibility margin, 1e-7 max|psi| = 2e-7 here, are
+    # clamped into the range
     assert MomentSet(grid, (psi,), (2.0 + 5e-8,)).targets == (2.0,)
     assert MomentSet(grid, (psi,), (-5e-8,)).targets == (0.0,)
-    for target in (2.0 + 2e-7, -2e-7):
+    for target in (2.0 + 4e-7, -4e-7):
         with pytest.raises(ValidationError):
             MomentSet(grid, (psi,), (target,))
+
+
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e12])
+def test_one_moment_target_margin_is_relative_to_max_abs_psi(s):
+    """The margin is ``FEAS_TOL * max|psi|``: an absolute ``FEAS_TOL`` let
+    infeasible targets load at 1e-12 and rejected feasible ones at 1e12."""
+    grid = FiniteSpace(2)
+    for psi in ([0.0, s], [-s, 0.0]):
+        lo, hi = psi
+        moment = (RandomVariable(psi),)
+        assert MomentSet(grid, moment, (hi + s * 1e-8,)).targets == (hi,)
+        assert MomentSet(grid, moment, (lo - s * 1e-8,)).targets == (lo,)
+        for target in (hi + s * 1e-6, lo - s * 1e-6):
+            with pytest.raises(ValidationError, match="infeasible"):
+                MomentSet(grid, moment, (target,))
+    with pytest.raises(ValidationError, match="infeasible"):
+        MomentSet(grid, (RandomVariable([0.0, 1e-12]),), (5e-10,))
 
 
 def test_two_moment_set_stays_on_the_lp_and_matches_its_dual():

@@ -1132,3 +1132,102 @@ def test_python_m_drokit_runs_the_cli(tmp_path):
     assert bad.stdout == ""
     assert len([line for line in bad.stderr.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["eval-composite", CONDITIONAL, "--rv", "zigzag", "--set", "avar_half",
+          "--filtration", "steps", "--induced-set"], ["--induced-set"]),
+        (["eval-composite", CONDITIONAL, "--rv", "diagonal", "--spec", "gap_witness",
+          "--set", "avar_half", "--filtration", "steps", "--reference", "nosuch"],
+         ["--set", "--filtration", "--reference"]),
+        (["eval-composite", CONDITIONAL, "--rv", "diagonal", "--spec", "gap_witness",
+          "--reference", "null_tail"], ["--reference"]),
+        (["eval-conditional", CONDITIONAL, "--rv", "zigzag", "--set", "avar_half",
+          "--partition", "halves", "--nested-avar", "--reference", "null_tail"], ["--reference"]),
+    ],
+    ids=["induced-set-with-filtration", "filtration-flags-with-spec", "reference-with-spec",
+         "reference-with-nested-avar"],
+)
+def test_flags_of_the_other_mode_exit_2(argv, flags, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    message = _one_error_line(captured.err)
+    assert captured.out == "" and all(flag in message for flag in flags)
+
+
+def test_eval_composite_filtration_path_folds_once(monkeypatch, capsys):
+    """The report's value is the dominance check's composite value: one fold."""
+    import drokit.cli as cli
+    import drokit.composite as composite
+
+    calls = []
+    fold = composite.composite_functional
+
+    def counted(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(composite, "composite_functional", counted)
+    monkeypatch.setattr(cli, "composite_functional", counted, raising=False)
+    code, doc = run_json(FILE_ARGV["eval-composite"], capsys)
+    assert code == 0 and len(calls) == 1
+    assert doc["results"]["value"] == fold(*calls[0])
+
+
+def _one_char_names_doc() -> dict:
+    """A file whose objects all have one-character names, so that a name list
+    written as a string of those names loads when strings are split."""
+    return {
+        "version": "1",
+        "spaces": {"s": {"n": 2, "labels": ["x", "y"], "metric": [[0.0, 1.0], [1.0, 0.0]]}},
+        "measures": {"a": {"space": "s", "weights": [0.5, 0.5]},
+                     "b": {"space": "s", "weights": [1.0, 0.0]}},
+        "random_variables": {"z": {"space": "s", "values": [1.0, 2.0]}},
+        "partitions": {"t": {"space": "s", "atoms": [[0, 1]]}},
+        "filtrations": {"F": {"stages": ["t"]}},
+        "ambiguity_sets": {
+            "M": {"kind": "finite_family", "measures": ["a", "b"]},
+            "m": {"kind": "moment", "support": "s", "functions": ["z"], "targets": [1.5]},
+        },
+        "rectangular_specs": {"R": {"stage_spaces": ["s"], "stage_sets": ["M"]}},
+        "problems": {"P": {"n_actions": [1, 1], "stage_sizes": [1, 2], "stage_sets": [None, "M"],
+                           "costs": [[[0.0]], [[1.0, 2.0]]], "feasible": [[0], [[[0], [0]]]]}},
+        "processes": {"p": {"stage_spaces": ["s"], "kernels": [[0.5, 0.5]]}},
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("ambiguity_sets", "M", "measures"), "ab"),
+        (("ambiguity_sets", "m", "functions"), "z"),
+        (("filtrations", "F", "stages"), "t"),
+        (("rectangular_specs", "R", "stage_spaces"), "s"),
+        (("rectangular_specs", "R", "stage_sets"), "M"),
+        (("problems", "P", "stage_sets"), "M"),
+        (("problems", "P", "stage_sets"), [None, None]),
+        (("processes", "p", "stage_spaces"), "s"),
+        (("spaces", "s", "labels"), "xy"),
+        (("spaces", "s", "labels"), [1, True]),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else json.dumps(v),
+)
+def test_name_lists_take_json_arrays_of_strings_only(path, value, tmp_path, capsys):
+    doc = _one_char_names_doc()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    argv = ["--rv", "z", "--set", "M"]
+    assert main(["eval-static", str(good)] + argv) == 0
+    *head, key = path
+    node = doc
+    for part in head:
+        node = node[part]
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval-static", str(bad)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ".".join(path) in _one_error_line(captured.err)

@@ -111,7 +111,7 @@ def test_one_stage_deterministic():
     )
     sol = solve_dp(prob)
     assert sol.value == pytest.approx(0.5)
-    assert sol.policy.action(()) == 1
+    assert sol.policy.actions[()] == 1
 
 
 def test_two_stage_full_simplex_worst_child():
@@ -326,7 +326,9 @@ def test_weak_duality_exchange():
 def test_policy_validation():
     prob = witness_problem()
     with pytest.raises(ValidationError):
-        Policy({(): 0, (0,): 0, (1,): 0, (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0}).validate(prob)
+        Policy.from_actions(
+            prob, {(): 0, (0,): 0, (1,): 0, (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0}
+        )
 
 
 def test_policy_helpers_on_deep_chain():
@@ -344,8 +346,9 @@ def test_policy_helpers_on_deep_chain():
     assert solve_dp(prob).value == pytest.approx(1500.0)
     assert count_policies(prob) == 1
     (pi,) = list(enumerate_policies(prob))
-    assert len(pi.actions) == T
-    assert pi.action((0,) * (T - 1)) == 0
+    actions = pi.actions
+    assert len(actions) == T
+    assert actions[(0,) * (T - 1)] == 0
 
 
 def mixed_problem(rng):
@@ -433,6 +436,7 @@ def test_stage_array_policy_matches_per_node_extraction():
         assert all((v == m).all() for v, m in zip(vf.V, triple_loop_minima(prob, vf.calV)))
         assert vf.bellman_residual(prob) == 0.0
         actions, ref = sol.policy.actions, per_node_extraction(prob, vf)
+        assert type(actions) is dict and actions is not sol.policy.actions
         items = list(actions.items())
         assert items == list(ref.items())
         assert all(type(a) is int for _, a in items)
@@ -449,18 +453,18 @@ def test_stage_array_policy_matches_per_node_extraction():
                 actions[node]
         assert pickle.loads(pickle.dumps(sol.policy)) == sol.policy
         assert pickle.dumps(sol.policy) == pickle.dumps(solve_dp(prob).policy)
-        assert Policy(dict(actions)) == sol.policy
+        assert Policy.from_actions(prob, actions) == sol.policy
 
 
-def test_validate_names_the_shallowest_offending_node():
+def test_from_actions_names_the_shallowest_offending_node():
     prob = witness_problem()  # stage 2 must repeat the stage-1 action
-    pi = Policy({(): 0, (0,): 0, (1,): 1, (0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0})
+    actions = {(): 0, (0,): 0, (1,): 1, (0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
     with pytest.raises(ValidationError, match=r"node \(1, 1\)"):
-        pi.validate(prob)
+        Policy.from_actions(prob, actions)
     # (0, 0) breaks the rule too and comes first in scenario order
-    pi = Policy({(): 0, (0,): 0, (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0})
+    actions = {(): 0, (0,): 0, (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 0}
     with pytest.raises(ValidationError, match=r"node \(1,\)"):
-        pi.validate(prob)
+        Policy.from_actions(prob, actions)
 
 
 def per_node_enumeration(prob):
@@ -512,17 +516,24 @@ def test_enumeration_matches_per_node_dicts():
 
 
 def test_pricing_a_solved_policy_reads_its_stage_arrays(monkeypatch):
+    """Solving, enumerating and pricing never build the node -> action dict."""
     rng = Rng(257)
-    probs = [mixed_problem(rng) for _ in range(10)]
-    sols = [solve_dp(prob) for prob in probs]
+    probs = [mixed_problem(rng) for _ in range(10)] + [witness_problem()]
 
-    def no_lookup(self, node):
-        raise AssertionError("per-node lookup")
+    def no_dict(self):
+        raise AssertionError("Policy.actions read")
 
-    monkeypatch.setattr(dp._StageActions, "__getitem__", no_lookup)
-    for prob, sol in zip(probs, sols):
+    monkeypatch.setattr(Policy, "actions", property(no_dict))
+    for prob in probs:
+        sol = solve_dp(prob)
         assert nested_policy_value(prob, sol.policy) == pytest.approx(sol.value, abs=1e-9)
         static_policy_value(prob, sol.policy)
+        policy_cost_array(prob, sol.policy)
+        if count_policies(prob) <= 5000:
+            assert sum(1 for _ in enumerate_policies(prob)) == count_policies(prob)
+            assert enumeration_value(prob) == pytest.approx(sol.value, abs=1e-9)
+            compare_min_static_vs_min_nested(prob)
+            verify_optimality_necessity(prob)
 
 
 def test_min_comparison_builds_spec_and_costs_once(monkeypatch):
@@ -553,12 +564,12 @@ def test_min_comparison_builds_spec_and_costs_once(monkeypatch):
 
 def per_node_costs(prob, pi):
     """A policy's cost per scenario, summed along each path node by node."""
-    shape = prob.scenario_shape()
+    shape, actions = prob.scenario_shape(), pi.actions
     out = np.empty(shape or (1,))
     for scen in itertools.product(*[range(s) for s in shape]):
-        total = float(prob.costs[0][pi.action(()), 0])
+        total = float(prob.costs[0][actions[()], 0])
         for t in range(1, prob.horizon):
-            total += prob.costs[t][pi.action(scen[:t]), scen[t - 1]]
+            total += prob.costs[t][actions[scen[:t]], scen[t - 1]]
         out[scen or 0] = total
     return out
 
@@ -642,18 +653,58 @@ def test_batched_pricing_matches_per_policy_folds(monkeypatch):
         assert one.argmin_static == arg_s and one.argmin_nested == arg_n
 
 
-def test_batched_pricing_reads_plain_mappings_node_by_node():
-    prob = witness_problem()
-    good = [dict(pi.actions) for pi in enumerate_policies(prob)]
-    for d in good:
-        assert nested_policy_value(prob, Policy(d)) == nested_policy_value(prob, Policy(dict(d)))
-    bad = dict(good[0])
-    bad[(1, 1)] = 1 - bad[(1, 1)]  # stage 2 must repeat the stage-1 action
+def with_action(pi, t, k, a):
+    """``pi``'s stage arrays with the k-th stage-t action replaced by ``a``."""
+    stages = [s.copy() for s in pi.stages]
+    stages[t][k] = a
+    return Policy(tuple(stages), pi.stage_sizes)
+
+
+def test_policies_built_from_arrays_are_checked_where_they_are_priced():
+    prob = witness_problem()  # stage 2 must repeat the stage-1 action
+    policies = list(enumerate_policies(prob))
+    for pi in policies:
+        assert Policy.from_actions(prob, pi.actions) == pi
+        copy = Policy(tuple(a.copy() for a in pi.stages), prob.stage_sizes)
+        assert nested_policy_value(prob, copy) == nested_policy_value(prob, pi)
+    bad = with_action(policies[0], 2, 3, 1 - policies[0].stages[2][3])  # node (1, 1)
     with pytest.raises(ValidationError, match=r"policy infeasible at node \(1, 1\)"):
-        dp._cost_stack(prob, [Policy(good[1]), Policy(bad)])
-    del bad[(1, 1)]
+        dp._cost_stack(prob, [policies[1], bad])
+    missing = policies[0].actions
+    del missing[(1, 1)]
     with pytest.raises(ValidationError, match=r"node \(1, 1\)"):
-        static_policy_value(prob, Policy(bad))
+        Policy.from_actions(prob, missing)
+    # an action out of range would wrap around or overflow in the gathers
+    for t, k, a, where in ((0, 0, -1, "first-stage"), (1, 1, 2, r"node \(1,\)"),
+                           (2, 0, -1, r"node \(0, 0\)"), (2, 2, 2, r"node \(1, 0\)")):
+        with pytest.raises(ValidationError, match=where):
+            static_policy_value(prob, with_action(policies[0], t, k, a))
+        with pytest.raises(ValidationError, match=where):
+            dp._cost_stack(prob, policies[:2] + [with_action(policies[0], t, k, a)])
+    short = Policy(policies[0].stages[:2], prob.stage_sizes[:2])
+    with pytest.raises(ValidationError, match="stage sizes"):
+        nested_policy_value(prob, short)
+
+
+def test_policy_rejects_malformed_stage_arrays():
+    sizes = (1, 2, 3)
+    good = (np.zeros(1, np.int64), np.ones(2, np.uint8), np.zeros(6, np.intp))
+    pi = Policy(list(good), list(sizes))
+    assert all(a is b for a, b in zip(pi.stages, good)) and pi.stage_sizes == sizes
+    assert not any(a.flags.writeable for a in good)
+    assert pi == Policy(tuple(a.astype(int) for a in good), sizes)
+    assert pi != Policy(good[:2] + (np.ones(6, int),), sizes) and pi != "policy"
+    for stages in (
+        good[:2],
+        good + (np.zeros(6, int),),
+        good[:2] + (np.zeros((2, 3), int),),
+        good[:2] + (np.zeros(5, int),),
+        good[:2] + (np.zeros(6),),
+        good[:2] + (np.zeros(6, bool),),
+        good[:2] + ([0] * 6,),
+    ):
+        with pytest.raises(ValidationError, match="stage"):
+            Policy(stages, sizes)
 
 
 def test_solve_dp_policy_arrays_match_the_repeat_tile_extraction():
@@ -670,7 +721,7 @@ def test_solve_dp_policy_arrays_match_the_repeat_tile_extraction():
         for t in range(1, T):
             prev, s = want[-1], sizes[t]
             want.append(argmin[t][np.repeat(prev, s), np.tile(np.arange(s), prev.size)])
-        got = sol.policy.actions._stages
+        got = sol.policy.stages
         assert [a.dtype for a in got] == [a.dtype for a in want]
         assert all((g == w).all() for g, w in zip(got, want))
         assert got[-1].size == 3**7
