@@ -39,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .lp import EQ, FEAS_TOL, GE, LE, LinearProgram, solve
-from .rng import Rng
+from .rng import Rng, randint_words
 from .spaces import ATOL, DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError, as_weights
 
 
@@ -487,8 +487,8 @@ def sample_measures(M: AmbiguitySet, count: int, rng: Rng) -> list[DiscreteMeasu
     """Random members: extreme points for random objectives plus convex
     mixtures of them. Used by randomized dominance and membership batteries."""
     n = M.n
-    directions = [rng.uniforms(n, -1.0, 1.0) for _ in range(min(count, 2 * n + 2))]
-    _, vertices = worst_case(M, np.array(directions).reshape(-1, n))
+    directions = rng.uniforms(min(count, 2 * n + 2) * n, -1.0, 1.0).reshape(-1, n)
+    _, vertices = worst_case(M, directions)
     out = [DiscreteMeasure(q) for q in vertices[:count]]
     while len(out) < count:
         k = min(len(vertices), 1 + rng.randint(3))
@@ -496,6 +496,37 @@ def sample_measures(M: AmbiguitySet, count: int, rng: Rng) -> list[DiscreteMeasu
         lam = rng.simplex(k)
         out.append(DiscreteMeasure(sum(l * q for l, q in zip(lam, picks))))
     return out
+
+
+def _picks_and_subsets(rng: Rng, trials: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``trials`` rounds of ``rng.randint(m)`` then ``rng.subset(n)``
+    draw: the picks, and the subsets as 0/1 rows of ``n`` floats.
+
+    A round starting at word ``o`` takes word ``o`` for its pick and the
+    parities of the next ``n`` words for its subset; when all ``n`` are even,
+    the word after them is the subset's ``randint(n)`` and every later round
+    starts one word later. So the rounds take ``trials * (n + 1)`` words
+    plus one per such subset: that first block is walked as far as its words
+    reach, one more word is drawn per such subset found, and the walk goes on
+    until every round has its words. The stream ends where the calls end.
+    """
+    words = rng.u64s(trials * (n + 1))
+    starts = np.empty(trials, dtype=np.intp)
+    k = o = 0
+    while k < trials:
+        ones = np.concatenate(([0], np.cumsum((words & np.uint64(1)).astype(np.intp))))
+        lone = (ones[n + 1:] == ones[1:-n]).tolist()  # the n words after each word are even
+        found = 0
+        while k < trials and o < len(lone):
+            starts[k] = o
+            found += lone[o]
+            o += n + 1 + lone[o]
+            k += 1
+        words = np.concatenate((words, rng.u64s(found)))
+    sets = (words[starts[:, None] + np.arange(1, n + 1)] & np.uint64(1)).astype(float)
+    single = np.flatnonzero(sets.sum(axis=1) == 0.0)
+    sets[single, randint_words(words[starts[single] + n + 1], n)] = 1.0
+    return randint_words(words[starts], m), sets
 
 
 def dominates_all(
@@ -510,11 +541,7 @@ def dominates_all(
     rng = rng or Rng()
     n = M.n
     pool = np.array([q.weights for q in sample_measures(M, max(8, min(trials, 4 * n)), rng)])
-    picks = np.empty(trials, dtype=int)
-    sets = np.zeros((trials, n))
-    for k in range(trials):
-        picks[k] = rng.randint(len(pool))
-        sets[k, rng.subset(n)] = 1.0
+    picks, sets = _picks_and_subsets(rng, trials, len(pool), n)
     q_mass = (pool[picks] * sets).sum(axis=1)
     mu_mass = (result.mu.weights * sets).sum(axis=1)
     return bool(np.all(q_mass <= mu_mass + 1e-9))

@@ -99,20 +99,18 @@ class AxiomReport:
 def check_axioms(ambiguity_set, trials: int, rng: Rng | None = None) -> AxiomReport:
     """Randomized battery for subadditivity, monotonicity, translation
     equivariance, positive homogeneity, and the sup-norm Lipschitz bound of
-    the worst-case expectation functional. Every trial's draws come first,
-    in trial order, and the six rows of all trials go to one ``worst_case``
-    call."""
+    the worst-case expectation functional. Each trial draws ``z`` and ``z2``
+    in [-2, 2), ``bump`` in [0, 1.5), a shift in [-2, 2) and a scale in
+    [0.1, 3), in that order; all trials are one block of uniforms, and the
+    six rows of all trials go to one ``worst_case`` call."""
     rng = rng or Rng()
     n = ambiguity_set.n
-    rows = np.empty((trials, 6, n))
-    shifts, scales = np.empty(trials), np.empty(trials)
-    for k in range(trials):
-        z = rng.uniforms(n, -2.0, 2.0)
-        z2 = rng.uniforms(n, -2.0, 2.0)
-        bump = rng.uniforms(n, 0.0, 1.5)
-        shifts[k] = rng.uniform(-2.0, 2.0)
-        scales[k] = rng.uniform(0.1, 3.0)
-        rows[k] = z, z2, z + z2, z + bump, z + shifts[k], scales[k] * z
+    lo = np.repeat([-2.0, -2.0, 0.0, -2.0, 0.1], [n, n, n, 1, 1])
+    hi = np.repeat([2.0, 2.0, 1.5, 2.0, 3.0], [n, n, n, 1, 1])
+    draws = lo + (hi - lo) * rng.uniforms(trials * lo.size).reshape(trials, lo.size)
+    z, z2, bump = draws[:, :n], draws[:, n:2 * n], draws[:, 2 * n:3 * n]
+    shifts, scales = draws[:, 3 * n], draws[:, 3 * n + 1]
+    rows = np.stack((z, z2, z + z2, z + bump, z + shifts[:, None], scales[:, None] * z), axis=1)
     risk = worst_case(ambiguity_set, rows)[0]
     rz, rz2, rsum, rbump, rshift, rscale = risk.T
     gap = np.abs(rows[:, 1] - rows[:, 0]).max(axis=1, initial=0.0)

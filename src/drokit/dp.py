@@ -200,6 +200,11 @@ class Policy:
             np.array_equal(a, b) for a, b in zip(self.stages, other.stages)
         )
 
+    def __setstate__(self, state):
+        """Unpickling re-runs the validation, which makes the arrays
+        read-only again; the pickled bytes stay the default ones."""
+        self.__init__(**state)
+
     @property
     def actions(self) -> dict[tuple[int, ...], int]:
         """A new node -> action dict on each read, key ``()`` for stage 0,

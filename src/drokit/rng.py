@@ -7,6 +7,15 @@ which keeps randomized batteries byte-reproducible across platforms and
 reimplementable in other languages from this file alone.
 
 Floats in [0, 1) are produced as ``(next_u64() >> 11) * 2**-53``.
+
+Every method reads the same single stream of words, in order: a block call
+such as ``uniforms(n)`` or ``u64s(k)`` returns exactly what ``n`` or ``k``
+consecutive scalar calls would. Word ``i`` after counter ``s`` is
+``mix(s + i * 0x9E3779B97F4A7C15)``, so a block is one computation on numpy
+``uint64`` arrays, whose arithmetic wraps modulo 2**64 like the scalar
+masks. The words are generated ahead into a small per-generator buffer; a
+reimplementation may ignore the blocks and the buffer and draw one word at a
+time.
 """
 
 from __future__ import annotations
@@ -17,20 +26,93 @@ _MASK64 = (1 << 64) - 1
 _WEYL = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_U64 = np.uint64
+_ONE, _FLOAT_SHIFT = _U64(1), _U64(11)
+
+#: Words generated by a generator's first refill of its buffer; each later
+#: refill doubles, up to ``_FILL_MAX``. A small start keeps short-lived
+#: generators cheap.
+_FILL_MIN = 32
+_FILL_MAX = 1024
+
+
+#: ``i * WEYL`` for ``i = 1, ..., _FILL_MAX``: the counter steps of a refill.
+_STEPS = np.arange(1, _FILL_MAX + 1, dtype=_U64) * _U64(_WEYL)
+
+
+def _splitmix(state: int, k: int) -> np.ndarray:
+    """The ``k`` words that follow the counter ``state``."""
+    steps = _STEPS[:k] if k <= _FILL_MAX else np.arange(1, k + 1, dtype=_U64) * _U64(_WEYL)
+    z = steps + _U64(state)
+    z ^= z >> _U64(30)
+    z *= _U64(_MIX1)
+    z ^= z >> _U64(27)
+    z *= _U64(_MIX2)
+    z ^= z >> _U64(31)
+    return z
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Floats in [0, 1) from the top 53 bits of each word."""
+    return (words >> _FLOAT_SHIFT) * 2.0**-53
+
+
+def randint_words(words: np.ndarray, n: int) -> np.ndarray:
+    """``randint(n)`` of each word: what ``Rng.randint(n)`` returns when it
+    draws that word."""
+    return np.minimum((_unit(words) * n).astype(np.intp), n - 1)
 
 
 class Rng:
     """SplitMix64 stream seeded with a 64-bit integer (default 42)."""
 
     def __init__(self, seed: int = 42):
-        self._state = seed & _MASK64
+        self._state = seed & _MASK64  # counter of the last word generated
+        # words generated but not yet read start at _pos: as an array and
+        # its floats for block reads, as a list of ints for scalar reads
+        self._block = np.empty(0, dtype=_U64)
+        self._units = _unit(self._block)
+        self._words: list[int] = []
+        self._pos = 0
+        self._fill = _FILL_MIN
+
+    def _generate(self, k: int) -> np.ndarray:
+        words = _splitmix(self._state, k)
+        self._state = (self._state + k * _WEYL) & _MASK64
+        return words
+
+    def _refill(self) -> None:
+        self._block = self._generate(self._fill)
+        self._units = _unit(self._block)
+        self._words = self._block.tolist()
+        self._pos = 0
+        self._fill = min(2 * self._fill, _FILL_MAX)
 
     def next_u64(self) -> int:
-        self._state = (self._state + _WEYL) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
+        if self._pos == len(self._words):
+            self._refill()
+        self._pos += 1
+        return self._words[self._pos - 1]
+
+    def u64s(self, k: int) -> np.ndarray:
+        """The next ``k`` words as a ``uint64`` array: the buffered ones
+        first, then a refill, or for large ``k`` words generated straight
+        into the result."""
+        k = max(k, 0)
+        start = self._pos
+        if start + k <= self._block.size:
+            self._pos += k
+            return self._block[start:start + k]
+        head = self._block[start:]
+        rest = k - head.size
+        if rest < self._fill:
+            self._refill()
+            self._pos = rest
+            tail = self._block[:rest]
+        else:
+            self._pos = self._block.size
+            tail = self._generate(rest)
+        return np.concatenate((head, tail)) if head.size else tail
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """One float in [lo, hi)."""
@@ -38,7 +120,15 @@ class Rng:
         return lo + (hi - lo) * u
 
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)])
+        """``n`` floats in [lo, hi), equal elementwise to ``n`` calls of
+        ``uniform(lo, hi)``."""
+        start = self._pos
+        if 0 <= n <= self._block.size - start:
+            self._pos += n
+            u = self._units[start:start + n]
+        else:
+            u = _unit(self.u64s(n))
+        return lo + (hi - lo) * u
 
     def randint(self, n: int) -> int:
         """Integer in {0, ..., n-1} via the top 53 bits; n must be positive."""
@@ -62,12 +152,11 @@ class Rng:
         return w / total
 
     def subset(self, n: int) -> list[int]:
-        """Random nonempty subset of {0, ..., n-1}: each index kept with
-        probability 1/2, and one uniform index when none was kept."""
-        picked = [i for i in range(n) if self.next_u64() & 1]
-        if not picked:
-            picked = [self.randint(n)]
-        return picked
+        """Random nonempty subset of {0, ..., n-1}: index ``i`` is kept when
+        the i-th of ``n`` words is odd, and one ``randint(n)`` follows when
+        none was kept."""
+        picked = np.flatnonzero(self.u64s(n) & _ONE).tolist()
+        return picked or [self.randint(n)]
 
     def shuffled(self, items: list) -> list:
         """Fisher-Yates shuffle of a copy of ``items``."""

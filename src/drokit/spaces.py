@@ -21,6 +21,10 @@ ATOL = 1e-9
 
 NEG_INF = float("-inf")
 
+#: Most (i, k, j) cells the triangle-inequality check of a metric compares at
+#: once, so that its memory stays O(n**2) per chunk of k.
+_TRIANGLE_CELLS = 1 << 18
+
 
 class ValidationError(ValueError):
     """Raised when an input violates a documented invariant."""
@@ -92,9 +96,12 @@ class FiniteSpace:
                 raise ValidationError("metric diagonal must be zero")
             if np.any(np.abs(d - d.T) > tol):
                 raise ValidationError("metric must be symmetric")
-            # triangle inequality over all index triples
-            for k in range(self.n):
-                if np.any(d > d[:, [k]] + d[[k], :] + tol):
+            # triangle inequality d[i, j] <= d[i, k] + d[k, j] + tol over all
+            # index triples, as (i, k, j) cells for a chunk of k at a time
+            chunk = max(1, _TRIANGLE_CELLS // self.n**2)
+            for k in range(0, self.n, chunk):
+                ks = slice(k, k + chunk)
+                if np.any(d[:, None, :] > d[:, ks, None] + d[None, ks, :] + tol):
                     raise ValidationError("metric violates the triangle inequality")
             object.__setattr__(self, "metric", _readonly(d))
 

@@ -586,11 +586,11 @@ def check_transport(trials: int, rng: Rng):
             rows = [rng.simplex(sizes[t]) for _ in range(1 if independent and t > 0 else histories)]
             kernels.append(np.array(rows * (histories // len(rows))).reshape(*sizes[:t], sizes[t]))
         process = TreeProcess(spaces, tuple(kernels))
-        w = tuple(rng.uniform(0.5, 1.5) for _ in range(T))
+        w = tuple(rng.uniforms(T, 0.5, 1.5).tolist())
         Z = rng.uniforms(int(np.prod(sizes)), -1.0, 1.0).reshape(sizes)
         L = scenario_lipschitz_certificate(process, Z, w)
         kappa = kernel_history_moduli(process, w)
-        spec = MultistageBoundSpec(tuple(rng.uniform(0.0, 0.3) for _ in range(T)), kappa, w, L)
+        spec = MultistageBoundSpec(tuple(rng.uniforms(T, 0.0, 0.3).tolist()), kappa, w, L)
         worst = max(worst, _tree_excess(process, spec, Z))
         if independent:
             flat = MultistageBoundSpec(spec.eps, (0.0,) * T, w, L)
@@ -623,10 +623,7 @@ def check_dp(trials: int, rng: Rng):
             if strictly_monotone:
                 members = [0.7 * w + 0.3 / s for w in members]
             sets.append(FiniteFamily(members))
-        costs = tuple(
-            np.array([[rng.uniform(-1.0, 1.0) for _ in range(s)] for _ in range(a)])
-            for a, s in zip(n_actions, sizes)
-        )
+        costs = tuple(rng.uniforms(a * s, -1.0, 1.0).reshape(a, s) for a, s in zip(n_actions, sizes))
 
         def allowed(a: int) -> tuple[int, ...]:
             k = 1 + rng.randint(a)

@@ -11,9 +11,11 @@ from drokit.ambiguity import (
     contains,
     worst_case,
 )
+from drokit import avar
 from drokit.avar import avar_dual, avar_primal, check_axioms
 from drokit.rng import Rng
 from drokit.spaces import DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError
+from drokit.verify import SET_KINDS, rand_ambiguity_set
 
 
 def tau_grid_oracle(M: AVaRSet, Z: RandomVariable, points: int = 20001):
@@ -162,3 +164,53 @@ def test_axiom_battery_zero_radius_ball():
     M = WassersteinBall(DiscreteMeasure([0.2, 0.3, 0.5]), 0.0, space)
     report = check_axioms(M, trials=60, rng=Rng(4))
     assert report.max_violation <= 1e-7
+
+
+def axioms_by_loop(M, trials, rng):
+    """Per-trial reference for ``check_axioms``: each trial's five draws by
+    scalar calls, and one ``worst_case`` call per row. Returns the largest
+    violation per axiom and the rows, trial by trial."""
+    worst, rows = [0.0] * 5, []
+    for _ in range(trials):
+        z = rng.uniforms(M.n, -2.0, 2.0)
+        z2 = rng.uniforms(M.n, -2.0, 2.0)
+        bump = rng.uniforms(M.n, 0.0, 1.5)
+        shift = rng.uniform(-2.0, 2.0)
+        scale = rng.uniform(0.1, 3.0)
+        rows.append((z, z2, z + z2, z + bump, z + shift, scale * z))
+        rz, rz2, rsum, rbump, rshift, rscale = (worst_case(M, row)[0] for row in rows[-1])
+        found = (
+            rsum - rz - rz2,
+            rz - rbump,
+            abs(rshift - rz - shift),
+            abs(rscale - scale * rz),
+            abs(rz2 - rz) - float(np.abs(z2 - z).max(initial=0.0)),
+        )
+        worst = [max(w, float(v)) for w, v in zip(worst, found)]
+    return worst, np.array(rows).reshape(trials, 6, M.n)
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_check_axioms_matches_the_per_trial_loop(kind, monkeypatch):
+    """The block of draws gives the per-trial loop's rows bit for bit, and
+    the call leaves the stream where the loop does."""
+    seen = []
+
+    def recording(M, rows):
+        seen.append(rows)
+        return worst_case(M, rows)
+
+    monkeypatch.setattr(avar, "worst_case", recording)
+    gen = Rng(17)
+    for trials in (0, 1, 7, 120):
+        M = rand_ambiguity_set(gen, 2 + gen.randint(5), kind)
+        seed = gen.randint(1 << 30)
+        a, b = Rng(seed), Rng(seed)
+        report = check_axioms(M, trials, a)
+        expected, rows = axioms_by_loop(M, trials, b)
+        assert np.array_equal(seen.pop(), rows)
+        got = [report.subadditivity, report.monotonicity, report.translation,
+               report.homogeneity, report.lipschitz]
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert report.trials == trials
+        assert a.next_u64() == b.next_u64()

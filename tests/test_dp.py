@@ -707,6 +707,18 @@ def test_policy_rejects_malformed_stage_arrays():
             Policy(stages, sizes)
 
 
+def test_unpickled_policy_is_validated_and_read_only():
+    pi = Policy((np.zeros(1, np.int64), np.array([1, 0], np.int64)), (1, 2))
+    back = pickle.loads(pickle.dumps(pi))
+    assert back == pi
+    assert not any(a.flags.writeable for a in back.stages)
+    with pytest.raises(ValueError, match="read-only"):
+        back.stages[1][0] = 5
+    blank = Policy.__new__(Policy)
+    with pytest.raises(ValidationError, match="stage"):
+        blank.__setstate__({"stages": (np.zeros(1, np.int64),), "stage_sizes": (1, 2)})
+
+
 def test_solve_dp_policy_arrays_match_the_repeat_tile_extraction():
     rng = Rng(283)
     for kinds in (("avar",), ("moment", "finite_family"), ("finite_family", "avar")):

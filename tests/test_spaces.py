@@ -1,5 +1,6 @@
 """Measure/partition/tree substrate tests."""
 
+import itertools
 import json
 import os
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drokit import spaces
 from drokit.rng import Rng
 from drokit.spaces import (
+    ATOL,
     DiscreteMeasure,
     Filtration,
     FiniteSpace,
@@ -305,6 +308,42 @@ def test_metric_axioms_hold_in_any_unit():
             FiniteSpace(8, metric=d * scale)
         with pytest.raises(ValidationError, match="triangle"):
             FiniteSpace(3, metric=bent * scale)
+
+
+def bent_metric(d01):
+    """Four points whose largest distance is 4, where d[0, 1] = ``d01`` and
+    the only triangle that can bind is d[0, 1] <= d[0, 2] + d[2, 1] = 2."""
+    return np.array([
+        [0.0, d01, 1.0, 3.0],
+        [d01, 0.0, 1.0, 3.0],
+        [1.0, 1.0, 0.0, 4.0],
+        [3.0, 3.0, 4.0, 0.0],
+    ])
+
+
+def violating_k(d, tol):
+    """The k through which some d[i, j] > d[i, k] + d[k, j] + tol, by loops."""
+    n = len(d)
+    return {k for i, j, k in itertools.product(range(n), repeat=3) if d[i, j] > d[i, k] + d[k, j] + tol}
+
+
+@pytest.mark.parametrize("cells", [1, 32, 48, 1 << 18])
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 0, 1, 2)])
+def test_triangle_check_decides_per_k_at_every_chunk_size(cells, order, monkeypatch):
+    """A violation through one k only is caught whichever chunk holds that
+    k, and a triangle sitting exactly at the tolerance passes."""
+    monkeypatch.setattr(spaces, "_TRIANGLE_CELLS", cells)
+    tol = ATOL * 4.0
+    at_tol = (1.0 + 1.0) + tol
+    perm = np.ix_(order, order)
+    bad = bent_metric(2.5)[perm]
+    assert violating_k(bad, tol) == {order.index(2)}
+    with pytest.raises(ValidationError, match="triangle"):
+        FiniteSpace(4, metric=bad)
+    assert violating_k(bent_metric(at_tol)[perm], tol) == set()
+    FiniteSpace(4, metric=bent_metric(at_tol)[perm])
+    with pytest.raises(ValidationError, match="triangle"):
+        FiniteSpace(4, metric=bent_metric(np.nextafter(at_tol, np.inf))[perm])
 
 
 def test_filtration_must_refine():
