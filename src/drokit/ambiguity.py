@@ -39,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .lp import EQ, FEAS_TOL, GE, LE, LinearProgram, solve
-from .rng import Rng, randint_words
+from .rng import Rng
 from .spaces import ATOL, DiscreteMeasure, FiniteSpace, RandomVariable, ValidationError, as_weights
 
 
@@ -498,37 +498,6 @@ def sample_measures(M: AmbiguitySet, count: int, rng: Rng) -> list[DiscreteMeasu
     return out
 
 
-def _picks_and_subsets(rng: Rng, trials: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """What ``trials`` rounds of ``rng.randint(m)`` then ``rng.subset(n)``
-    draw: the picks, and the subsets as 0/1 rows of ``n`` floats.
-
-    A round starting at word ``o`` takes word ``o`` for its pick and the
-    parities of the next ``n`` words for its subset; when all ``n`` are even,
-    the word after them is the subset's ``randint(n)`` and every later round
-    starts one word later. So the rounds take ``trials * (n + 1)`` words
-    plus one per such subset: that first block is walked as far as its words
-    reach, one more word is drawn per such subset found, and the walk goes on
-    until every round has its words. The stream ends where the calls end.
-    """
-    words = rng.u64s(trials * (n + 1))
-    starts = np.empty(trials, dtype=np.intp)
-    k = o = 0
-    while k < trials:
-        ones = np.concatenate(([0], np.cumsum((words & np.uint64(1)).astype(np.intp))))
-        lone = (ones[n + 1:] == ones[1:-n]).tolist()  # the n words after each word are even
-        found = 0
-        while k < trials and o < len(lone):
-            starts[k] = o
-            found += lone[o]
-            o += n + 1 + lone[o]
-            k += 1
-        words = np.concatenate((words, rng.u64s(found)))
-    sets = (words[starts[:, None] + np.arange(1, n + 1)] & np.uint64(1)).astype(float)
-    single = np.flatnonzero(sets.sum(axis=1) == 0.0)
-    sets[single, randint_words(words[starts[single] + n + 1], n)] = 1.0
-    return randint_words(words[starts], m), sets
-
-
 def dominates_all(
     result: ReferenceMeasureResult, M: AmbiguitySet, trials: int, rng: Rng | None = None
 ) -> bool:
@@ -541,7 +510,7 @@ def dominates_all(
     rng = rng or Rng()
     n = M.n
     pool = np.array([q.weights for q in sample_measures(M, max(8, min(trials, 4 * n)), rng)])
-    picks, sets = _picks_and_subsets(rng, trials, len(pool), n)
+    picks, sets = rng.randints_and_subsets(trials, len(pool), n)
     q_mass = (pool[picks] * sets).sum(axis=1)
     mu_mass = (result.mu.weights * sets).sum(axis=1)
     return bool(np.all(q_mass <= mu_mass + 1e-9))

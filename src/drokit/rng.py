@@ -36,14 +36,11 @@ _FILL_MIN = 32
 _FILL_MAX = 1024
 
 
-#: ``i * WEYL`` for ``i = 1, ..., _FILL_MAX``: the counter steps of a refill.
-_STEPS = np.arange(1, _FILL_MAX + 1, dtype=_U64) * _U64(_WEYL)
-
-
 def _splitmix(state: int, k: int) -> np.ndarray:
     """The ``k`` words that follow the counter ``state``."""
-    steps = _STEPS[:k] if k <= _FILL_MAX else np.arange(1, k + 1, dtype=_U64) * _U64(_WEYL)
-    z = steps + _U64(state)
+    z = np.arange(1, k + 1, dtype=_U64)
+    z *= _U64(_WEYL)
+    z += _U64(state)
     z ^= z >> _U64(30)
     z *= _U64(_MIX1)
     z ^= z >> _U64(27)
@@ -57,7 +54,7 @@ def _unit(words: np.ndarray) -> np.ndarray:
     return (words >> _FLOAT_SHIFT) * 2.0**-53
 
 
-def randint_words(words: np.ndarray, n: int) -> np.ndarray:
+def _randint_words(words: np.ndarray, n: int) -> np.ndarray:
     """``randint(n)`` of each word: what ``Rng.randint(n)`` returns when it
     draws that word."""
     return np.minimum((_unit(words) * n).astype(np.intp), n - 1)
@@ -68,12 +65,8 @@ class Rng:
 
     def __init__(self, seed: int = 42):
         self._state = seed & _MASK64  # counter of the last word generated
-        # words generated but not yet read start at _pos: as an array and
-        # its floats for block reads, as a list of ints for scalar reads
-        self._block = np.empty(0, dtype=_U64)
-        self._units = _unit(self._block)
-        self._words: list[int] = []
-        self._pos = 0
+        self._block = np.empty(0, dtype=_U64)  # words generated ahead
+        self._pos = 0  # the first word of _block not yet read
         self._fill = _FILL_MIN
 
     def _generate(self, k: int) -> np.ndarray:
@@ -83,16 +76,14 @@ class Rng:
 
     def _refill(self) -> None:
         self._block = self._generate(self._fill)
-        self._units = _unit(self._block)
-        self._words = self._block.tolist()
         self._pos = 0
         self._fill = min(2 * self._fill, _FILL_MAX)
 
     def next_u64(self) -> int:
-        if self._pos == len(self._words):
+        if self._pos == self._block.size:
             self._refill()
         self._pos += 1
-        return self._words[self._pos - 1]
+        return self._block.item(self._pos - 1)
 
     def u64s(self, k: int) -> np.ndarray:
         """The next ``k`` words as a ``uint64`` array: the buffered ones
@@ -122,13 +113,7 @@ class Rng:
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """``n`` floats in [lo, hi), equal elementwise to ``n`` calls of
         ``uniform(lo, hi)``."""
-        start = self._pos
-        if 0 <= n <= self._block.size - start:
-            self._pos += n
-            u = self._units[start:start + n]
-        else:
-            u = _unit(self.u64s(n))
-        return lo + (hi - lo) * u
+        return lo + (hi - lo) * _unit(self.u64s(n))
 
     def randint(self, n: int) -> int:
         """Integer in {0, ..., n-1} via the top 53 bits; n must be positive."""
@@ -157,6 +142,37 @@ class Rng:
         none was kept."""
         picked = np.flatnonzero(self.u64s(n) & _ONE).tolist()
         return picked or [self.randint(n)]
+
+    def randints_and_subsets(self, trials: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """What ``trials`` rounds of ``randint(m)`` then ``subset(n)`` draw:
+        the picks, and the subsets as 0/1 rows of ``n`` floats.
+
+        A round starting at word ``o`` takes word ``o`` for its pick and the
+        parities of the next ``n`` words for its subset; when all ``n`` are
+        even, the word after them is the subset's ``randint(n)`` and every
+        later round starts one word later. So the rounds take
+        ``trials * (n + 1)`` words plus one per such subset: that first block
+        is walked as far as its words reach, one more word is drawn per such
+        subset found, and the walk goes on until every round has its words.
+        The stream ends where the calls end.
+        """
+        words = self.u64s(trials * (n + 1))
+        starts = np.empty(trials, dtype=np.intp)
+        k = o = 0
+        while k < trials:
+            ones = np.concatenate(([0], np.cumsum((words & _ONE).view(np.int64))))
+            lone = (ones[n + 1:] == ones[1:-n]).tolist()  # the n words after each word are even
+            found = 0
+            while k < trials and o < len(lone):
+                starts[k] = o
+                found += lone[o]
+                o += n + 1 + lone[o]
+                k += 1
+            words = np.concatenate((words, self.u64s(found)))
+        sets = (words[starts[:, None] + np.arange(1, n + 1)] & _ONE).astype(float)
+        single = np.flatnonzero(sets.sum(axis=1) == 0.0)
+        sets[single, _randint_words(words[starts[single] + n + 1], n)] = 1.0
+        return _randint_words(words[starts], m), sets
 
     def shuffled(self, items: list) -> list:
         """Fisher-Yates shuffle of a copy of ``items``."""

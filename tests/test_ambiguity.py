@@ -7,7 +7,6 @@ import pytest
 
 from drokit.ambiguity import (
     _membership_lp,
-    _picks_and_subsets,
     AVaRSet,
     FiniteFamily,
     MomentSet,
@@ -187,26 +186,6 @@ def test_dominates_all_matches_the_per_trial_loop(kind):
             assert a.next_u64() == b.next_u64()
         outcomes.append(got)
     assert True in outcomes and False in outcomes
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 6])
-def test_picks_and_subsets_are_the_scalar_calls(n):
-    """The block walk gives each round's ``randint`` and ``subset`` exactly,
-    empty subsets included (half of all rounds at n = 1), and leaves the
-    stream where the calls do."""
-    gen = Rng(5)
-    for trials in (0, 1, 2, 9, 300):
-        seed, m = gen.randint(1 << 30), 1 + gen.randint(12)
-        a, b = Rng(seed), Rng(seed)
-        picks, sets = _picks_and_subsets(a, trials, m, n)
-        want = np.zeros((trials, n))
-        want_picks = []
-        for k in range(trials):
-            want_picks.append(b.randint(m))
-            want[k, b.subset(n)] = 1.0
-        assert picks.tolist() == want_picks
-        assert np.array_equal(sets, want)
-        assert a.next_u64() == b.next_u64()
 
 
 def test_strict_monotonicity_positive_case():

@@ -169,3 +169,23 @@ def test_every_method_reads_the_scalar_stream():
             else:
                 assert r.subset(n + 1) == ref.subset(n + 1)
         assert r.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_randints_and_subsets_are_the_scalar_calls(n):
+    """The block walk gives each round's ``randint`` and ``subset`` exactly,
+    empty subsets included (half of all rounds at n = 1), and leaves the
+    stream where the calls do."""
+    gen = Rng(5)
+    for trials in (0, 1, 2, 9, 300):
+        seed, m = gen.randint(1 << 30), 1 + gen.randint(12)
+        a, b = Rng(seed), ScalarRng(seed)
+        picks, sets = a.randints_and_subsets(trials, m, n)
+        want = np.zeros((trials, n))
+        want_picks = []
+        for k in range(trials):
+            want_picks.append(b.randint(m))
+            want[k, b.subset(n)] = 1.0
+        assert picks.tolist() == want_picks
+        assert np.array_equal(sets, want)
+        assert a.next_u64() == b.next_u64()
