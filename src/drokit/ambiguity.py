@@ -27,11 +27,14 @@ conditional functional are all the oracle on chosen objectives (unit vectors,
 their negatives, random directions, atom indicators). A linear objective on a
 polytope attains its optimum at a vertex, so every reduction is exact.
 ``membership_system`` encodes each set as constraints; it feeds the LP and is
-the independent route the tests compare the oracle against.
+the independent route the tests compare the oracle against. ``vertices``
+lists points whose hull is the set, its basic solutions, for product scans.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -237,6 +240,50 @@ def _plan_marginals(n: int) -> tuple[np.ndarray, np.ndarray]:
     each ``(n, n * n)``, of an ``n x n`` plan flattened with entry ``(i, j)``
     at index ``i * n + j``."""
     return np.repeat(np.eye(n), n, axis=1), np.tile(np.eye(n), n)
+
+
+#: Most column choices ``vertices`` tries, ``C(columns, rows)``.
+_VERTEX_BASES = 1 << 14
+
+
+def vertices(M: AmbiguitySet) -> np.ndarray:
+    """Points whose convex hull is ``M``, its extreme points among them, one
+    per row of a read-only ``(k, n)`` array: a finite family's weights, or
+    the nonnegative basic solutions of ``membership_system(M)`` through
+    ``q_map`` (a ball's plan vertices map to some interior points too). Each
+    inequality row gets a slack column, each row is divided by its largest
+    magnitude so that the sign test (down to ``-1e-10``) does not depend on
+    units, and rows that depend on earlier ones are dropped. Every basis with
+    a nonzero determinant is solved at once; the first of each solution equal
+    to 12 decimals is kept, in order. Raises ``ValidationError`` over
+    ``_VERTEX_BASES`` bases, or when no solution is nonnegative.
+    """
+    if isinstance(M, FiniteFamily):
+        return M.weights
+    sys = membership_system(M)
+    sign = np.array([{EQ: 0.0, LE: 1.0, GE: -1.0}[sense] for sense in sys.senses])
+    slack = np.diag(sign)[:, sign != 0.0]
+    scale = np.abs(sys.A).max(axis=1)
+    scale[scale == 0.0] = 1.0  # a budget row of a one-point ball
+    A, b = np.hstack([sys.A / scale[:, None], slack]), sys.b / scale
+    rank = [np.linalg.matrix_rank(A[:i]) for i in range(len(A) + 1)]
+    keep = [i for i in range(len(A)) if rank[i + 1] > rank[i]]  # rows independent of earlier ones
+    (m, cols), b = A[keep].shape, b[keep]
+    if (count := math.comb(cols, m)) > _VERTEX_BASES:
+        raise ValidationError(f"{type(M).__name__} has {count} bases (cap {_VERTEX_BASES})")
+    bases = np.array(list(itertools.combinations(range(cols), m)), dtype=np.intp)
+    B = A[keep][:, bases].transpose(1, 0, 2)  # (basis, row, basic column)
+    regular = np.linalg.det(B) != 0.0
+    bases, x = bases[regular], np.linalg.solve(B[regular], b)
+    ok = np.isfinite(x).all(axis=1) & (x.min(axis=1) >= -1e-10)
+    if not ok.any():
+        raise ValidationError(f"{type(M).__name__} has no nonnegative basic solution")
+    q_map = np.hstack([sys.q_map, np.zeros((M.n, slack.shape[1]))])
+    Q = np.einsum("kj,kjn->kn", np.maximum(x[ok], 0.0), q_map.T[bases[ok]])
+    _, first = np.unique(np.round(Q, 12), axis=0, return_index=True)
+    Q = Q[np.sort(first)]
+    Q.flags.writeable = False
+    return Q
 
 
 def _membership_lp(
@@ -448,13 +495,8 @@ def _ball_worst_case(M: WassersteinBall, Z: np.ndarray) -> tuple[np.ndarray, np.
 def robust_expectation(
     M: AmbiguitySet, Z: RandomVariable
 ) -> tuple[float, DiscreteMeasure]:
-    """Worst-case expectation ``sup_Q E_Q[Z]`` with an attaining measure.
-
-    One row of ``worst_case``: a member scan for finite families, the sorted
-    capped-density fill for AVaR sets, the slope-ordered hull fill for
-    transport balls, the best two-point measure for one-moment sets, and the
-    membership LP for sets with two or more moments.
-    """
+    """Worst-case expectation ``sup_Q E_Q[Z]`` with an attaining measure:
+    one row of ``worst_case``."""
     value, argmax = worst_case(M, Z.values)
     return float(value), DiscreteMeasure(argmax)
 

@@ -9,17 +9,17 @@ ambiguity set per stage, the product set on the scenario space -- the fold
 collapses to a stagewise backward recursion, and the nested and conditional
 evaluations coincide; both routes are implemented and compared.
 
-For two-stage rectangular instances the module also enumerates the induced
-ambiguity set: all first-stage generators paired with every selector mapping
-first-stage outcomes to second-stage generators. Its static worst case
-reproduces the composite value exactly at finite scale.
+The static worst case over the product set and, for two stages, the induced
+set (each first-stage vertex with every selector of second-stage vertices,
+whose static worst case is the composite value) are built on each stage
+set's ``vertices``, so both are exact for every family.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,10 +27,10 @@ from .ambiguity import (
     AmbiguitySet,
     FiniteFamily,
     robust_expectation,
+    vertices,
     worst_case,
 )
 from .conditional import _conditional_values
-from .rng import Rng
 from .spaces import (
     NEG_INF,
     DiscreteMeasure,
@@ -142,11 +142,6 @@ class RectangularSpec:
         measures), so that worst cases are attained at listed members."""
         return all(isinstance(M, FiniteFamily) for M in self.stage_sets)
 
-    def require_finite_families(self) -> tuple[FiniteFamily, ...]:
-        if not self.finitely_generated:
-            raise ValidationError("this operation needs finitely generated stage sets")
-        return self.stage_sets
-
 
 def product_filtration(spec: RectangularSpec) -> Filtration:
     """History filtration on the product space, knowing the first k stage
@@ -156,13 +151,12 @@ def product_filtration(spec: RectangularSpec) -> Filtration:
 
 
 def product_family(spec: RectangularSpec) -> FiniteFamily:
-    """Vertex products of the per-stage families: the extreme points of the
+    """Vertex products of the per-stage sets: the extreme points of the
     rectangular product set (extreme points of a product of polytopes are
-    products of extreme points). One outer product per stage of the member
-    matrices; the first stage's member varies slowest."""
-    families = spec.require_finite_families()
-    W = families[0].weights
-    for mat in (f.weights for f in families[1:]):
+    products of extreme points). One outer product per stage of the
+    ``vertices`` matrices; the first stage's vertex varies slowest."""
+    W, *later = map(vertices, spec.stage_sets)
+    for mat in later:
         W = (W[:, None, :, None] * mat[:, None]).reshape(len(W) * len(mat), -1)
     return FiniteFamily(W)
 
@@ -217,71 +211,53 @@ def rectangular_equivalence_check(spec: RectangularSpec, Z) -> EquivalenceCheck:
 
 @dataclass(frozen=True)
 class StaticRectangularResult:
-    """Worst case over product measures. ``exact`` is false when stage sets
-    are not finitely generated and alternating maximization was used."""
+    """Worst case over product measures and one product attaining it."""
 
     value: float
     members: tuple[DiscreteMeasure, ...]
-    exact: bool
 
 
-#: Random restarts, and sweeps per restart, of the alternating maximization
-#: in ``static_rectangular``.
-_RESTARTS = 4
-_MAX_SWEEPS = 50
+#: Most cells the vertex scan of one array holds; a stack is scanned in
+#: slices of at most this many cells, and a larger single array is rejected.
+_SCAN_CELLS = 1 << 20
 
 
-def static_rectangular(
-    spec: RectangularSpec, Z, rng: Optional[Rng] = None
-) -> StaticRectangularResult:
-    """sup over stagewise-independent products ``Q_1 x ... x Q_T``.
+def _static_scan(spec: RectangularSpec, stack: np.ndarray):
+    """Exact worst case over product measures of each array of a stack,
+    shape ``(P, *spec.sizes)``, and for each the first product attaining it,
+    as one ``(P, n_t)`` array of measures per stage.
 
-    Finitely generated stages reduce to a scan of vertex products. Otherwise
-    the supremum is approached by alternating per-stage maximization with
-    ``_RESTARTS`` random restarts of at most ``_MAX_SWEEPS`` sweeps each, and
-    flagged non-exact: each sweep fixes all but one stage and solves the
-    induced linear stage problem, so the value only climbs.
+    The value is linear in each stage's measure with the others fixed, so
+    its maximum over stage 1 is convex in each later stage's measure on its
+    own and peaks at a vertex (Horst & Tuy 1996). The stack is contracted
+    with the ``vertices`` of stages T, ..., 2, last stage first, and one
+    batched ``worst_case`` call on stage 1 prices every vertex product of
+    the later stages, taken in row-major order (stage 2 slowest).
     """
-    table = spec.as_product_array(Z)
-    T = spec.horizon
-    if spec.finitely_generated:
-        best_val, best_rows = -np.inf, None
-        for rows in itertools.product(*(f.weights for f in spec.stage_sets)):
-            val = table
-            for w in reversed(rows):
-                val = val @ w
-            if val > best_val:
-                best_val, best_rows = float(val), rows
-        return StaticRectangularResult(best_val, tuple(map(DiscreteMeasure, best_rows)), exact=True)
+    verts = [vertices(M) for M in spec.stage_sets[1:]]
+    counts = [len(V) for V in verts]
+    cells = max(math.prod(spec.sizes[:t]) * math.prod(counts[t - 1 :])
+                for t in range(1, spec.horizon + 1))
+    if cells > _SCAN_CELLS:
+        raise ValidationError(f"the vertex scan needs {cells} cells (cap {_SCAN_CELLS})")
+    values, members = [], []
+    for X in np.split(stack, range(_SCAN_CELLS // cells, len(stack), _SCAN_CELLS // cells)):
+        for V in reversed(verts):  # axes (array, m_t, ..., m_T, s_1, ..., s_{t-1})
+            X = np.moveaxis(X @ V.T, -1, 1)
+        vals, first = worst_case(spec.stage_sets[0], X.reshape(len(X), -1, spec.sizes[0]))
+        k = vals.argmax(axis=1)
+        values.append(vals.max(axis=1))
+        picks = np.unravel_index(k, counts) if counts else ()
+        members.append([first[np.arange(len(k)), k]] + [V[i] for V, i in zip(verts, picks)])
+    return np.concatenate(values), [np.concatenate(q) for q in zip(*members)]
 
-    rng = rng or Rng()
-    overall_best, overall_members = -np.inf, None
-    for _ in range(_RESTARTS):
-        members = []
-        for M in spec.stage_sets:
-            direction = RandomVariable(rng.uniforms(M.n, -1.0, 1.0))
-            members.append(robust_expectation(M, direction)[1])
-        current = -np.inf
-        for _ in range(_MAX_SWEEPS):
-            improved = False
-            for t in range(T):
-                # contract every axis except t with the fixed measures;
-                # removing axes in decreasing order keeps indices valid
-                g = table
-                for s in range(T - 1, -1, -1):
-                    if s == t:
-                        continue
-                    g = np.tensordot(g, members[s].weights, axes=([s], [0]))
-                val, q_new = robust_expectation(spec.stage_sets[t], RandomVariable(g))
-                if val > current + 1e-12:
-                    current = val
-                    members[t] = q_new
-                    improved = True
-            if not improved:
-                break
-        if current > overall_best:
-            overall_best, overall_members = current, tuple(members)
-    return StaticRectangularResult(overall_best, overall_members, exact=False)
+
+def static_rectangular(spec: RectangularSpec, Z, rng=None) -> StaticRectangularResult:
+    """sup over stagewise-independent products ``Q_1 x ... x Q_T``, exact for
+    every family: ``_static_scan`` on a stack of one. ``rng`` is ignored, kept
+    for callers of the former random-restart search (perfbench's ``deep``)."""
+    values, members = _static_scan(spec, spec.as_product_array(Z)[None])
+    return StaticRectangularResult(float(values[0]), tuple(DiscreteMeasure(q[0]) for q in members))
 
 
 @dataclass(frozen=True)
@@ -314,19 +290,14 @@ def permutation_invariance_check(
     table = spec.as_product_array(Z)
     statics, nesteds = [], []
     for perm in permutations:
-        perm = list(perm)
-        permuted = permute_spec(spec, perm)
-        z_perm = np.transpose(table, axes=perm)
+        permuted, z_perm = permute_spec(spec, perm), np.transpose(table, axes=perm)
         statics.append(static_rectangular(permuted, z_perm).value)
         nesteds.append(rectangular_nested(permuted, z_perm).value)
     tol = _PERMUTATION_TOL * float(np.abs(table).max())
-    base_s = statics[0]
-    static_invariant = all(abs(v - base_s) <= tol for v in statics)
-    base_n = nesteds[0]
-    max_change = max(abs(v - base_n) for v in nesteds)
+    max_change = max(abs(v - nesteds[0]) for v in nesteds)
     return PermutationCheck(
         static_values=tuple(statics),
-        static_invariant=static_invariant,
+        static_invariant=all(abs(v - statics[0]) <= tol for v in statics),
         nested_values=tuple(nesteds),
         nested_changed=max_change > tol,
         max_nested_change=max_change,
@@ -368,7 +339,7 @@ def induced_set(spec: RectangularSpec) -> InducedSet:
     """
     if spec.horizon != 2:
         raise ValidationError("the induced set is built for two-stage specs")
-    mat1, mat2 = (f.weights for f in spec.require_finite_families())
+    mat1, mat2 = map(vertices, spec.stage_sets)
     (m1, n1), (m2, n2) = mat1.shape, mat2.shape
     count = m1 * m2**n1
     if count * n1 * n2 > _INDUCED_SET_CAP:

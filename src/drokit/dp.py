@@ -21,11 +21,10 @@ measures, which is never larger. Minimizing the static value over policies
 cannot be decomposed stagewise; the module only compares the two optima.
 Policies are priced in stacks: their cost arrays are gathered into one
 ``(P, *scenario_shape)`` array, stage by stage, the nested values come from
-one ``worst_case`` fold over it, and with finitely generated stage sets the
-static values from one scan of the vertex products. A single policy is a
-stack of one and gets the per-policy folds' bits; in a larger stack the
-products over the first stage run on matrices rather than vectors, so a value
-can differ from its single-policy price by an ulp.
+one ``worst_case`` fold over it, and the static values, for every family,
+from one vertex scan (``composite._static_scan``). A single policy is a stack
+of one and gets the per-policy bits; in a larger stack a value can differ
+from its single-policy price by an ulp.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .ambiguity import (
     is_strictly_monotone,
     worst_case,
 )
-from .composite import RectangularSpec, static_rectangular
+from .composite import RectangularSpec, _static_scan
 from .spaces import FiniteSpace, ValidationError
 
 
@@ -341,25 +340,11 @@ def _nested_values(prob: MultistageProblem, costs: np.ndarray, spec=None) -> np.
 
 
 def _static_values(prob: MultistageProblem, costs: np.ndarray, spec=None) -> np.ndarray:
-    """Worst case of each cost array in the stack over product measures.
-
-    With finitely generated stage sets, one scan of the vertex products,
-    each contracted with the whole stack stage by stage, last stage first;
-    otherwise ``static_rectangular``'s alternating maximization, one policy
-    at a time, each with a fresh ``Rng()``.
-    """
+    """Worst case of each cost array in the stack over product measures, from
+    the one vertex scan of the whole stack that ``static_rectangular`` uses."""
     if prob.horizon == 1:
         return costs[:, 0]
-    spec = spec or prob.random_spec()
-    if not spec.finitely_generated:
-        return np.array([static_rectangular(spec, cost).value for cost in costs])
-    best = np.full(len(costs), -np.inf)
-    for rows in itertools.product(*(f.weights for f in spec.stage_sets)):
-        val = costs
-        for w in reversed(rows):
-            val = val @ w
-        np.maximum(best, val, out=best)
-    return best
+    return _static_scan(spec or prob.random_spec(), costs)[0]
 
 
 #: Most cost cells one stack of policies holds; enumerations are priced in

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import drokit.ambiguity as ambiguity
 from drokit.ambiguity import (
     _membership_lp,
     AVaRSet,
@@ -20,6 +21,7 @@ from drokit.ambiguity import (
     reference_measure,
     robust_expectation,
     sample_measures,
+    vertices,
     worst_case,
 )
 from drokit.lp import GE, LinearProgram, solve
@@ -691,3 +693,102 @@ def test_one_moment_dual_matches_the_closed_form_in_the_units_of_psi(scale):
         Z = RandomVariable(rng.uniforms(n, -1.0, 1.0))
         psi = (RandomVariable(scale * M.psi[0].values),)
         assert _moment_gap(MomentSet(M.support, psi, (scale * M.targets[0],)), Z) <= 1e-7, i
+
+
+def two_moment_set(rng, n, scale=1.0):
+    """Moments ``psi`` and ``psi**2`` of a random measure on a random grid,
+    both in units of ``scale``."""
+    psi = np.sort(rng.uniforms(n, 0.0, 1.0))
+    rows = (scale * psi, scale * psi**2)
+    anchor = rng.simplex(n)
+    return MomentSet(
+        FiniteSpace(n), tuple(map(RandomVariable, rows)), tuple(float(anchor @ r) for r in rows)
+    )
+
+
+def assert_vertices_generate(M, rng, rows=20):
+    """Every vertex lies in ``M``, and on random ``Z`` the best vertex is the
+    oracle's worst case to ``1e-12 max|Z|``."""
+    V = vertices(M)
+    assert V.ndim == 2 and V.shape[1] == M.n and not V.flags.writeable
+    assert all(contains(M, DiscreteMeasure(v)) for v in V)
+    Z = rng.uniforms(rows * M.n, -1.0, 1.0).reshape(rows, M.n)
+    assert np.abs((Z @ V.T).max(axis=1) - worst_case(M, Z)[0]).max() <= 1e-12 * np.abs(Z).max()
+    return V
+
+
+def test_vertices_generate_every_family():
+    rng = Rng(101)
+    for n in range(1, 5):
+        for kind in ("finite_family", "avar", "moment", "wasserstein"):
+            for _ in range(4):
+                assert_vertices_generate(rand_ambiguity_set(rng, n, kind), rng)
+        if n >= 3:
+            for _ in range(4):
+                assert_vertices_generate(two_moment_set(rng, n), rng)
+
+
+def test_vertices_of_a_finite_family_are_its_weights():
+    M = rand_ambiguity_set(Rng(103), 3, "finite_family")
+    assert vertices(M) is M.weights
+
+
+def test_vertices_at_the_ends_of_each_family():
+    rng = Rng(107)
+    p = DiscreteMeasure([0.5, 0.0, 0.3, 0.2])
+    # alpha = 0 is the reference alone; alpha = 1 every outcome it charges
+    assert vertices(AVaRSet(0.0, p)).tolist() == [p.weights.tolist()]
+    assert vertices(AVaRSet(1.0, p)).tolist() == [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for alpha in (0.0, 1.0):
+        assert_vertices_generate(AVaRSet(alpha, p), rng)
+    # a one-moment target at an end of psi is the point mass there
+    grid, psi = FiniteSpace(4), RandomVariable([0.0, 1.0, 2.0, 3.0])
+    for t, end in ((0.0, 0), (3.0, 3)):
+        M = MomentSet(grid, (psi,), (t,))
+        assert vertices(M).tolist() == [np.eye(4)[end].tolist()]
+        assert_vertices_generate(M, rng)
+    # a second moment 2 * psi repeats the first: its row is dropped
+    M = MomentSet(grid, (psi, RandomVariable(2.0 * psi.values)), (1.5, 3.0))
+    assert len(assert_vertices_generate(M, rng)) == 4
+    # radius 0 leaves the center alone
+    space = FiniteSpace(3, metric=[[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    ball = WassersteinBall(DiscreteMeasure([0.2, 0.3, 0.5]), 0.0, space)
+    assert vertices(ball).tolist() == [[0.2, 0.3, 0.5]]
+    assert_vertices_generate(ball, rng)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_vertices_do_not_depend_on_units(scale):
+    """Moment functions, metrics and radii in units of 1e-8 or 1e8 give the
+    vertices of the same sets in units of one."""
+    rng = Rng(109)
+    for n in (3, 4):
+        seed = rng.randint(1 << 30)
+        unit, scaled = two_moment_set(Rng(seed), n), two_moment_set(Rng(seed), n, scale)
+        np.testing.assert_allclose(vertices(scaled), vertices(unit), rtol=0, atol=1e-12)
+        assert_vertices_generate(scaled, rng)
+        ball = rand_ambiguity_set(rng, n, "wasserstein")
+        space = FiniteSpace(n, metric=scale * ball.space.metric)
+        big = WassersteinBall(ball.center, scale * ball.radius, space)
+        np.testing.assert_allclose(vertices(big), vertices(ball), rtol=0, atol=1e-12)
+        assert_vertices_generate(big, rng)
+
+
+def test_vertices_over_the_basis_cap_raise_before_enumerating(monkeypatch):
+    def enumerate_bases(*args):
+        raise AssertionError("bases enumerated over the cap")
+
+    monkeypatch.setattr(ambiguity.itertools, "combinations", enumerate_bases)
+    ball = rand_ambiguity_set(Rng(113), 8, "wasserstein")
+    with pytest.raises(ValidationError, match="cap"):
+        vertices(ball)
+
+
+def test_vertices_of_a_set_feasible_only_within_the_lp_tolerance_raise():
+    """The target (1, 1 - 1e-9) lies 1e-9 outside the hull of the points
+    (psi, psi**2) = (0, 0), (1, 1), (2, 4): the construction's LP accepts it,
+    but no basic solution is nonnegative."""
+    psi = np.array([0.0, 1.0, 2.0])
+    M = MomentSet(FiniteSpace(3), (RandomVariable(psi), RandomVariable(psi**2)), (1.0, 1.0 - 1e-9))
+    with pytest.raises(ValidationError, match="no nonnegative basic solution"):
+        vertices(M)

@@ -856,6 +856,24 @@ def test_induced_set_checks_agree_in_the_units_of_z(tmp_path, capsys):
         assert code == 0 and all(c["passed"] for c in doc["checks"])
 
 
+def test_induced_set_of_avar_stages(tmp_path, capsys):
+    """The induced set is built on the stage sets' vertices, so AVaR stages
+    get one too: its maximum is the nested value."""
+    doc = {"version": "1", "spaces": {"prod": {"n": 6}, "s0": {"n": 2}, "s1": {"n": 3}},
+           "measures": {"p0": {"space": "s0", "weights": [0.6, 0.4]},
+                        "p1": {"space": "s1", "weights": [0.5, 0.25, 0.25]}},
+           "random_variables": {"z": {"space": "prod", "values": [8.0, -9.0, -2.0, 6.0, 7.0, 5.0]}},
+           "ambiguity_sets": {"m0": {"kind": "avar", "alpha": 0.75, "reference": "p0"},
+                              "m1": {"kind": "avar", "alpha": 0.5, "reference": "p1"}},
+           "rectangular_specs": {"two": {"stage_spaces": ["s0", "s1"], "stage_sets": ["m0", "m1"]}}}
+    path = tmp_path / "avar_stages.json"
+    path.write_text(json.dumps(doc))
+    argv = ["eval-composite", str(path), "--rv", "z", "--spec", "two", "--induced-set"]
+    code, out = run_json(argv, capsys)
+    assert code == 0 and [c["name"] for c in out["checks"]] == ["induced_max_equals_value"]
+    assert out["results"]["induced_max"] == pytest.approx(out["results"]["value"], abs=1e-12)
+
+
 def test_eval_composite_spec_whose_product_family_misses_a_history(tmp_path, capsys):
     """The first stage never charges outcome 1, so the composite fold over
     the product family hits an atom no member charges; the nested value is

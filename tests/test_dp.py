@@ -537,11 +537,12 @@ def test_pricing_a_solved_policy_reads_its_stage_arrays(monkeypatch):
 
 
 def test_min_comparison_builds_spec_and_costs_once(monkeypatch):
-    """The spec and the cost stack of all policies are built once, and with
-    finitely generated stages no policy is priced on its own."""
-    prob = random_problem(Rng(263))
-    assert prob.random_spec().finitely_generated and count_policies(prob) > 1
-    calls = {"random_spec": 0, "_cost_stack": 0}
+    """The spec and the cost stack of all policies are built once and scanned
+    once, and no policy is priced on its own, whatever the stage families."""
+    prob = mixed_family_problem(Rng(263), 3)
+    assert {type(M).__name__ for M in prob.stage_sets[1:]} == {"MomentSet", "WassersteinBall"}
+    assert count_policies(prob) > 1
+    calls = {"random_spec": 0, "_cost_stack": 0, "_static_scan": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -553,13 +554,13 @@ def test_min_comparison_builds_spec_and_costs_once(monkeypatch):
     def per_policy(*args):
         raise AssertionError("a policy priced on its own")
 
-    for owner, name in ((MultistageProblem, "random_spec"), (dp, "_cost_stack")):
+    for owner, name in ((MultistageProblem, "random_spec"), (dp, "_cost_stack"), (dp, "_static_scan")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    for owner, name in ((dp, "policy_cost_array"), (dp, "static_rectangular"),
-                        (composite, "rectangular_nested"), (composite, "static_rectangular")):
+    for owner, name in ((dp, "policy_cost_array"), (composite, "rectangular_nested"),
+                        (composite, "static_rectangular")):
         monkeypatch.setattr(owner, name, per_policy)
     compare_min_static_vs_min_nested(prob)
-    assert calls == {"random_spec": 1, "_cost_stack": 1}
+    assert calls == {"random_spec": 1, "_cost_stack": 1, "_static_scan": 1}
 
 
 def per_node_costs(prob, pi):
