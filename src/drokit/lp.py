@@ -123,10 +123,10 @@ class _Tableau:
 
     def pivot(self, row: int, col: int) -> None:
         T = self.T
-        T[row] = T[row] / T[row, col]
+        T[row] /= T[row, col]
         colvals = T[:, col].copy()
         colvals[row] = 0.0
-        T -= np.outer(colvals, T[row])
+        T -= colvals[:, None] * T[row]
         # keep the pivot column numerically exact
         T[:, col] = 0.0
         T[row, col] = 1.0
@@ -149,19 +149,19 @@ def _run_simplex(tab: _Tableau, cost: np.ndarray, banned: np.ndarray) -> str:
     for _ in range(cap):
         r = tab.reduced_costs(cost)
         r[banned] = 0.0  # never enter banned columns
-        eligible = np.flatnonzero(r < -PIVOT_TOL)
-        if eligible.size == 0:
+        eligible = r < -PIVOT_TOL
+        entering = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[entering]:
             return "optimal"
-        entering = eligible[0]  # Bland: smallest eligible index
-        col = tab.T[:, entering]
-        rhs = tab.T[:, -1]
+        col, rhs = tab.T[:, entering].tolist(), tab.T[:, -1].tolist()
+        basis = tab.basis.tolist()
         best_ratio, leave = INF, -1
-        for i in range(tab.m):  # sequential: the tie rule depends on order
-            if col[i] > PIVOT_TOL:
-                ratio = rhs[i] / col[i]
+        for i, c in enumerate(col):  # sequential: the tie rule depends on order
+            if c > PIVOT_TOL:
+                ratio = rhs[i] / c
                 if ratio < best_ratio - 1e-12 or (
                     abs(ratio - best_ratio) <= 1e-12
-                    and (leave < 0 or tab.basis[i] < tab.basis[leave])
+                    and (leave < 0 or basis[i] < basis[leave])
                 ):
                     best_ratio, leave = ratio, i
         if leave < 0:

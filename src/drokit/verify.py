@@ -82,13 +82,13 @@ from .spaces import (
 from .transport import (
     MultistageBoundSpec,
     TreeProcess,
+    _w1_values,
     ball_robust_gap_check,
     kernel_history_moduli,
     lipschitz_constant,
     multistage_bound,
     multistage_bound_empirical_check,
     scenario_lipschitz_certificate,
-    wasserstein_1,
 )
 
 VACUOUS_NOTE = "vacuous pass: 0 trials requested (warning: nothing was checked)"
@@ -326,9 +326,13 @@ def _certificate(M, P: DiscreteMeasure, strict: bool) -> float:
 
 def _transport_excess(P, Q, R, space: FiniteSpace, Z: RandomVariable) -> float:
     """W1 symmetry and triangle inequality, then Kantorovich-Rubinstein on
-    the same W1(P, Q) (vacuous for an infinite Lipschitz constant)."""
-    pairs = ((P, Q), (Q, P), (Q, R), (P, R))
-    dpq, dqp, dqr, dpr = (wasserstein_1(a, b, space)[0] for a, b in pairs)
+    the same W1(P, Q) (vacuous for an infinite Lipschitz constant). The four
+    distances are priced in one call, with both directions of (P, Q)."""
+    for name, M in zip("PQR", (P, Q, R)):
+        M.require_probability(name)
+    p, q, r = P.weights, Q.weights, R.weights
+    firsts, seconds = np.array([p, q, q, p]), np.array([q, p, r, r])
+    dpq, dqp, dqr, dpr = _w1_values(firsts, seconds, space.require_metric()).tolist()
     excess = max(abs(dpq - dqp), dpr - (dpq + dqr))
     L = lipschitz_constant(Z, space)
     if np.isfinite(L):

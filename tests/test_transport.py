@@ -748,27 +748,32 @@ def test_kappa_below_the_kernel_modulus_is_rejected():
 
 
 def test_check_solves_one_w1_per_history_pair(monkeypatch):
-    """The check solves no LP: its only transport problems are the W1 between
-    the kernel rows of each history pair of each stage, in row-major order,
+    """The check solves no LP and calls no ``wasserstein_1``: its only
+    transport problems are the W1 between the kernel rows of each history
+    pair of each stage, in row-major order, priced by the batched kernel and
     recomputed on every call."""
     rng = Rng(157)
     process = random_process(rng, T=3)
     spec, Z = certified_spec(rng, process)
-    real_solve, real_w1 = lp_module.solve, transport.wasserstein_1
+    real_solve, real_values = lp_module.solve, transport._w1_values
     solves, pairs_seen = [], []
 
     def recording_solve(lp):
         solves.append(sys._getframe(1).f_code.co_name)
         return real_solve(lp)
 
-    def recording_w1(P, Q, space):
-        pairs_seen.append((P.weights.tobytes(), Q.weights.tobytes()))
-        return real_w1(P, Q, space)
+    def recording_values(A, B, d):
+        pairs_seen.extend((a.tobytes(), b.tobytes()) for a, b in zip(A, B))
+        return real_values(A, B, d)
+
+    def no_w1(P, Q, space):
+        raise AssertionError("wasserstein_1 called")
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "drokit" and getattr(module, "solve", None) is real_solve:
             monkeypatch.setattr(module, "solve", recording_solve)
-    monkeypatch.setattr(transport, "wasserstein_1", recording_w1)
+    monkeypatch.setattr(transport, "_w1_values", recording_values)
+    monkeypatch.setattr(transport, "wasserstein_1", no_w1)
     expected = []
     for t in range(process.horizon):
         rows = process.kernels[t].reshape(-1, process.sizes[t])
@@ -781,3 +786,72 @@ def test_check_solves_one_w1_per_history_pair(monkeypatch):
         multistage_bound_empirical_check(process, spec, Z)
         assert solves == []
         assert pairs_seen == expected
+
+
+def _moved(rng, p, spread):
+    """``p`` with the mass of one random point spread over ``spread`` others:
+    against ``p`` it has one source and ``spread`` sinks."""
+    n = p.size
+    q, order = p.copy(), rng.shuffled(list(range(n)))
+    q[order[1 : 1 + spread]] += q[order[0]] * rng.simplex(spread)
+    q[order[0]] = 0.0
+    return q
+
+
+def _kernel_cases(rng, n):
+    """Row pairs on ``n`` points: random rows, point masses, forced plans
+    with every count of sinks and of sources, and rows with ``-1e-13`` dust
+    where the point's mass went elsewhere."""
+    firsts, seconds = [], []
+    for _ in range(6):
+        p, q = rng.simplex(n), rng.simplex(n)
+        firsts += [p, p, np.eye(n)[rng.randint(n)]]
+        seconds += [q, p, q]
+    for spread in range(1, n):
+        p = rng.simplex(n)
+        q = _moved(rng, p, spread)
+        firsts += [p, q]
+        seconds += [q, p]
+    for _ in range(4):
+        p, q = rng.simplex(n), rng.simplex(n)
+        dusty = _moved(rng, p, 1 + rng.randint(n - 1))
+        dusty[dusty == 0.0] = -1e-13
+        firsts += [dusty, q, dusty]
+        seconds += [q, dusty, p]
+    return np.array(firsts), np.array(seconds)
+
+
+def test_w1_values_equal_wasserstein_1_bit_for_bit(monkeypatch):
+    """The batched kernel returns the bits of ``wasserstein_1(...)[0]`` on
+    every pair, at n = 2..24 on line and plane metrics, through forced plans
+    of every excess count, the simplex, and rows with clipped dust."""
+    rng = Rng(211)
+    real_simplex, simplex_pairs = transport.transport_simplex, []
+
+    def recording_simplex(C, a, b):
+        simplex_pairs.append(C.shape)
+        return real_simplex(C, a, b)
+
+    for n in range(2, 25):
+        for space in (random_metric_space(rng, n), plane_space(rng, n)):
+            A, B = _kernel_cases(rng, n)
+            want = [
+                wasserstein_1(DiscreteMeasure(a), DiscreteMeasure(b), space)[0]
+                for a, b in zip(A, B)
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(transport, "transport_simplex", recording_simplex)
+                got = transport._w1_values(A, B, space.metric)
+            assert got.shape == (len(A),)
+            assert got.tolist() == want
+    assert len(simplex_pairs) > 100
+    assert all(min(shape) >= 2 for shape in simplex_pairs)
+
+
+def test_w1_values_of_an_empty_stack():
+    """Stage 0 has one history and so no pair: the kernel prices none."""
+    space = line_space([0.0, 0.4, 1.0])
+    empty = np.empty((0, 3))
+    assert transport._w1_values(empty, empty, space.metric).shape == (0,)
+    process = random_process(Rng(5), T=2)
+    assert kernel_history_moduli(process, (1.0, 1.0))[0] == 0.0
