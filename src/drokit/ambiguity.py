@@ -26,6 +26,9 @@ measure, strict monotonicity, sampled members, reachability and the
 conditional functional are all the oracle on chosen objectives (unit vectors,
 their negatives, random directions, atom indicators). A linear objective on a
 polytope attains its optimum at a vertex, so every reduction is exact.
+``worst_case_rows`` prices a stack of rows, each over its own set, with one
+call of the same per-family kernels on the sets' stacked parameters, which
+gives each row the bits ``worst_case`` gives it alone.
 ``membership_system`` encodes each set as constraints; it feeds the LP and is
 the independent route the tests compare the oracle against. ``vertices``
 lists points whose hull is the set, its basic solutions, for product scans.
@@ -307,6 +310,9 @@ def _membership_lp(
     return float(sol.value), sys.q_map @ sol.x
 
 
+_NOT_FINITE = "random variables must be finite-valued"
+
+
 def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     """Batched worst case ``sup_Q E_Q[Z]`` over the last axis of ``Z``.
 
@@ -314,18 +320,19 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     attaining measures, shape ``(..., n)``. Every other operation on a set is
     built on this one, which is where the families differ:
 
-    * FiniteFamily: members times ``Z``, then the first largest member;
+    * FiniteFamily: members times ``Z``, then the first largest member
+      (``_family_scan``);
     * AVaRSet: a stable descending sort of ``Z``, then the density cap
       ``p / (1 - alpha)`` filled along it until the unit mass is spent, so
       the lowest index wins ties; at ``alpha = 1`` the first outcome the
-      reference charges takes all of it;
+      reference charges takes all of it (``_avar_fill``);
     * WassersteinBall: in closed form, no LP. Each source with ``p_i > 0``
       starts at its best point of least cost, and the segments of the upper
       concave hulls of ``(d_ij, Z_j)``, weighted by ``p_i``, are bought
       steepest first until the radius is spent (``_ball_worst_case``);
     * MomentSet with one moment: in closed form, no LP. The best of the
       two-point measures on the target, the first largest pair in row-major
-      order winning ties (``_moment_worst_case``);
+      order winning ties (``_moment_scan``);
     * MomentSet with two or more moments: the membership LP, row by row, on
       each row divided by its largest magnitude, the value scaled back.
     """
@@ -333,31 +340,16 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     if Z.ndim < 1 or Z.shape[-1] != M.n:
         raise ValidationError("Z and the ambiguity set live on different spaces")
     if not np.isfinite(Z).all():
-        raise ValidationError("random variables must be finite-valued")
+        raise ValidationError(_NOT_FINITE)
     if isinstance(M, FiniteFamily):
-        vals = Z @ M.weights.T
-        return vals.max(axis=-1), M.weights[vals.argmax(axis=-1)]
+        return _family_scan(Z, M.weights)
     flat = Z.reshape(-1, M.n)
     if isinstance(M, AVaRSet):
-        rows = np.arange(flat.shape[0])[:, None]
-        order = (-flat).argsort(axis=-1, kind="stable")
-        p = M.reference.weights[order]
-        if M.alpha < 1.0:
-            filled = np.minimum(np.add.accumulate(M.cap * p, axis=-1), 1.0)
-        else:  # all mass on the first outcome the reference charges
-            filled = np.logical_or.accumulate(p > 0.0, axis=-1).astype(float)
-        take = filled.copy()
-        take[:, 1:] -= filled[:, :-1]
-        argmax = np.empty_like(take)
-        argmax[rows, order] = take
-        values = (take * flat[rows, order]).sum(axis=-1)
-        return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
-    if isinstance(M, MomentSet) and M.n_moments == 1:
-        values, argmax = _moment_worst_case(M, flat)
-        return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
-    values = np.empty(flat.shape[0])
-    argmax = np.empty_like(flat)
-    if isinstance(M, WassersteinBall):
+        values, argmax = _avar_fill(flat, M.reference.weights, None if M.alpha == 1.0 else M.cap)
+    elif isinstance(M, MomentSet) and M.n_moments == 1:
+        values, argmax = _moment_scan(flat, *M._pairs)
+    elif isinstance(M, WassersteinBall):
+        values, argmax = np.empty(flat.shape[0]), np.empty_like(flat)
         step = max(1, _BALL_CHUNK // (M.n * M.n))
         for lo in range(0, flat.shape[0], step):
             values[lo : lo + step], argmax[lo : lo + step] = _ball_worst_case(
@@ -366,11 +358,95 @@ def worst_case(M: AmbiguitySet, Z) -> tuple[np.ndarray, np.ndarray]:
     else:
         # the LP has absolute tolerances, so it runs on each row over its
         # largest magnitude; the worst case is positively homogeneous
+        values, argmax = np.empty(flat.shape[0]), np.empty_like(flat)
         for i, z in enumerate(flat):
             scale = float(np.abs(z).max()) or 1.0
             value, argmax[i] = _membership_lp(M, z / scale, maximize=True)
             values[i] = scale * value
     return values.reshape(Z.shape[:-1]), argmax.reshape(Z.shape)
+
+
+def _stack_key(M: AmbiguitySet):
+    """Sets with one key price a stack of rows, a set per row, in one kernel
+    call: finite families of one shape, AVaR sets of one size (those at
+    ``alpha = 1`` apart), one-moment sets of one size and pair-table length.
+    The key's second entry is the size. ``None`` for sets with no stacked
+    form, balls and sets with two or more moments."""
+    if isinstance(M, FiniteFamily):
+        return FiniteFamily, M.n, len(M.weights)
+    if isinstance(M, AVaRSet):
+        return AVaRSet, M.n, M.alpha == 1.0
+    if isinstance(M, MomentSet) and M.n_moments == 1:
+        return MomentSet, M.n, M._pairs[0].size
+    return None
+
+
+def worst_case_rows(sets, rows) -> np.ndarray:
+    """``worst_case(sets[i], rows[i])[0]`` for every ``i``, bit for bit; the
+    rows may differ in length. Rows whose sets share a ``_stack_key`` are
+    priced by one call of the family's kernel on the sets' stacked
+    parameters. A row whose key no other row shares, and every row over a
+    ball or a set with two or more moments, goes through ``worst_case``."""
+    if len(sets) != len(rows):
+        raise ValidationError("one row per ambiguity set required")
+    out = np.empty(len(sets))
+    groups: dict = {}
+    for i, M in enumerate(sets):
+        groups.setdefault(_stack_key(M), []).append(i)
+    for key, idx in groups.items():
+        if key is None or len(idx) == 1:
+            for i in idx:
+                out[i] = worst_case(sets[i], rows[i])[0]
+            continue
+        if any(len(rows[i]) != key[1] for i in idx):
+            raise ValidationError("Z and the ambiguity set live on different spaces")
+        Z = np.array([rows[i] for i in idx], dtype=float)
+        if not np.isfinite(Z).all():
+            raise ValidationError(_NOT_FINITE)
+        group = [sets[i] for i in idx]
+        if key[0] is FiniteFamily:
+            out[idx], _ = _family_scan(Z, np.array([M.weights for M in group]))
+        elif key[0] is AVaRSet:
+            P = np.array([M.reference.weights for M in group])
+            caps = None if key[2] else np.array([[M.cap] for M in group])
+            out[idx], _ = _avar_fill(Z, P, caps)
+        else:
+            out[idx], _ = _moment_scan(Z, *map(np.array, zip(*(M._pairs for M in group))))
+    return out
+
+
+def _family_scan(Z: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Members times ``Z``, then the first largest member. ``W`` is one
+    ``(m, n)`` family for every row of ``Z``, shape ``(..., n)``, or an
+    ``(r, m, n)`` stack, a family for each row of ``Z``, shape ``(r, n)``;
+    each row of a stack takes the product ``worst_case`` takes on that row
+    alone."""
+    if W.ndim == 2:
+        vals = Z @ W.T
+        return vals.max(axis=-1), W[vals.argmax(axis=-1)]
+    vals = (Z[:, None] @ W.transpose(0, 2, 1))[:, 0]
+    return vals.max(axis=-1), W[np.arange(len(W)), vals.argmax(axis=-1)]
+
+
+def _avar_fill(Z: np.ndarray, P: np.ndarray, cap) -> tuple[np.ndarray, np.ndarray]:
+    """The AVaR sort-and-fill on each row of ``Z``, shape (r, n): a stable
+    descending sort, then the density cap ``cap * p`` filled along it until
+    the unit mass is spent, so the lowest index wins ties; with no cap
+    (``None``, ``alpha = 1``) all of it goes to the first outcome ``p``
+    charges. ``P`` and ``cap`` are one reference ``(n,)`` and one float for
+    every row, or a reference and a cap per row, ``(r, n)`` and ``(r, 1)``."""
+    rows = np.arange(Z.shape[0])[:, None]
+    order = (-Z).argsort(axis=-1, kind="stable")
+    p = P[rows, order] if P.ndim == 2 else P[order]
+    if cap is None:
+        filled = np.logical_or.accumulate(p > 0.0, axis=-1).astype(float)
+    else:
+        filled = np.minimum(np.add.accumulate(cap * p, axis=-1), 1.0)
+    take = filled.copy()
+    take[:, 1:] -= filled[:, :-1]
+    argmax = np.empty_like(take)
+    argmax[rows, order] = take
+    return (take * Z[rows, order]).sum(axis=-1), argmax
 
 
 #: Rows of a one-moment worst case are processed in chunks of at most this
@@ -382,28 +458,32 @@ _CHUNK = 1 << 16
 _BALL_CHUNK = 1 << 12
 
 
-def _moment_worst_case(M: MomentSet, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _moment_scan(Z: np.ndarray, ia, ib, wa, wb) -> tuple[np.ndarray, np.ndarray]:
     """Exact worst case over a one-moment set for each row of ``Z``, shape (r, n).
 
     ``sup E_Q[Z]`` subject to ``E_Q[psi] = t`` is the upper concave envelope
     of the points ``(psi_j, Z_j)`` at ``t``, attained by a measure on at most
     two points (Kemperman 1968): the largest interpolated value over the
-    set's pair table ``M._pairs``, the pairs ``psi_a <= t <= psi_b`` in
-    row-major order of ``(a, b)`` with weights ``(psi_b - t, t - psi_a)``
-    over ``psi_b - psi_a``, or ``(1, 0)`` for the single atom ``a`` when
-    ``psi_a = psi_b = t``. The first largest pair wins. Work runs over slices
-    of the table and chunks of rows of at most ``_CHUNK`` entries.
+    set's pair table ``M._pairs = (ia, ib, wa, wb)``, the pairs
+    ``psi_a <= t <= psi_b`` in row-major order of ``(a, b)`` with weights
+    ``(psi_b - t, t - psi_a)`` over ``psi_b - psi_a``, or ``(1, 0)`` for the
+    single atom ``a`` when ``psi_a = psi_b = t``. The first largest pair
+    wins. The table is one ``(L,)`` table for every row, or an ``(r, L)``
+    stack, a table for each row. Work runs over slices of the table and
+    chunks of rows of at most ``_CHUNK`` entries.
     """
-    table = ia, ib, wa, wb = M._pairs
-    r = Z.shape[0]
+    table = ia, ib, wa, wb
+    r, per_row = Z.shape[0], ia.ndim == 2
     values = np.full(r, -np.inf)
-    best = np.zeros(r, dtype=int)  # each row's winning pair, an index into the table
-    for p0 in range(0, ia.size, _CHUNK):
-        pa, pb, qa, qb = (x[p0 : p0 + _CHUNK] for x in table)
-        step = max(1, _CHUNK // pa.size)
+    best = np.zeros(r, dtype=int)  # each row's winning pair, an index into its table
+    for p0 in range(0, ia.shape[-1], _CHUNK):
+        part = [x[..., p0 : p0 + _CHUNK] for x in table]
+        step = max(1, _CHUNK // part[0].shape[-1])
         for lo in range(0, r, step):
             z = Z[lo : lo + step]
-            vals = z[:, pa] * qa + z[:, pb] * qb
+            pa, pb, qa, qb = (x[lo : lo + step] for x in part) if per_row else part
+            at = np.arange(len(z))[:, None] if per_row else slice(None)
+            vals = z[at, pa] * qa + z[at, pb] * qb
             k = vals.argmax(axis=1)
             top, held = vals[np.arange(k.size), k], values[lo : lo + step]
             new = top > held
@@ -411,8 +491,9 @@ def _moment_worst_case(M: MomentSet, Z: np.ndarray) -> tuple[np.ndarray, np.ndar
             best[lo : lo + step] = np.where(new, k + p0, best[lo : lo + step])
     q = np.zeros_like(Z)
     rows = np.arange(r)
-    q[rows, ib[best]] = wb[best]
-    q[rows, ia[best]] += wa[best]  # a = b only for the single atom, weights (1, 0)
+    pick = (rows, best) if per_row else best
+    q[rows, ib[pick]] = wb[pick]
+    q[rows, ia[pick]] += wa[pick]  # a = b only for the single atom, weights (1, 0)
     return values, q
 
 

@@ -29,6 +29,7 @@ from .ambiguity import (
     robust_expectation,
     vertices,
     worst_case,
+    worst_case_rows,
 )
 from .conditional import _conditional_values
 from .spaces import (
@@ -361,38 +362,56 @@ def induced_set(spec: RectangularSpec) -> InducedSet:
 @dataclass(frozen=True)
 class HistoryDependentSpec:
     """Scenario tree with one ambiguity set per internal node, defined over
-    that node's children."""
+    that node's children. A set keyed by a leaf or by no node of the tree is
+    rejected."""
 
     tree: ScenarioTree
     node_sets: Mapping[int, AmbiguitySet]
 
     def __post_init__(self):
+        internal = set()
         for v in self.tree.nodes:
             if v.children:
+                internal.add(v.index)
                 if v.index not in self.node_sets:
                     raise ValidationError(f"node {v.index} lacks an ambiguity set")
                 if self.node_sets[v.index].n != len(v.children):
                     raise ValidationError(
                         f"node {v.index}: set size differs from child count"
                     )
+        for key in self.node_sets:
+            if key not in internal:
+                what = "a leaf" if key in range(len(self.tree.nodes)) else "not a node of the tree"
+                raise ValidationError(f"node {key!r} has an ambiguity set but is {what}")
 
 
 def nested_tree_value(
     spec: HistoryDependentSpec, leaf_values: Sequence[float]
 ) -> tuple[float, dict[int, float]]:
     """Backward recursion on the tree: each internal node takes the worst
-    expected child value over its own ambiguity set. Every parent precedes
-    its children, so nodes are folded in reverse index order, and tree depth
-    is not bounded by the interpreter's recursion limit."""
+    expected child value over its own ambiguity set. Every node's children
+    sit one stage below it, so the internal nodes are folded one stage at a
+    time, the deepest first, with one ``worst_case_rows`` call per stage,
+    which prices the nodes whose sets stack in one kernel call per family.
+    Tree depth is not bounded by the interpreter's recursion limit."""
     tree = spec.tree
     leaves = tree.leaves
     if len(leaf_values) != len(leaves):
         raise ValidationError("one value per leaf required")
-    values: dict[int, float] = {
-        leaf: float(v) for leaf, v in zip(leaves, leaf_values)
-    }
-    for node in reversed(tree.nodes):
-        if node.children:
-            child_vals = [values[c] for c in node.children]
-            values[node.index] = float(worst_case(spec.node_sets[node.index], child_vals)[0])
-    return values[0], values
+    nodes, sets = tree.nodes, spec.node_sets
+    values = [0.0] * len(nodes)
+    for leaf, v in zip(leaves, leaf_values):
+        values[leaf] = float(v)
+    stages: list[list[int]] = [[] for _ in range(tree.depth - 1)]
+    for v in nodes:
+        if v.children:
+            stages[v.stage - 1].append(v.index)
+    for stage in reversed(stages):
+        if len(stage) == 1:  # a chain's stage costs one plain oracle call
+            i = stage[0]
+            values[i] = float(worst_case(sets[i], [values[c] for c in nodes[i].children])[0])
+            continue
+        rows = [[values[c] for c in nodes[i].children] for i in stage]
+        for i, x in zip(stage, worst_case_rows([sets[i] for i in stage], rows).tolist()):
+            values[i] = x
+    return values[0], dict(enumerate(values))

@@ -324,13 +324,15 @@ class ScenarioTree:
     (parent ``None``), and every other node's parent is an earlier node.
 
     One pass over ``parents`` derives each node's stage and its children in
-    ascending order as ``nodes``; every leaf must sit at the final stage.
-    Leaves enumerate scenarios in depth-first order; grouping leaves by their
-    stage-t ancestor yields the induced filtration (see ``tree_filtration``).
+    ascending order as ``nodes``; every leaf must sit at the final stage. A
+    depth-first walk then lists the leaf indices as ``leaves``: leaves
+    enumerate scenarios in that order, and grouping them by their stage-t
+    ancestor yields the induced filtration (see ``tree_filtration``).
     """
 
     parents: tuple[Optional[int], ...]
     nodes: tuple[TreeNode, ...] = field(init=False, repr=False, compare=False)
+    leaves: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parents = tuple(self.parents)
@@ -349,6 +351,14 @@ class ScenarioTree:
             raise ValidationError("all leaves must sit at the final stage")
         nodes = tuple(map(TreeNode, range(len(parents)), stages, parents, map(tuple, children)))
         object.__setattr__(self, "nodes", nodes)
+        leaves: list[int] = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            if not children[v]:
+                leaves.append(v)
+            stack.extend(reversed(children[v]))
+        object.__setattr__(self, "leaves", tuple(leaves))
 
     @classmethod
     def from_branching(cls, branching: Sequence[int]) -> "ScenarioTree":
@@ -370,18 +380,6 @@ class ScenarioTree:
     @property
     def root(self) -> TreeNode:
         return self.nodes[0]
-
-    @property
-    def leaves(self) -> tuple[int, ...]:
-        """Leaf node indices in depth-first order."""
-        order: list[int] = []
-        stack = [self.root.index]
-        while stack:
-            v = self.nodes[stack.pop()]
-            if not v.children:
-                order.append(v.index)
-            stack.extend(reversed(v.children))
-        return tuple(order)
 
     def ancestor_at_stage(self, node: int, stage: int) -> int:
         v = self.nodes[node]

@@ -634,6 +634,42 @@ def test_one_moment_oracle_gives_the_bits_of_the_per_call_pair_scan(chunk, monke
     assert same_bits(worst_case(M, Z), moment_pair_scan(M, Z, chunk))
 
 
+@pytest.mark.parametrize("chunk", [1 << 16, 7, 1])
+def test_worst_case_rows_gives_each_row_the_bits_of_its_own_call(chunk, monkeypatch):
+    """Rows of mixed families and sizes, stacked where their sets share a
+    family and size, each equal bit for bit to ``worst_case`` on its own,
+    with the one-moment stack chunked by row and by pair table."""
+    monkeypatch.setattr(ambiguity, "_CHUNK", chunk)
+    rng = Rng(281)
+    sets, rows = [], []
+    for _ in range(80):
+        n = 2 + rng.randint(3)
+        kind = rng.randint(4)
+        if kind == 0:
+            M = FiniteFamily(tuple(DiscreteMeasure(rng.simplex(n)) for _ in range(1 + rng.randint(2))))
+        elif kind == 1:
+            M = AVaRSet((0.0, 0.5, 1.0)[rng.randint(3)], DiscreteMeasure(rng.simplex(n)))
+        elif kind == 2:
+            psi = np.round(rng.uniforms(n, -1.0, 1.0), 1)
+            M = MomentSet(FiniteSpace(n), (RandomVariable(psi),), (float(psi[rng.randint(n)]),))
+        else:
+            M = rand_ambiguity_set(rng, n, "wasserstein")
+        sets.append(M)
+        rows.append(np.round(rng.uniforms(n, -1.0, 1.0), rng.randint(2)).tolist())
+    got = ambiguity.worst_case_rows(sets, rows)
+    assert [v.hex() for v in got.tolist()] == [
+        float(worst_case(M, z)[0]).hex() for M, z in zip(sets, rows)
+    ]
+    assert ambiguity.worst_case_rows([], []).shape == (0,)
+    M = AVaRSet(0.5, DiscreteMeasure([0.2, 0.3, 0.5]))
+    with pytest.raises(ValidationError, match="one row per"):
+        ambiguity.worst_case_rows([M, M], [[0.0, 1.0, 2.0]])
+    with pytest.raises(ValidationError, match="different spaces"):
+        ambiguity.worst_case_rows([M, M], [[0.0, 1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="finite-valued"):
+        ambiguity.worst_case_rows([M, M], [[0.0, 1.0, 2.0], [0.0, np.nan, 1.0]])
+
+
 def test_one_moment_pair_table_is_built_once_on_first_use():
     M = mean_constrained_set()
     assert "_pairs" not in vars(M)  # nothing is added at construction

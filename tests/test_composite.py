@@ -714,6 +714,129 @@ def test_deep_chain_loads_and_folds():
     assert len(node_values) == 10_000
 
 
+def per_node_tree_value(spec, leaf_values):
+    """The tree fold as one ``worst_case`` call per internal node, in reverse
+    index order: the reference the stage fold must match bit for bit."""
+    values = {leaf: float(v) for leaf, v in zip(spec.tree.leaves, leaf_values)}
+    for node in reversed(spec.tree.nodes):
+        if node.children:
+            child_vals = [values[c] for c in node.children]
+            values[node.index] = float(worst_case(spec.node_sets[node.index], child_vals)[0])
+    return values[0], values
+
+
+def random_irregular_tree(rng, depth):
+    """Level-numbered tree whose internal nodes have 1 to 4 children each,
+    so one stage holds nodes of several child counts."""
+    parents, level = [None], [0]
+    for _ in range(depth - 1):
+        below = []
+        for v in level:
+            for _ in range(1 + rng.randint(4)):
+                parents.append(v)
+                below.append(len(parents) - 1)
+        level = below
+    return ScenarioTree(tuple(parents))
+
+
+def one_moment_set(rng, n):
+    """Grid values on a 0.1 lattice and a target on the grid or between, so
+    pair tables differ in length between sets of one size."""
+    psi = np.round(rng.uniforms(n, -1.0, 1.0), 1)
+    t = float(psi[rng.randint(n)]) if rng.randint(2) else rng.uniform(psi.min(), psi.max())
+    return MomentSet(FiniteSpace(n), (RandomVariable(psi),), (t,))
+
+
+def two_moment_set(rng, n):
+    psi = (RandomVariable(rng.uniforms(n, 0.0, 1.0)), RandomVariable(rng.uniforms(n, 0.0, 1.0)))
+    anchor = rng.simplex(n)
+    return MomentSet(FiniteSpace(n), psi, tuple(float(anchor @ f.values) for f in psi))
+
+
+def avar_set(rng, n):
+    p = rng.simplex(n)
+    p[rng.subset(n)[: n // 2]] = 0.0  # outcomes the reference does not charge
+    p = p / p.sum() if p.sum() > 0 else np.full(n, 1.0 / n)
+    return AVaRSet((0.0, 0.5, 1.0)[rng.randint(3)], DiscreteMeasure(p))
+
+
+TREE_SET_MAKERS = {
+    "finite": lambda rng, n: random_family(rng, n, 1 + rng.randint(3)),
+    "avar": avar_set,
+    "one_moment": one_moment_set,
+    "two_moment": two_moment_set,
+    "ball": lambda rng, n: rand_ambiguity_set(rng, n, "wasserstein"),
+}
+
+
+@pytest.mark.parametrize("kinds", [(k,) for k in TREE_SET_MAKERS] + [tuple(TREE_SET_MAKERS)])
+def test_stage_fold_gives_the_bits_of_the_per_node_walk(kinds):
+    rng = Rng(293)
+    for _ in range(4):
+        tree = random_irregular_tree(rng, 4 if "two_moment" in kinds or "ball" in kinds else 5)
+        sets = {
+            v.index: TREE_SET_MAKERS[kinds[rng.randint(len(kinds))]](rng, len(v.children))
+            for v in tree.nodes if v.children
+        }
+        spec = HistoryDependentSpec(tree, sets)
+        leaf_z = rng.uniforms(len(tree.leaves), -1.0, 1.0)
+        for z in (leaf_z, np.round(leaf_z, 0)):  # ties between children
+            value, values = nested_tree_value(spec, z)
+            ref_value, ref_values = per_node_tree_value(spec, z)
+            assert value.hex() == ref_value.hex()
+            assert sorted(values) == sorted(ref_values)
+            assert all(values[v].hex() == ref_values[v].hex() for v in ref_values)
+
+
+@pytest.mark.parametrize("kernel", ["_family_scan", "_avar_fill", "_moment_scan"])
+def test_stage_fold_prices_each_group_in_one_kernel_call(kernel, monkeypatch):
+    """On the 3^4 tree with one family at every node, each stage of several
+    nodes is one stacked kernel call on all its rows: one call per stage."""
+    import drokit.ambiguity as amb
+
+    calls = []
+    real = getattr(amb, kernel)
+    monkeypatch.setattr(amb, kernel, lambda Z, *a: calls.append(len(np.atleast_2d(Z))) or real(Z, *a))
+    rng = Rng(307)
+    tree = ScenarioTree.from_branching([3] * 4)
+    make = {"_family_scan": lambda: random_family(rng, 3, 2),
+            "_avar_fill": lambda: AVaRSet(0.5, DiscreteMeasure(rng.simplex(3))),
+            "_moment_scan": lambda: MomentSet(FiniteSpace(3), (RandomVariable([0.0, 0.5, 1.0]),), (0.4,))}
+    spec = HistoryDependentSpec(tree, {v.index: make[kernel]() for v in tree.nodes if v.children})
+    leaf_z = rng.uniforms(len(tree.leaves), -1.0, 1.0)
+    value, _ = nested_tree_value(spec, leaf_z)
+    assert calls == [27, 9, 3, 1]
+    assert value.hex() == per_node_tree_value(spec, leaf_z)[0].hex()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stage_fold_rejects_a_leaf_that_is_not_finite(bad):
+    tree = ScenarioTree.from_branching([2, 3])
+    rng = Rng(311)
+    sets = {v.index: random_family(rng, len(v.children), 2) for v in tree.nodes if v.children}
+    spec = HistoryDependentSpec(tree, sets)
+    for where in (0, 4):
+        leaf_z = rng.uniforms(6, -1.0, 1.0)
+        leaf_z[where] = bad
+        with pytest.raises(ValidationError, match="finite-valued"):
+            nested_tree_value(spec, leaf_z)
+
+
+def test_history_dependent_spec_rejects_sets_off_the_internal_nodes():
+    tree = ScenarioTree.from_branching([2])
+    M = FiniteFamily((DiscreteMeasure([0.5, 0.5]),))
+    one = FiniteFamily((DiscreteMeasure([1.0]),))
+    with pytest.raises(ValidationError, match="node 1 .*a leaf"):
+        HistoryDependentSpec(tree, {0: M, 1: M, 99: M})
+    with pytest.raises(ValidationError, match="node 2 .*a leaf"):
+        HistoryDependentSpec(tree, {0: M, 2: one})
+    with pytest.raises(ValidationError, match="node 99 .*not a node of the tree"):
+        HistoryDependentSpec(tree, {0: M, 99: M})
+    with pytest.raises(ValidationError, match="node 'a' .*not a node of the tree"):
+        HistoryDependentSpec(tree, {0: M, "a": M})
+    HistoryDependentSpec(tree, {0: M})
+
+
 def test_example_mean_moment_endpoints_make_gap_vanish():
     """Convex second-stage objectives with a mean-constrained second stage
     put the worst measure on the grid endpoints independently of stage one,
